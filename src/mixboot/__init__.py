@@ -19,7 +19,7 @@ from .analysis import (
     spearman,
     threshold_curve,
 )
-from .augment import MixupPair, PerturbationPolicy, mixup_batch, perturb, sample_gamma
+from .augment import PerturbationPolicy, mixup_batch, perturb, sample_gamma
 from .config import (
     AnalysisConfig,
     EstimatorConfig,
@@ -87,7 +87,6 @@ __all__ = [
     "LossOutput",
     "MetricsReport",
     "MixbootError",
-    "MixupPair",
     "MlpModel",
     "PerturbationPolicy",
     "PredictionBatch",

@@ -1,4 +1,4 @@
-"""Mixup pair construction and a generic input-perturbation policy.
+"""Batch mixup and a generic input-perturbation policy.
 
 The perturbation policy is a feature-vector stand-in for image-space
 test-time augmentation: per-dimension multiplicative jitter plus additive
@@ -39,62 +39,53 @@ class PerturbationPolicy:
         return self.noise_sigma == 0.0 and self.scale_jitter == 0.0
 
 
-@dataclass(frozen=True)
-class MixupPair:
-    """One mixed input with the two source labels and the mixing coefficient."""
+def sample_gammas(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n Beta(alpha, alpha) draws, each g1 / (g1 + g2) over one row of Gamma draws.
 
-    mixed_input: np.ndarray
-    label_i: int
-    label_j: int
-    gamma: float
-    source_indices: tuple[int, int]
+    The (n, 2) draw is row-major, so it consumes the stream exactly as n
+    successive scalar (g1, g2) pairs would.  Each ratio is clipped to
+    [GAMMA_EPS, 1 - GAMMA_EPS]; a row whose sum underflows to 0 (vanishingly
+    rare for usable alpha) gets 0.5.
+    """
+    if alpha <= 0.0:
+        raise InvalidInputError("alpha must be positive")
+    g = rng.gamma(alpha, size=(n, 2))
+    total = g[:, 0] + g[:, 1]
+    with np.errstate(invalid="ignore"):
+        ratio = np.clip(g[:, 0] / total, GAMMA_EPS, 1.0 - GAMMA_EPS)
+    return np.where(total == 0.0, 0.5, ratio)
 
 
 def sample_gamma(alpha: float, rng: np.random.Generator) -> float:
-    """One Beta(alpha, alpha) draw via two Gamma draws g1 / (g1 + g2)."""
-    if alpha <= 0.0:
-        raise InvalidInputError("alpha must be positive")
-    g1 = rng.gamma(alpha)
-    g2 = rng.gamma(alpha)
-    total = g1 + g2
-    if total == 0.0:  # double underflow, vanishingly rare for usable alpha
-        return 0.5
-    return float(np.clip(g1 / total, GAMMA_EPS, 1.0 - GAMMA_EPS))
+    """One Beta(alpha, alpha) draw: the n = 1 case of ``sample_gammas``."""
+    return float(sample_gammas(alpha, 1, rng)[0])
 
 
 def mixup_batch(
     inputs: np.ndarray,
-    labels: np.ndarray,
     alpha: float,
     rng: np.random.Generator,
     fixed_gamma: float | None = None,
-) -> list[MixupPair]:
-    """Pair each sample with a permutation partner and mix with its own gamma.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mix each row with a permutation partner under its own coefficient.
 
-    ``fixed_gamma`` pins the coefficient for every pair (test hook); the
+    Returns ``(mixed, partners, gammas)`` with
+    ``mixed[i] = gammas[i] * inputs[i] + (1 - gammas[i]) * inputs[partners[i]]``.
+    The permutation is drawn first, then one ``sample_gammas`` batch.
+    ``fixed_gamma`` pins the coefficient for every row (test hook); the
     partner permutation is still drawn so the pairing stays comparable.
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
-    labels = np.asarray(labels)
-    n = inputs.shape[0]
+    x = np.asarray(inputs, dtype=np.float64)
+    n = x.shape[0]
     if n < 2:
         raise InvalidInputError("mixup needs at least 2 samples")
     partners = rng.permutation(n)
-    pairs = []
-    for i in range(n):
-        j = int(partners[i])
-        gamma = float(fixed_gamma) if fixed_gamma is not None else sample_gamma(alpha, rng)
-        mixed = gamma * inputs[i] + (1.0 - gamma) * inputs[j]
-        pairs.append(
-            MixupPair(
-                mixed_input=mixed,
-                label_i=int(labels[i]),
-                label_j=int(labels[j]),
-                gamma=gamma,
-                source_indices=(i, j),
-            )
-        )
-    return pairs
+    if fixed_gamma is None:
+        gammas = sample_gammas(alpha, n, rng)
+    else:
+        gammas = np.full(n, float(fixed_gamma))
+    g = gammas.reshape((n,) + (1,) * (x.ndim - 1))
+    return g * x + (1.0 - g) * x[partners], partners, gammas
 
 
 def perturb(

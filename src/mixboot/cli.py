@@ -18,7 +18,7 @@ from .experiment import (
 )
 
 EXIT_OK = 0
-EXIT_MISMATCH = 1
+EXIT_MISMATCH = 4
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 

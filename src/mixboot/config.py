@@ -132,8 +132,8 @@ def _convert(key: str, raw: str, typ):
     raise ConfigError(f"{key}: unsupported value type")
 
 
-def parse_pairs(text: str) -> dict[str, str]:
-    """Raw key -> value strings from config text; later duplicates win."""
+def _numbered_pairs(text: str) -> dict[str, tuple[str, int]]:
+    """key -> (raw value, line number of its last occurrence)."""
     pairs = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -145,18 +145,24 @@ def parse_pairs(text: str) -> dict[str, str]:
         key, value = key.strip(), value.strip()
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
-        pairs[key] = value
+        pairs[key] = (value, lineno)
     return pairs
 
 
-def config_from_pairs(pairs: dict[str, str]) -> ExperimentConfig:
+def parse_pairs(text: str) -> dict[str, str]:
+    """Raw key -> value strings from config text; later duplicates win."""
+    return {key: value for key, (value, _) in _numbered_pairs(text).items()}
+
+
+def config_from_pairs(pairs: dict[str, str], origins: dict[str, str]) -> ExperimentConfig:
+    """Typed config from raw pairs; ``origins[key]`` says where key was set."""
     for required in REQUIRED_KEYS:
         if required not in pairs:
             raise ConfigError(f"missing required key {required!r}")
     sections: dict[str, dict] = {"train": {}, "estimator": {}, "analysis": {}, "output": {}}
     for key, raw in pairs.items():
         if key not in _REGISTRY:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise ConfigError(f"{origins[key]}: unknown config key {key!r}")
         section, field_name, typ = _REGISTRY[key]
         sections[section][field_name] = _convert(key, raw, typ)
     return ExperimentConfig(
@@ -168,11 +174,18 @@ def config_from_pairs(pairs: dict[str, str]) -> ExperimentConfig:
 
 
 def parse_config(text: str, overrides: list[str] | None = None) -> ExperimentConfig:
-    """Parse config text plus optional `key=value` override strings."""
-    pairs = parse_pairs(text)
+    """Parse config text plus optional `key=value` override strings.
+
+    An unknown key is reported with the line of its last occurrence in
+    ``text``, or with the override that set it.
+    """
+    pairs, origins = {}, {}
+    for key, (value, lineno) in _numbered_pairs(text).items():
+        pairs[key], origins[key] = value, f"line {lineno}"
     for item in overrides or []:
-        pairs.update(parse_pairs(item))
-    return config_from_pairs(pairs)
+        for key, value in parse_pairs(item).items():
+            pairs[key], origins[key] = value, f"override {item!r}"
+    return config_from_pairs(pairs, origins)
 
 
 def load_config(path, overrides: list[str] | None = None) -> ExperimentConfig:

@@ -29,7 +29,6 @@ class MlpModel:
     w3: np.ndarray
     b3: np.ndarray
     dropout: float = 0.2
-    training: bool = False
 
     @property
     def dims(self) -> tuple[int, int, int, int]:
@@ -43,7 +42,7 @@ class MlpModel:
         return MlpModel(
             self.w1.copy(), self.b1.copy(), self.w2.copy(),
             self.b2.copy(), self.w3.copy(), self.b3.copy(),
-            dropout=self.dropout, training=self.training,
+            dropout=self.dropout,
         )
 
     # estimator-facing surface

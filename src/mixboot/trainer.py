@@ -175,12 +175,7 @@ def train(config: TrainConfig, dataset: Dataset) -> tuple[MlpModel, TrainLog]:
             mixed = config.method in ("mixup_ce", "bsm") and len(idx) >= 2
 
             if mixed:
-                pairs = mixup_batch(x, y, config.alpha, mixup_rng)
-                xb = np.stack([p.mixed_input for p in pairs])
-                gammas = np.array([p.gamma for p in pairs])
-                labels_i = np.array([p.label_i for p in pairs])
-                labels_j = np.array([p.label_j for p in pairs])
-                j_local = np.array([p.source_indices[1] for p in pairs])
+                xb, partners, gammas = mixup_batch(x, config.alpha, mixup_rng)
             elif config.method == "ce_aug":
                 xb = perturb(x, policy, augment_rng)
             else:
@@ -190,11 +185,11 @@ def train(config: TrainConfig, dataset: Dataset) -> tuple[MlpModel, TrainLog]:
                                        rng=dropout_rng)
             if mixed and config.method == "bsm":
                 targets = batch_bsm_targets(
-                    logits, labels_i, labels_j, gammas,
-                    w_used[idx], w_used[idx[j_local]], config.soft_bootstrap,
+                    logits, y, y[partners], gammas,
+                    w_used[idx], w_used[idx[partners]], config.soft_bootstrap,
                 )
             elif mixed:
-                targets = batch_mixup_targets(labels_i, labels_j, gammas, k)
+                targets = batch_mixup_targets(y, y[partners], gammas, k)
             elif config.method == "bsm":
                 # leftover single-sample batch: self-pair degenerates to
                 # a plain bootstrap target

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mixboot.augment import PerturbationPolicy, mixup_batch, perturb, sample_gamma
+from mixboot.augment import (
+    GAMMA_EPS,
+    PerturbationPolicy,
+    mixup_batch,
+    perturb,
+    sample_gamma,
+    sample_gammas,
+)
 from mixboot.errors import InvalidInputError
 
 # closed form std of Beta(a, a): sqrt(1 / (4 (2a + 1)))
@@ -12,8 +19,9 @@ GAMMA_STD_ALPHA_32 = 0.06201736729460423
 
 
 def draw_gammas(alpha, n, seed):
-    rng = np.random.default_rng(seed)
-    return np.array([sample_gamma(alpha, rng) for _ in range(n)])
+    # equal bit for bit to n sample_gamma calls on the same stream
+    # (TestMixupMatchesLoop::test_scalar_draws_equal_one_batch_draw)
+    return sample_gammas(alpha, n, np.random.default_rng(seed))
 
 
 class TestSampleGamma:
@@ -49,48 +57,108 @@ class TestSampleGamma:
         assert draw_gammas(0.3, 50, 5).tolist() == draw_gammas(0.3, 50, 5).tolist()
 
 
+def loop_mixup(inputs, alpha, rng, fixed_gamma=None):
+    """The per-pair loop that mixup_batch replaced, kept as its reference."""
+    x = np.asarray(inputs, dtype=np.float64)
+    n = x.shape[0]
+    partners = rng.permutation(n)
+    mixed, gammas = [], []
+    for i in range(n):
+        if fixed_gamma is not None:
+            gamma = float(fixed_gamma)
+        else:
+            g1 = rng.gamma(alpha)
+            g2 = rng.gamma(alpha)
+            total = g1 + g2
+            if total == 0.0:
+                gamma = 0.5
+            else:
+                gamma = float(np.clip(g1 / total, GAMMA_EPS, 1.0 - GAMMA_EPS))
+        mixed.append(gamma * x[i] + (1.0 - gamma) * x[int(partners[i])])
+        gammas.append(gamma)
+    return np.stack(mixed), partners, np.array(gammas)
+
+
 class TestMixupBatch:
     def test_fixed_gamma_one_returns_inputs(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(6, 2))
-        pairs = mixup_batch(x, np.zeros(6, dtype=int), 0.3, rng, fixed_gamma=1.0)
-        for i, p in enumerate(pairs):
-            assert (p.mixed_input == x[i]).all()
+        mixed, _, gammas = mixup_batch(x, 0.3, rng, fixed_gamma=1.0)
+        assert (mixed == x).all()
+        assert (gammas == 1.0).all()
 
     def test_identical_inputs_fixed_point(self):
         x = np.tile(np.array([1.5, -2.0]), (5, 1))
         rng = np.random.default_rng(1)
-        for p in mixup_batch(x, np.zeros(5, dtype=int), 0.3, rng):
-            np.testing.assert_allclose(p.mixed_input, [1.5, -2.0], atol=1e-15)
+        mixed, _, _ = mixup_batch(x, 0.3, rng)
+        for row in mixed:
+            np.testing.assert_allclose(row, [1.5, -2.0], atol=1e-15)
 
     def test_convex_combination_hand_case(self):
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
         rng = np.random.default_rng(2)
-        pairs = mixup_batch(x, np.array([0, 1]), 0.3, rng, fixed_gamma=0.25)
-        for p in pairs:
-            i, j = p.source_indices
+        mixed, partners, _ = mixup_batch(x, 0.3, rng, fixed_gamma=0.25)
+        for i, j in enumerate(partners):
             np.testing.assert_allclose(
-                p.mixed_input, 0.25 * x[i] + 0.75 * x[j], atol=1e-15
+                mixed[i], 0.25 * x[i] + 0.75 * x[j], atol=1e-15
             )
 
-    def test_labels_track_sources(self):
+    def test_rows_track_sources(self):
         rng = np.random.default_rng(3)
-        labels = np.array([0, 1, 1, 0, 1])
         x = rng.normal(size=(5, 2))
-        for p in mixup_batch(x, labels, 0.3, rng):
-            i, j = p.source_indices
-            assert p.label_i == labels[i]
-            assert p.label_j == labels[j]
+        mixed, partners, gammas = mixup_batch(x, 0.3, rng)
+        for i, (j, g) in enumerate(zip(partners, gammas)):
+            assert (mixed[i] == g * x[i] + (1.0 - g) * x[j]).all()
 
     def test_partner_is_permutation(self):
         rng = np.random.default_rng(4)
-        pairs = mixup_batch(np.zeros((8, 2)), np.zeros(8, dtype=int), 0.3, rng)
-        partners = sorted(p.source_indices[1] for p in pairs)
-        assert partners == list(range(8))
+        _, partners, _ = mixup_batch(np.zeros((8, 2)), 0.3, rng)
+        assert sorted(partners.tolist()) == list(range(8))
 
     def test_needs_two_samples(self):
         with pytest.raises(InvalidInputError):
-            mixup_batch(np.zeros((1, 2)), np.zeros(1, dtype=int), 0.3, np.random.default_rng(0))
+            mixup_batch(np.zeros((1, 2)), 0.3, np.random.default_rng(0))
+
+
+class TestMixupMatchesLoop:
+    """The batch form reproduces the per-pair loop bit for bit, stream included."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 32.0])
+    @pytest.mark.parametrize("shape", [(32, 2), (7, 3), (5,)])
+    def test_drawn_gamma(self, seed, alpha, shape):
+        self.check(seed, alpha, shape, None)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    @pytest.mark.parametrize("fixed_gamma", [0.0, 0.25, 1.0])
+    def test_fixed_gamma(self, seed, fixed_gamma):
+        self.check(seed, 0.3, (32, 2), fixed_gamma)
+
+    def test_underflowing_gamma_sum_gets_half(self):
+        # Gamma(1e-3) draws underflow to 0 often enough that some rows
+        # take the g1 + g2 == 0 branch
+        gammas = self.check(5, 1e-3, (64, 2), None)
+        assert (gammas == 0.5).any()
+
+    @staticmethod
+    def check(seed, alpha, shape, fixed_gamma):
+        x = np.random.default_rng(1000 + seed).normal(size=shape)
+        rng_batch, rng_loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        mixed, partners, gammas = mixup_batch(x, alpha, rng_batch, fixed_gamma)
+        ref_mixed, ref_partners, ref_gammas = loop_mixup(x, alpha, rng_loop, fixed_gamma)
+        assert mixed.shape == ref_mixed.shape
+        assert (mixed == ref_mixed).all()
+        assert (partners == ref_partners).all()
+        assert (gammas == ref_gammas).all()
+        assert rng_batch.bit_generator.state == rng_loop.bit_generator.state
+        return gammas
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 32.0])
+    def test_scalar_draws_equal_one_batch_draw(self, alpha):
+        rng_scalar, rng_batch = np.random.default_rng(11), np.random.default_rng(11)
+        scalar = [sample_gamma(alpha, rng_scalar) for _ in range(40)]
+        assert scalar == sample_gammas(alpha, 40, rng_batch).tolist()
+        assert rng_scalar.bit_generator.state == rng_batch.bit_generator.state
 
 
 class TestPerturb:

@@ -129,6 +129,14 @@ class TestReportVerb:
         assert code == EXIT_MISMATCH
         assert "matches stored metrics.json: NO" in out
 
+    def test_mismatch_exit_code_is_documented_four(self, workdir):
+        # README "Exit codes": 4 report mismatch
+        run_dir = self.run_once(workdir)
+        stored = json.loads((run_dir / "metrics.json").read_text())
+        stored["brier"] = -1.0
+        (run_dir / "metrics.json").write_text(json.dumps(stored))
+        assert main(["report", "--run", str(run_dir)]) == 4
+
     def test_non_run_directory_rejected(self, workdir, capsys):
         code = main(["report", "--run", str(workdir)])
         assert code == EXIT_CONFIG

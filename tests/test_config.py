@@ -58,6 +58,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="momentum"):
             parse_config(MINIMAL + "momentum = 0.9\n")
 
+    def test_unknown_key_names_its_line(self):
+        with pytest.raises(ConfigError, match="line 3: unknown config key 'momentum'"):
+            parse_config(MINIMAL + "seed = 1\nmomentum = 0.9\n")
+
+    def test_unknown_key_in_override_named_as_override(self):
+        with pytest.raises(ConfigError, match="override 'momentum = 0.9'") as exc:
+            parse_config(MINIMAL, overrides=["momentum = 0.9"])
+        assert "line" not in str(exc.value)
+
     def test_typed_fields(self):
         config = parse_config(
             MINIMAL
