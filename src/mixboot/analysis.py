@@ -9,11 +9,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from . import _kernels
 from .errors import InvalidInputError, UndefinedMetricError
-from .prob_metrics import roc_auc
+from .prob_metrics import rank_average, roc_auc
 
 EXACT_PERMUTATION_MAX_N = 10
 _PERM_CHUNK = 100_000
@@ -184,10 +184,6 @@ def distance_records(
     ]
 
 
-def _rank(x: np.ndarray) -> np.ndarray:
-    return stats.rankdata(x, method="average")
-
-
 def _pearson(a: np.ndarray, b: np.ndarray) -> float:
     am = a - a.mean()
     bm = b - b.mean()
@@ -229,7 +225,7 @@ def spearman(x: np.ndarray, y: np.ndarray, exact: bool = False) -> tuple[float, 
         raise InvalidInputError("spearman needs at least 3 samples")
     if np.all(xa == xa[0]) or np.all(ya == ya[0]):
         raise UndefinedMetricError("correlation undefined for a constant vector")
-    xr, yr = _rank(xa), _rank(ya)
+    xr, yr = rank_average(xa), rank_average(ya)
     rho = _pearson(xr, yr)
     if exact:
         if n > EXACT_PERMUTATION_MAX_N:
@@ -240,7 +236,8 @@ def spearman(x: np.ndarray, y: np.ndarray, exact: bool = False) -> tuple[float, 
     if abs(rho) >= 1.0:
         return rho, 0.0
     t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-    p = 2.0 * float(stats.t.sf(abs(t), n - 2))
+    # Student-t survival function, as scipy.stats.t.sf(abs(t), n - 2) computes it
+    p = 2.0 * float(special.stdtr(n - 2, -abs(t)))
     return rho, p
 
 

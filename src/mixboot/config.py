@@ -132,20 +132,29 @@ def _convert(key: str, raw: str, typ):
     raise ConfigError(f"{key}: unsupported value type")
 
 
+def _split_pair(line: str, origin: str) -> tuple[str, str] | None:
+    """(key, raw value) of one `key = value` line, None for a blank or
+    comment line; errors name ``origin``."""
+    stripped = line.strip()
+    if not stripped or stripped.startswith("#"):
+        return None
+    if "=" not in stripped:
+        raise ConfigError(f"{origin}: expected `key = value`, got {line!r}")
+    key, _, value = stripped.partition("=")
+    key, value = key.strip(), value.strip()
+    if not key:
+        raise ConfigError(f"{origin}: empty key")
+    return key, value
+
+
 def _numbered_pairs(text: str) -> dict[str, tuple[str, int]]:
     """key -> (raw value, line number of its last occurrence)."""
     pairs = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected `key = value`, got {line!r}")
-        key, _, value = stripped.partition("=")
-        key, value = key.strip(), value.strip()
-        if not key:
-            raise ConfigError(f"line {lineno}: empty key")
-        pairs[key] = (value, lineno)
+        pair = _split_pair(line, f"line {lineno}")
+        if pair is not None:
+            key, value = pair
+            pairs[key] = (value, lineno)
     return pairs
 
 
@@ -176,15 +185,19 @@ def config_from_pairs(pairs: dict[str, str], origins: dict[str, str]) -> Experim
 def parse_config(text: str, overrides: list[str] | None = None) -> ExperimentConfig:
     """Parse config text plus optional `key=value` override strings.
 
-    An unknown key is reported with the line of its last occurrence in
-    ``text``, or with the override that set it.
+    Each override is one `key = value` item.  Errors name where the bad
+    text came from: a line of ``text`` (for an unknown key, the line of its
+    last occurrence) or the override item.
     """
     pairs, origins = {}, {}
     for key, (value, lineno) in _numbered_pairs(text).items():
         pairs[key], origins[key] = value, f"line {lineno}"
     for item in overrides or []:
-        for key, value in parse_pairs(item).items():
-            pairs[key], origins[key] = value, f"override {item!r}"
+        origin = f"override {item!r}"
+        pair = _split_pair(item, origin)
+        if pair is not None:
+            key, value = pair
+            pairs[key], origins[key] = value, origin
     return config_from_pairs(pairs, origins)
 
 

@@ -1,8 +1,9 @@
 """Stateless metric kernels over batches of class-probability predictions.
 
 Entropy, expected calibration error with reliability bins, binary NLL,
-Brier score, ROC-AUC and accuracy.  All functions are pure and safe to
-call concurrently; sums accumulate in a fixed order within one call.
+Brier score, ROC-AUC with the average ranks behind it, and accuracy.  All
+functions are pure and safe to call concurrently; sums accumulate in a
+fixed order within one call.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import InvalidInputError, UndefinedMetricError, UnsupportedShapeError
 
@@ -163,6 +163,29 @@ def brier_score(batch: PredictionBatch) -> float:
     return float(((onehot - batch.probs) ** 2).sum(axis=1).mean() / batch.k)
 
 
+def rank_average(x: np.ndarray) -> np.ndarray:
+    """1-based float64 ranks of a 1-D array, tied values sharing their mean rank.
+
+    Equal to ``scipy.stats.rankdata(x, method="average")`` bit for bit,
+    including its NaN rule: any NaN in ``x`` makes every rank NaN.
+    """
+    a = np.asarray(x)
+    if a.ndim != 1:
+        raise InvalidInputError(f"rank_average expects a 1-D array, got shape {a.shape}")
+    if np.isnan(a).any():
+        return np.full(a.shape, np.nan)
+    sorter = np.argsort(a, kind="mergesort")
+    inv = np.empty(a.size, dtype=np.intp)
+    inv[sorter] = np.arange(a.size, dtype=np.intp)
+    s = a[sorter]
+    first = np.r_[True, s[1:] != s[:-1]]
+    dense = first.cumsum()[inv]
+    # tie group g (1-based) holds ranks count[g - 1] + 1 .. count[g]; their
+    # mean is a half-integer, so the integer sum times 0.5 is exact.
+    count = np.r_[np.nonzero(first)[0], a.size]
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
+
+
 def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Mann-Whitney ROC-AUC with average ranks for tied scores."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -174,7 +197,7 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("ROC-AUC needs both classes present")
-    ranks = rankdata(scores, method="average")
+    ranks = rank_average(scores)
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

@@ -232,6 +232,28 @@ class TestSpearman:
             if abs(rho) < 1.0:
                 assert abs(p - ref.pvalue) <= 1e-9
 
+    def test_p_value_matches_scipy_t_sf(self):
+        # the p-value is bit-identical to the scipy.stats.t.sf expression
+        # it replaced, over rho in (-1, 1) and n from 3 to 5000
+        rng = np.random.default_rng(9)
+        checked = 0
+        for n in (3, 4, 5, 8, 20, 100, 1000, 5000):
+            x = rng.normal(size=n)
+            noise = rng.normal(size=n)
+            for weight in np.linspace(-1.0, 1.0, 21):
+                y = weight * x + (1.0 - abs(weight)) * noise
+                if n > 20:
+                    y = np.round(y, 1)  # ties on the larger samples
+                if np.all(y == y[0]):
+                    continue
+                rho, p = spearman(x, y)
+                if abs(rho) >= 1.0:
+                    continue
+                t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
+                assert p == 2.0 * float(stats.t.sf(abs(t), n - 2))
+                checked += 1
+        assert checked > 100
+
     def test_exact_permutation_matches_brute_force(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=6)

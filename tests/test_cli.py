@@ -1,6 +1,10 @@
 """Command-line interface: verbs, exit codes and stored-report verification."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -151,3 +155,20 @@ class TestReportVerb:
         assert code == EXIT_OK
         assert "accuracy = " in out
         assert "matches stored" not in out
+
+
+class TestImportGraph:
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats costs about a second of start-up; mixboot needs only
+        # scipy.special, so every verb must start without it.
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, mixboot.cli; print('scipy.stats' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"

@@ -67,6 +67,12 @@ class TestParseConfig:
             parse_config(MINIMAL, overrides=["momentum = 0.9"])
         assert "line" not in str(exc.value)
 
+    def test_malformed_override_named_as_override(self):
+        with pytest.raises(
+            ConfigError, match="^override 'seed 3': expected `key = value`, got 'seed 3'$"
+        ):
+            parse_config(MINIMAL, overrides=["seed 3"])
+
     def test_typed_fields(self):
         config = parse_config(
             MINIMAL

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from mixboot.errors import InvalidInputError, UndefinedMetricError, UnsupportedShapeError
 from mixboot.prob_metrics import (
@@ -11,6 +12,7 @@ from mixboot.prob_metrics import (
     expected_calibration_error,
     negative_log_likelihood_binary,
     predictive_entropy,
+    rank_average,
     reliability_bins,
     roc_auc,
 )
@@ -200,6 +202,70 @@ class TestRocAuc:
         a = roc_auc(scores, labels)
         b = roc_auc(-scores, 1 - labels)
         assert abs(a - b) <= 1e-12
+
+
+def assert_same_ranks(x):
+    ours = rank_average(x)
+    ref = stats.rankdata(x, method="average")
+    assert ours.dtype == ref.dtype == np.float64
+    assert ours.tobytes() == ref.tobytes()
+
+
+class TestRankAverage:
+    """scipy.stats.rankdata(method="average") is the reference, bit for bit."""
+
+    def test_untied(self):
+        rng = np.random.default_rng(21)
+        for n in (2, 7, 100, 5000):
+            assert_same_ranks(rng.normal(size=n))
+
+    def test_heavy_ties(self):
+        rng = np.random.default_rng(22)
+        for n in (5, 40, 3000):
+            for levels in (2, 3, 10):
+                assert_same_ranks(rng.integers(0, levels, size=n) / levels)
+
+    def test_all_equal(self):
+        assert_same_ranks(np.full(9, 0.25))
+        assert rank_average(np.full(4, 3.0)).tolist() == [2.5, 2.5, 2.5, 2.5]
+
+    def test_length_zero_and_one(self):
+        assert_same_ranks(np.array([], dtype=np.float64))
+        assert_same_ranks(np.array([0.7]))
+
+    def test_int_input(self):
+        rng = np.random.default_rng(23)
+        assert_same_ranks(rng.integers(-5, 5, size=200))
+        assert rank_average(np.array([0, 2, 3, 2])).tolist() == [1.0, 2.5, 4.0, 2.5]
+
+    def test_signed_zeros_tie(self):
+        assert_same_ranks(np.array([0.0, -0.0, 1.0, -0.0]))
+
+    def test_nan_makes_every_rank_nan(self):
+        x = np.array([0.0, 2.0, 3.0, np.nan, -2.0, np.nan])
+        out = rank_average(x)
+        ref = stats.rankdata(x, method="average")
+        assert out.dtype == np.float64
+        assert np.isnan(out).all() and np.isnan(ref).all()
+        assert out.shape == ref.shape
+
+    def test_rejects_non_vector(self):
+        with pytest.raises(InvalidInputError):
+            rank_average(np.zeros((2, 3)))
+
+    def test_roc_auc_on_tied_scores_unchanged(self):
+        rng = np.random.default_rng(24)
+        for _ in range(50):
+            n = int(rng.integers(4, 300))
+            labels = rng.integers(0, 2, size=n)
+            if len(np.unique(labels)) < 2:
+                continue
+            scores = np.round(rng.random(n), 1)
+            pos = labels == 1
+            n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+            ranks = stats.rankdata(scores, method="average")
+            expected = float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+            assert roc_auc(scores, labels) == expected
 
 
 class TestAccuracy:
