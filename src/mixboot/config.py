@@ -158,11 +158,6 @@ def _numbered_pairs(text: str) -> dict[str, tuple[str, int]]:
     return pairs
 
 
-def parse_pairs(text: str) -> dict[str, str]:
-    """Raw key -> value strings from config text; later duplicates win."""
-    return {key: value for key, (value, _) in _numbered_pairs(text).items()}
-
-
 def config_from_pairs(pairs: dict[str, str], origins: dict[str, str]) -> ExperimentConfig:
     """Typed config from raw pairs; ``origins[key]`` says where key was set."""
     for required in REQUIRED_KEYS:

@@ -7,7 +7,8 @@ activations double as the sample's feature vector for distance analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,32 +19,61 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 MODEL_FORMAT_HEADER = "mixboot-mlp v1"
+PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 
-@dataclass
+def param_shapes(dims: tuple[int, int, int, int]) -> list[tuple[int, ...]]:
+    """Shapes of w1, b1, w2, b2, w3, b3: the order of params() and of the
+    flat parameter buffer."""
+    d, h1, h2, k = dims
+    return [(d, h1), (h1,), (h1, h2), (h2,), (h2, k), (k,)]
+
+
+def param_count(dims: tuple[int, int, int, int]) -> int:
+    return sum(math.prod(shape) for shape in param_shapes(dims))
+
+
+def split_flat(flat: np.ndarray, dims: tuple[int, int, int, int]) -> list[np.ndarray]:
+    """Reshaped views of a buffer in the flat parameter layout, in params() order."""
+    views, start = [], 0
+    for shape in param_shapes(dims):
+        stop = start + math.prod(shape)
+        views.append(flat[start:stop].reshape(shape))
+        start = stop
+    return views
+
+
 class MlpModel:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    w3: np.ndarray
-    b3: np.ndarray
-    dropout: float = 0.2
+    """Weights and biases stored as one contiguous float64 buffer, ``flat``.
 
-    @property
-    def dims(self) -> tuple[int, int, int, int]:
-        return (self.w1.shape[0], self.w1.shape[1], self.w2.shape[1], self.w3.shape[1])
+    ``w1, b1, w2, b2, w3, b3`` are reshaped views into ``flat`` (in that
+    order), so writing to either writes to both: Adam updates ``flat`` in
+    one pass and forward reads the layers through the views.
+    """
+
+    def __init__(self, flat: np.ndarray, dims: tuple[int, int, int, int],
+                 dropout: float = 0.2):
+        dims = tuple(int(s) for s in dims)
+        n = param_count(dims)
+        if flat.dtype != np.float64 or flat.shape != (n,):
+            raise InvalidInputError(
+                f"parameter buffer must be float64 of shape ({n},) for dims {dims}"
+            )
+        self.flat = flat
+        self.dims = dims
+        self.dropout = dropout
+        self.w1, self.b1, self.w2, self.b2, self.w3, self.b3 = split_flat(flat, dims)
+
+    def __reduce__(self):
+        # pickle and deepcopy rebuild the views instead of detaching them
+        return (MlpModel, (self.flat, self.dims, self.dropout))
 
     def params(self) -> list[np.ndarray]:
         """Parameters in the fixed update/serialization order."""
         return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
 
     def copy(self) -> "MlpModel":
-        return MlpModel(
-            self.w1.copy(), self.b1.copy(), self.w2.copy(),
-            self.b2.copy(), self.w3.copy(), self.b3.copy(),
-            dropout=self.dropout,
-        )
+        return MlpModel(self.flat.copy(), self.dims, dropout=self.dropout)
 
     # estimator-facing surface
     def predict_logits(
@@ -80,12 +110,11 @@ def kaiming_init(
     if min(d, h1, h2, k) < 1:
         raise InvalidInputError(f"invalid model shape {shape}")
     rng = np.random.default_rng(seed)
-    w1 = rng.normal(0.0, np.sqrt(2.0 / d), size=(d, h1))
-    w2 = rng.normal(0.0, np.sqrt(2.0 / h1), size=(h1, h2))
-    w3 = rng.normal(0.0, np.sqrt(2.0 / h2), size=(h2, k))
-    return MlpModel(
-        w1, np.zeros(h1), w2, np.zeros(h2), w3, np.zeros(k), dropout=dropout
-    )
+    model = MlpModel(np.zeros(param_count(shape)), shape, dropout=dropout)
+    model.w1[...] = rng.normal(0.0, np.sqrt(2.0 / d), size=(d, h1))
+    model.w2[...] = rng.normal(0.0, np.sqrt(2.0 / h1), size=(h1, h2))
+    model.w3[...] = rng.normal(0.0, np.sqrt(2.0 / h2), size=(h2, k))
+    return model
 
 
 def _dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
@@ -135,65 +164,76 @@ def forward(
 
 def backward(
     model: MlpModel, cache: ForwardCache, grad_logits: np.ndarray
-) -> list[np.ndarray]:
-    """Parameter gradients of the batch-mean loss, in params() order.
+) -> np.ndarray:
+    """Parameter gradients of the batch-mean loss, laid out like model.flat.
 
     grad_logits rows are per-sample dloss_i/dlogits_i; the mean over the
-    batch is folded in here.
+    batch is folded in here.  Each gradient is computed straight into its
+    slice of the returned buffer.
     """
     g = np.asarray(grad_logits, dtype=np.float64)
     if g.ndim == 1:
         g = g[None, :]
     n = g.shape[0]
+    grads = np.empty_like(model.flat)
+    dw1, db1, dw2, db2, dw3, db3 = split_flat(grads, model.dims)
 
-    dw3 = cache.a2.T @ g / n
-    db3 = g.mean(axis=0)
+    np.matmul(cache.a2.T, g, out=dw3)
+    dw3 /= n
+    g.mean(axis=0, out=db3)
     da2 = g @ model.w3.T
     if cache.mask2 is not None:
         da2 = da2 * cache.mask2
     dz2 = da2 * (cache.z2 > 0.0)
-    dw2 = cache.a1.T @ dz2 / n
-    db2 = dz2.mean(axis=0)
+    np.matmul(cache.a1.T, dz2, out=dw2)
+    dw2 /= n
+    dz2.mean(axis=0, out=db2)
     da1 = dz2 @ model.w2.T
     if cache.mask1 is not None:
         da1 = da1 * cache.mask1
     dz1 = da1 * (cache.z1 > 0.0)
-    dw1 = cache.x.T @ dz1 / n
-    db1 = dz1.mean(axis=0)
-    return [dw1, db1, dw2, db2, dw3, db3]
+    np.matmul(cache.x.T, dz1, out=dw1)
+    dw1 /= n
+    dz1.mean(axis=0, out=db1)
+    return grads
 
 
 @dataclass
 class AdamState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    """First and second moments, flat and laid out like the parameters."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
 
-def adam_init(params: list[np.ndarray]) -> AdamState:
-    return AdamState(m=[np.zeros_like(p) for p in params],
-                     v=[np.zeros_like(p) for p in params])
+def adam_init(params: np.ndarray) -> AdamState:
+    return AdamState(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
 def adam_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
+    params: np.ndarray,
+    grads: np.ndarray,
     state: AdamState,
     lr: float,
     weight_decay: float = 0.0,
 ) -> None:
-    """One decoupled-weight-decay Adam update, in place."""
+    """One decoupled-weight-decay Adam update of a flat buffer, in place.
+
+    Every operation is elementwise, so one pass over model.flat gives the
+    same bits as one pass per parameter array.
+    """
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.t
     bc2 = 1.0 - ADAM_BETA2 ** state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if weight_decay != 0.0:
-            p -= lr * weight_decay * p
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    m, v = state.m, state.v
+    if weight_decay != 0.0:
+        params -= lr * weight_decay * params
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grads
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grads * grads
+    params -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def backward_step(
@@ -206,7 +246,7 @@ def backward_step(
 ) -> tuple[MlpModel, AdamState]:
     """Backprop the batch gradient and apply one Adam update in place."""
     grads = backward(model, cache, grad_logits)
-    adam_step(model.params(), grads, adam_state, lr, weight_decay)
+    adam_step(model.flat, grads, adam_state, lr, weight_decay)
     return model, adam_state
 
 
@@ -214,8 +254,7 @@ def save_model(model: MlpModel, path) -> None:
     """Versioned plain-text dump; floats use repr so reloads are exact."""
     d, h1, h2, k = model.dims
     lines = [MODEL_FORMAT_HEADER, f"dims {d} {h1} {h2} {k}", f"dropout {model.dropout!r}"]
-    names = ["w1", "b1", "w2", "b2", "w3", "b3"]
-    for name, p in zip(names, model.params()):
+    for name, p in zip(PARAM_NAMES, model.params()):
         shape = " ".join(str(s) for s in p.shape)
         lines.append(f"param {name} {shape}")
         rows = p if p.ndim == 2 else p[None, :]
@@ -247,10 +286,8 @@ def load_model(path) -> MlpModel:
         arr = np.array(block, dtype=np.float64)
         params[name] = arr if len(shape) == 2 else arr[0]
         i += 1 + n_rows
-    model = MlpModel(
-        params["w1"], params["b1"], params["w2"],
-        params["b2"], params["w3"], params["b3"], dropout=dropout,
-    )
-    if model.dims != dims:
+    shapes = [params[name].shape if name in params else None for name in PARAM_NAMES]
+    if len(dims) != 4 or shapes != param_shapes(dims):
         raise InvalidInputError("model file dims header disagrees with parameters")
-    return model
+    flat = np.concatenate([params[name].ravel() for name in PARAM_NAMES])
+    return MlpModel(flat, dims, dropout=dropout)

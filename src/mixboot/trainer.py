@@ -151,7 +151,7 @@ def train(config: TrainConfig, dataset: Dataset) -> tuple[MlpModel, TrainLog]:
 
     model = kaiming_init((d, config.hidden_1, config.hidden_2, k),
                          seed=[config.seed, _INIT_KEY], dropout=config.dropout)
-    adam_state = adam_init(model.params())
+    adam_state = adam_init(model.flat)
     shuffle_rng = np.random.default_rng([config.seed, _SHUFFLE_KEY])
     dropout_rng = np.random.default_rng([config.seed, _DROPOUT_KEY])
     mixup_rng = np.random.default_rng([config.seed, _MIXUP_KEY])

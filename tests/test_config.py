@@ -11,7 +11,6 @@ from mixboot.config import (
     config_to_pairs,
     load_config,
     parse_config,
-    parse_pairs,
 )
 from mixboot.errors import ConfigError
 
@@ -19,25 +18,28 @@ MINIMAL = "method = ce\n"
 
 
 class TestParsePairs:
+    """The `key = value` line syntax, read through parse_config."""
+
     def test_comments_and_blanks_skipped(self):
-        pairs = parse_pairs("# header\n\nmethod = bsm\n  # trailing\nseed = 3\n")
-        assert pairs == {"method": "bsm", "seed": "3"}
+        config = parse_config("# header\n\nmethod = bsm\n  # trailing\nseed = 3\n")
+        assert config.train.method == "bsm"
+        assert config.train.seed == 3
 
     def test_later_duplicate_wins(self):
-        pairs = parse_pairs("seed = 1\nseed = 2\n")
-        assert pairs["seed"] == "2"
+        config = parse_config(MINIMAL + "seed = 1\nseed = 2\n")
+        assert config.train.seed == 2
 
     def test_value_may_contain_equals(self):
-        pairs = parse_pairs("output.dir = a=b\n")
-        assert pairs["output.dir"] == "a=b"
+        config = parse_config(MINIMAL + "output.dir = a=b\n")
+        assert config.output_dir == "a=b"
 
     def test_malformed_line_named(self):
-        with pytest.raises(ConfigError, match="line 2"):
-            parse_pairs("method = ce\nbogus line\n")
+        with pytest.raises(ConfigError, match="^line 2: expected `key = value`"):
+            parse_config("method = ce\nbogus line\n")
 
     def test_empty_key_rejected(self):
-        with pytest.raises(ConfigError, match="empty key"):
-            parse_pairs("= 3\n")
+        with pytest.raises(ConfigError, match="^line 2: empty key$"):
+            parse_config(MINIMAL + "= 3\n")
 
 
 class TestParseConfig:

@@ -6,6 +6,7 @@ import pytest
 from mixboot.augment import PerturbationPolicy
 from mixboot.errors import InvalidInputError
 from mixboot.estimators import (
+    _entropy_rows,
     ensemble_predict,
     mc_dropout_predict,
     single_forward,
@@ -71,6 +72,29 @@ class TestSingleForward:
     def test_no_variance_reported(self):
         model = kaiming_init((2, 8, 8, 2), seed=5)
         assert single_forward(model, example_inputs()).variance is None
+
+
+class TestEntropyRows:
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_matches_scalar_entropy_bit_for_bit(self, k):
+        rng = np.random.default_rng(k)
+        for concentration in (0.05, 1.0, 20.0):
+            p = rng.dirichlet(np.full(k, concentration), size=400)
+            p[rng.random(p.shape) < 0.3] = 0.0
+            p[p.sum(axis=1) == 0.0, rng.integers(k)] = 1.0
+            p /= p.sum(axis=1, keepdims=True)
+            p[:k] = np.eye(k)  # one-hot rows: a single nonzero at each position
+            h = _entropy_rows(p)
+            for row, value in zip(p, h):
+                assert value == predictive_entropy(row)
+
+    def test_rejects_out_of_range(self):
+        with pytest.raises(InvalidInputError, match="lie in"):
+            _entropy_rows(np.array([[0.5, 0.5], [1.2, -0.2]]))
+
+    def test_rejects_bad_row_sum(self):
+        with pytest.raises(InvalidInputError, match="sum to 1"):
+            _entropy_rows(np.array([[0.5, 0.5], [0.5, 0.4]]))
 
 
 class TestEnsemble:

@@ -1,11 +1,19 @@
 """Manually backpropagated MLP: init, forward, gradients, Adam, serialization."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
+import mixboot.trainer as trainer_module
 from mixboot.errors import InvalidInputError, TrainingDivergenceError
 from mixboot.losses import batch_onehot, log_softmax, softmax
 from mixboot.mlp import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    MlpModel,
     adam_init,
     adam_step,
     backward,
@@ -14,13 +22,70 @@ from mixboot.mlp import (
     kaiming_init,
     load_model,
     save_model,
+    split_flat,
 )
+from mixboot.trainer import TrainConfig, dataset_from_config, train
 
 
 def ce_batch_value(model, inputs, labels):
     logits, _, _ = forward(model, inputs)
     logp = log_softmax(logits)
     return float(-logp[np.arange(len(labels)), labels].mean())
+
+
+def loop_backward(model, cache, grad_logits):
+    """Reference: six separately allocated gradient arrays, in params() order."""
+    g = np.asarray(grad_logits, dtype=np.float64)
+    if g.ndim == 1:
+        g = g[None, :]
+    n = g.shape[0]
+    dw3 = cache.a2.T @ g / n
+    db3 = g.mean(axis=0)
+    da2 = g @ model.w3.T
+    if cache.mask2 is not None:
+        da2 = da2 * cache.mask2
+    dz2 = da2 * (cache.z2 > 0.0)
+    dw2 = cache.a1.T @ dz2 / n
+    db2 = dz2.mean(axis=0)
+    da1 = dz2 @ model.w2.T
+    if cache.mask1 is not None:
+        da1 = da1 * cache.mask1
+    dz1 = da1 * (cache.z1 > 0.0)
+    dw1 = cache.x.T @ dz1 / n
+    db1 = dz1.mean(axis=0)
+    return [dw1, db1, dw2, db2, dw3, db3]
+
+
+def loop_adam_step(params, grads, ms, vs, t, lr, weight_decay=0.0):
+    """Reference: Adam as one pass per parameter array (step number t)."""
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
+    for p, g, m, v in zip(params, grads, ms, vs):
+        if weight_decay != 0.0:
+            p -= lr * weight_decay * p
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+
+
+def loop_backward_step(model, cache, grad_logits, adam_state, lr, weight_decay=0.0):
+    """Reference for backward_step: per-array gradients and per-array Adam."""
+    adam_state.t += 1
+    loop_adam_step(
+        model.params(), loop_backward(model, cache, grad_logits),
+        split_flat(adam_state.m, model.dims), split_flat(adam_state.v, model.dims),
+        adam_state.t, lr, weight_decay,
+    )
+    return model, adam_state
+
+
+def assert_views_of_flat(model):
+    assert model.flat.flags.c_contiguous and model.flat.dtype == np.float64
+    assert sum(p.size for p in model.params()) == model.flat.size
+    for p in model.params():
+        assert np.shares_memory(p, model.flat)
 
 
 class TestKaimingInit:
@@ -116,7 +181,7 @@ class TestBackward:
         grads = backward(model, cache, grad_logits)
 
         step = 1e-6
-        for p, g in zip(model.params(), grads):
+        for p, g in zip(model.params(), split_flat(grads, model.dims)):
             flat_p = p.reshape(-1)
             flat_g = g.reshape(-1)
             for idx in range(flat_p.size):
@@ -137,47 +202,98 @@ class TestBackward:
             model, x, dropout_active=True, rng=np.random.default_rng(14)
         )
         grad_logits = softmax(logits) - batch_onehot(np.zeros(4, dtype=int), 2)
-        grads = backward(model, cache, grad_logits)
+        dw1 = split_flat(backward(model, cache, grad_logits), model.dims)[0]
         dead_cols = (cache.mask1 == 0.0).all(axis=0)
         if dead_cols.any():
-            assert (np.abs(grads[0][:, dead_cols]) == 0.0).all()
+            assert (np.abs(dw1[:, dead_cols]) == 0.0).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 32])
+    def test_flat_gradients_match_loop(self, n):
+        # gradients written into slices of one buffer == six separate arrays
+        model = kaiming_init((3, 9, 7, 4), seed=20, dropout=0.3)
+        x = np.random.default_rng(21).normal(size=(n, 3))
+        logits, _, cache = forward(
+            model, x, dropout_active=True, rng=np.random.default_rng(22)
+        )
+        grad_logits = softmax(logits) - batch_onehot(np.arange(n) % 4, 4)
+        flat = backward(model, cache, grad_logits)
+        assert flat.shape == model.flat.shape
+        for got, want in zip(split_flat(flat, model.dims),
+                             loop_backward(model, cache, grad_logits)):
+            assert got.shape == want.shape
+            assert (got == want).all()
 
 
 class TestAdam:
     def test_zero_grads_no_decay_is_identity(self):
         model = kaiming_init((2, 4, 4, 2), seed=15)
-        before = [p.copy() for p in model.params()]
-        state = adam_init(model.params())
-        zero = [np.zeros_like(p) for p in model.params()]
-        adam_step(model.params(), zero, state, lr=1e-3)
-        for b, p in zip(before, model.params()):
-            assert (b == p).all()
+        before = model.flat.copy()
+        state = adam_init(model.flat)
+        adam_step(model.flat, np.zeros_like(model.flat), state, lr=1e-3)
+        assert (before == model.flat).all()
 
     def test_first_step_size_is_lr(self):
         # bias correction makes |update| = lr * g / (|g| + eps) on step one
         for g in (0.3, -2.0, 10.0):
-            p = [np.array([1.0])]
+            p = np.array([1.0])
             state = adam_init(p)
-            adam_step(p, [np.array([g])], state, lr=5e-4)
-            moved = 1.0 - p[0][0]
+            adam_step(p, np.array([g]), state, lr=5e-4)
+            moved = 1.0 - p[0]
             assert abs(moved - np.sign(g) * 5e-4) <= 1e-9
 
     def test_weight_decay_closed_form(self):
-        p = [np.array([2.0, -3.0])]
+        p = np.array([2.0, -3.0])
         state = adam_init(p)
         lr, lam, steps = 1e-2, 0.5, 7
         for _ in range(steps):
-            adam_step(p, [np.zeros(2)], state, lr=lr, weight_decay=lam)
+            adam_step(p, np.zeros(2), state, lr=lr, weight_decay=lam)
         np.testing.assert_allclose(
-            p[0], np.array([2.0, -3.0]) * (1.0 - lr * lam) ** steps, rtol=1e-12
+            p, np.array([2.0, -3.0]) * (1.0 - lr * lam) ** steps, rtol=1e-12
         )
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4, 0.3])
+    def test_flat_step_matches_loop(self, weight_decay):
+        # one pass over the flat buffer == one pass per array, bit for bit
+        model = kaiming_init((3, 6, 5, 4), seed=23)
+        ref = model.copy()
+        state = adam_init(model.flat)
+        ref_m = [np.zeros_like(p) for p in ref.params()]
+        ref_v = [np.zeros_like(p) for p in ref.params()]
+        rng = np.random.default_rng(24)
+        for t in range(1, 201):
+            grads = rng.normal(scale=rng.choice([1e-6, 1.0, 50.0]), size=model.flat.size)
+            grads[rng.random(grads.size) < 0.1] = 0.0
+            lr = 1e-3 * 0.95 ** (t // 10)
+            adam_step(model.flat, grads, state, lr=lr, weight_decay=weight_decay)
+            loop_adam_step(ref.params(), split_flat(grads, ref.dims), ref_m, ref_v,
+                           t, lr, weight_decay)
+        assert state.t == 200
+        assert (model.flat == ref.flat).all()
+        for got, want in ((state.m, ref_m), (state.v, ref_v)):
+            assert (got == np.concatenate([a.ravel() for a in want])).all()
+
+    @pytest.mark.parametrize("config", [
+        # the 1-row leftover batch (199 = 6 * 33 + 1) takes the bsm self-pair path
+        TrainConfig(method="bsm", noise_rate=0.2, n_train=199, n_val=51,
+                    batch_size=33, max_epochs=4, seed=3),
+        TrainConfig(method="ce", noise_rate=0.1, n_train=150, n_val=50,
+                    max_epochs=4, weight_decay=0.0, seed=4),
+    ], ids=["bsm", "ce_no_decay"])
+    def test_training_matches_loop(self, config, monkeypatch):
+        dataset = dataset_from_config(config)
+        model, log = train(config, dataset)
+        monkeypatch.setattr(trainer_module, "backward_step", loop_backward_step)
+        ref_model, ref_log = train(config, dataset)
+        assert (model.flat == ref_model.flat).all()
+        assert log.train_loss == ref_log.train_loss
+        assert log.val_accuracy == ref_log.val_accuracy
 
     def test_backward_step_reduces_loss(self):
         model = kaiming_init((2, 16, 16, 2), seed=16, dropout=0.0)
         rng = np.random.default_rng(17)
         x = rng.normal(size=(32, 2))
         labels = (x[:, 0] > 0).astype(int)
-        state = adam_init(model.params())
+        state = adam_init(model.flat)
         before = ce_batch_value(model, x, labels)
         for _ in range(50):
             logits, _, cache = forward(model, x)
@@ -208,3 +324,58 @@ class TestSerialization:
         clone = model.copy()
         clone.w1[0, 0] += 1.0
         assert model.w1[0, 0] != clone.w1[0, 0]
+
+    def test_rejects_missing_param(self, tmp_path):
+        model = kaiming_init((2, 3, 3, 2), seed=25)
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-2]) + "\n")  # drop the b3 block
+        with pytest.raises(InvalidInputError, match="disagrees"):
+            load_model(path)
+
+    def test_rejects_shape_disagreeing_with_dims(self, tmp_path):
+        path = tmp_path / "model.txt"
+        save_model(kaiming_init((2, 3, 3, 2), seed=26), path)
+        text = path.read_text().replace("dims 2 3 3 2", "dims 2 3 4 2")
+        path.write_text(text)
+        with pytest.raises(InvalidInputError, match="disagrees"):
+            load_model(path)
+
+
+class TestFlatBuffer:
+    def test_kaiming_init_params_are_views(self):
+        assert_views_of_flat(kaiming_init((3, 8, 6, 2), seed=27))
+
+    def test_load_model_params_are_views(self, tmp_path):
+        path = tmp_path / "model.txt"
+        save_model(kaiming_init((3, 8, 6, 2), seed=28), path)
+        assert_views_of_flat(load_model(path))
+
+    def test_copy_params_are_views(self):
+        model = kaiming_init((3, 8, 6, 2), seed=29)
+        clone = model.copy()
+        assert_views_of_flat(clone)
+        assert not np.shares_memory(clone.flat, model.flat)
+        assert (clone.flat == model.flat).all()
+
+    def test_pickle_and_deepcopy_keep_views(self):
+        model = kaiming_init((3, 8, 6, 2), seed=30, dropout=0.35)
+        for clone in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
+            assert_views_of_flat(clone)
+            assert (clone.flat == model.flat).all()
+            assert (clone.dims, clone.dropout) == (model.dims, model.dropout)
+
+    def test_flat_layout_is_params_order(self):
+        model = kaiming_init((3, 8, 6, 2), seed=31)
+        assert (model.flat == np.concatenate([p.ravel() for p in model.params()])).all()
+        model.flat[0] = 7.0
+        assert model.w1[0, 0] == 7.0
+        model.b3[-1] = -7.0
+        assert model.flat[-1] == -7.0
+
+    def test_rejects_wrong_buffer(self):
+        with pytest.raises(InvalidInputError):
+            MlpModel(np.zeros(5), (2, 3, 3, 2))
+        with pytest.raises(InvalidInputError):
+            MlpModel(np.zeros(32, dtype=np.float32), (2, 3, 3, 2))
