@@ -1,55 +1,29 @@
-"""Hot numeric kernels, each with a numba and a pure-numpy implementation.
+"""The three numeric kernels of training and analysis, in numpy.
 
-Backend selection is decided once, at import time, from the environment
-variable ``MIXBOOT_KERNELS``:
+* ``loss_from_targets``: per-row softmax cross-entropy against arbitrary
+  target rows, with its gradient; the one core behind every loss.
+* ``bmm_e_step``: E-step of the two-component Beta mixture over
+  normalized losses, giving the per-sample noise posterior.
+* ``min_cosine_distances``: min cosine distance of query rows to a
+  feature bank.
 
-* ``auto`` (default) -- use numba when it is importable, numpy otherwise
-* ``numba``          -- require numba, fail loudly if it is missing
-* ``numpy``          -- force the pure-numpy path, never import numba
-
-Within one process the backend is fixed, so repeated runs of the same
-config reproduce byte-identical results.  Both backends implement the
-same arithmetic in the same per-element order (no fastmath), so they
-agree to ~1e-15; `benchmarks/bench_kernels.py` compares their speed.
+Callers reach them as ``_kernels.<name>`` so a wrapper installed on the
+module (a profiler, say) sees every call.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 from scipy.special import gammaln
-
-_choice = os.environ.get("MIXBOOT_KERNELS", "auto").strip().lower()
-if _choice not in ("auto", "numba", "numpy"):
-    raise RuntimeError(
-        f"MIXBOOT_KERNELS must be one of auto/numba/numpy, got {_choice!r}"
-    )
-
-HAS_NUMBA = False
-if _choice != "numpy":
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:
-        if _choice == "numba":
-            raise RuntimeError("MIXBOOT_KERNELS=numba but numba is not importable")
-
-USE_NUMBA = HAS_NUMBA
-BACKEND = "numba" if USE_NUMBA else "numpy"
-
-
-def _f64(a) -> np.ndarray:
-    return np.ascontiguousarray(a, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
 # kernel 1: per-row softmax cross-entropy against arbitrary target rows
 # ---------------------------------------------------------------------------
 
-def loss_from_targets_numpy(logits: np.ndarray, targets: np.ndarray):
+def loss_from_targets(logits: np.ndarray, targets: np.ndarray):
     """value_i = -t_i . log_softmax(logits_i); grad_i = softmax(logits_i) - t_i."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
@@ -60,41 +34,11 @@ def loss_from_targets_numpy(logits: np.ndarray, targets: np.ndarray):
     return values, grads
 
 
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _loss_from_targets_jit(logits, targets):
-        n, k = logits.shape
-        values = np.empty(n)
-        grads = np.empty((n, k))
-        for i in range(n):
-            m = logits[i, 0]
-            for j in range(1, k):
-                if logits[i, j] > m:
-                    m = logits[i, j]
-            denom = 0.0
-            for j in range(k):
-                denom += math.exp(logits[i, j] - m)
-            log_denom = math.log(denom)
-            v = 0.0
-            for j in range(k):
-                v -= targets[i, j] * (logits[i, j] - m - log_denom)
-                grads[i, j] = math.exp(logits[i, j] - m) / denom - targets[i, j]
-            values[i] = v
-        return values, grads
-
-    def loss_from_targets_numba(logits, targets):
-        return _loss_from_targets_jit(_f64(logits), _f64(targets))
-
-else:
-    loss_from_targets_numba = None
-
-
 # ---------------------------------------------------------------------------
 # kernel 2: E-step of the two-component beta mixture over normalized losses
 # ---------------------------------------------------------------------------
 
-def bmm_e_step_numpy(x, a1, b1, a2, b2, pi):
+def bmm_e_step(x, a1, b1, a2, b2, pi):
     """Responsibilities of component 1 and the observed-data log-likelihood."""
     ln_b1 = gammaln(a1) + gammaln(b1) - gammaln(a1 + b1)
     ln_b2 = gammaln(a2) + gammaln(b2) - gammaln(a2 + b2)
@@ -107,40 +51,11 @@ def bmm_e_step_numpy(x, a1, b1, a2, b2, pi):
     return np.exp(w1 - lse), float(lse.sum())
 
 
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _bmm_e_step_jit(x, a1, b1, a2, b2, pi):
-        n = x.shape[0]
-        ln_b1 = math.lgamma(a1) + math.lgamma(b1) - math.lgamma(a1 + b1)
-        ln_b2 = math.lgamma(a2) + math.lgamma(b2) - math.lgamma(a2 + b2)
-        log_pi1 = math.log(pi)
-        log_pi2 = math.log1p(-pi)
-        r1 = np.empty(n)
-        loglik = 0.0
-        for i in range(n):
-            lx = math.log(x[i])
-            l1x = math.log1p(-x[i])
-            w1 = log_pi1 + (a1 - 1.0) * lx + (b1 - 1.0) * l1x - ln_b1
-            w2 = log_pi2 + (a2 - 1.0) * lx + (b2 - 1.0) * l1x - ln_b2
-            m = w1 if w1 > w2 else w2
-            lse = m + math.log(math.exp(w1 - m) + math.exp(w2 - m))
-            r1[i] = math.exp(w1 - lse)
-            loglik += lse
-        return r1, loglik
-
-    def bmm_e_step_numba(x, a1, b1, a2, b2, pi):
-        return _bmm_e_step_jit(_f64(x), float(a1), float(b1), float(a2), float(b2), float(pi))
-
-else:
-    bmm_e_step_numba = None
-
-
 # ---------------------------------------------------------------------------
 # kernel 3: min cosine distance of each query row to a feature bank
 # ---------------------------------------------------------------------------
 
-def min_cosine_distances_numpy(queries: np.ndarray, bank: np.ndarray) -> np.ndarray:
+def min_cosine_distances(queries: np.ndarray, bank: np.ndarray) -> np.ndarray:
     """1 - max cosine similarity of each query row to any bank row.
 
     Each row's value equals the 1-row result for that row bit for bit,
@@ -150,7 +65,7 @@ def min_cosine_distances_numpy(queries: np.ndarray, bank: np.ndarray) -> np.ndar
     single ``qn @ bn.T`` would not hold this, since BLAS sums a 1-row
     product (GEMV) and a many-row product (GEMM) in different orders.
     """
-    queries = _f64(queries)
+    queries = np.ascontiguousarray(queries, dtype=np.float64)
     bn = bank / np.linalg.norm(bank, axis=1, keepdims=True)
     best = np.empty(queries.shape[0])
     for i, q in enumerate(queries):
@@ -158,48 +73,3 @@ def min_cosine_distances_numpy(queries: np.ndarray, bank: np.ndarray) -> np.ndar
     return 1.0 - best
 
 
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _min_cosine_distances_jit(queries, bank):
-        nq, h = queries.shape
-        nb = bank.shape[0]
-        bank_norms = np.empty(nb)
-        for j in range(nb):
-            s = 0.0
-            for d in range(h):
-                s += bank[j, d] * bank[j, d]
-            bank_norms[j] = math.sqrt(s)
-        out = np.empty(nq)
-        for i in range(nq):
-            s = 0.0
-            for d in range(h):
-                s += queries[i, d] * queries[i, d]
-            qnorm = math.sqrt(s)
-            best = -2.0
-            for j in range(nb):
-                dot = 0.0
-                for d in range(h):
-                    dot += queries[i, d] * bank[j, d]
-                sim = dot / (qnorm * bank_norms[j])
-                if sim > best:
-                    best = sim
-            out[i] = 1.0 - best
-        return out
-
-    def min_cosine_distances_numba(queries, bank):
-        return _min_cosine_distances_jit(_f64(queries), _f64(bank))
-
-else:
-    min_cosine_distances_numba = None
-
-
-# active dispatch, fixed for the process lifetime
-if USE_NUMBA:
-    loss_from_targets = loss_from_targets_numba
-    bmm_e_step = bmm_e_step_numba
-    min_cosine_distances = min_cosine_distances_numba
-else:
-    loss_from_targets = loss_from_targets_numpy
-    bmm_e_step = bmm_e_step_numpy
-    min_cosine_distances = min_cosine_distances_numpy

@@ -24,9 +24,9 @@ from .analysis import (
     threshold_curve,
 )
 from .augment import PerturbationPolicy
-from .config import ExperimentConfig, canonical_text, config_hash
+from .config import REPORT_FORMATS, ExperimentConfig, canonical_text, config_hash
 from .data import Dataset
-from .errors import InvalidInputError, UndefinedMetricError
+from .errors import InvalidInputError, MixbootError, UndefinedMetricError
 from .estimators import (
     EstimatorOutput,
     ensemble_predict,
@@ -256,6 +256,17 @@ def _safe_distance_summary(records: list[DistanceRecord]) -> dict:
         return {"n": len(records), "degenerate": str(exc)}
 
 
+def _remove_stale_artifacts(out: Path, config: ExperimentConfig, n_models: int) -> None:
+    """Delete what an earlier run left in ``out`` that this run won't rewrite."""
+    for fmt in REPORT_FORMATS:
+        if fmt not in config.formats:
+            (out / f"metrics.{fmt}").unlink(missing_ok=True)
+    for path in (out / "models").glob("model_*.txt"):
+        index = path.stem[len("model_"):]
+        if index.isdigit() and int(index) >= n_models:
+            path.unlink()
+
+
 def run_experiment(config: ExperimentConfig) -> tuple[MetricsReport, Path]:
     """Train, evaluate on the validation split, and write all artifacts."""
     out = resolve_output_dir(config)
@@ -275,6 +286,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[MetricsReport, Path]:
     records = distance_records(queries, bank, output.uncertainty, correctness)
     summary = _safe_distance_summary(records)
 
+    _remove_stale_artifacts(out, config, len(models))
     _write(out / "config.txt", canonical_text(config))
     if "json" in config.formats:
         _write(out / "metrics.json", _json_text(report.to_dict()))
@@ -313,7 +325,8 @@ def _sweep_member_config(base: ExperimentConfig, axis: str, value,
 def run_sweep(base: ExperimentConfig, axis: str, values: list) -> tuple[str, Path]:
     """One experiment per axis value; consolidated CSV ordered as given.
 
-    A failing member becomes a status=error row instead of aborting.
+    A member failing with a mixboot error or an OSError becomes a
+    status=error row instead of aborting; any other exception propagates.
     """
     if axis not in SWEEP_AXES:
         raise InvalidInputError(f"unknown sweep axis {axis!r}; "
@@ -331,7 +344,7 @@ def run_sweep(base: ExperimentConfig, axis: str, values: list) -> tuple[str, Pat
             member = _sweep_member_config(base, axis, value, ordinal)
             report, _ = run_experiment(member)
             lines.append(f"{axis},{value},ok," + report.csv_row())
-        except Exception as exc:  # member failure must not kill the sweep
+        except (MixbootError, OSError) as exc:  # member failure must not kill the sweep
             empty = ",".join([""] * len(METRICS_CSV_COLUMNS))
             lines.append(f"{axis},{value},error: {type(exc).__name__},{empty}")
     text = "\n".join(lines) + "\n"

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .errors import InvalidInputError
 
 
@@ -34,12 +35,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = np.asarray(logits, dtype=np.float64)
-    shifted = z - z.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
 def onehot(label: int, k: int) -> np.ndarray:
     t = np.zeros(k)
     t[label] = 1.0
@@ -53,10 +48,16 @@ def hard_prediction(logits: np.ndarray) -> np.ndarray:
 
 
 def loss_from_target(logits: np.ndarray, target: np.ndarray) -> LossOutput:
-    """Softmax cross-entropy against an arbitrary constant target row."""
-    logp = log_softmax(logits)
-    value = float(-(target * logp).sum())
-    return LossOutput(value, np.exp(logp) - target)
+    """Softmax cross-entropy against an arbitrary constant target row.
+
+    Row 0 of the batch kernel, so a scalar loss and the training loss
+    agree bit for bit.
+    """
+    values, grads = _kernels.loss_from_targets(
+        np.asarray(logits, dtype=np.float64)[None],
+        np.asarray(target, dtype=np.float64)[None],
+    )
+    return LossOutput(float(values[0]), grads[0])
 
 
 def _check_label(label: int, k: int) -> None:

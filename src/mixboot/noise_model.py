@@ -55,15 +55,6 @@ class BetaMixtureModel:
         return self.alpha_2 / (self.alpha_2 + self.beta_2)
 
 
-@dataclass(frozen=True)
-class LossRecord:
-    """One sample's raw cross-entropy loss and its epoch-normalized value."""
-
-    sample_index: int
-    raw_loss: float
-    normalized_loss: float
-
-
 def normalize_losses(raw: np.ndarray) -> np.ndarray:
     """Min-max rescale to [0, 1], then clamp into [1e-4, 1 - 1e-4].
 
@@ -77,15 +68,6 @@ def normalize_losses(raw: np.ndarray) -> np.ndarray:
         return np.full_like(raw, 0.5)
     scaled = (raw - lo) / (hi - lo)
     return np.clip(scaled, NORM_EPS, 1.0 - NORM_EPS)
-
-
-def loss_records(raw: np.ndarray) -> list[LossRecord]:
-    """Bundle raw losses with their normalized values, by sample index."""
-    normalized = normalize_losses(raw)
-    return [
-        LossRecord(i, float(r), float(n))
-        for i, (r, n) in enumerate(zip(np.asarray(raw, dtype=np.float64), normalized))
-    ]
 
 
 def beta_pdf(x, alpha: float, beta: float):
@@ -125,15 +107,12 @@ def _moment_match(x: np.ndarray, resp: np.ndarray) -> tuple[float, float]:
 
 
 def fit_bmm(
-    normalized_losses: np.ndarray,
-    iterations: int = DEFAULT_EM_ITERATIONS,
-    seed: int = 0,
+    normalized_losses: np.ndarray, iterations: int = DEFAULT_EM_ITERATIONS
 ) -> BetaMixtureModel:
     """Fit the two-component mixture by EM with moment-matching M-steps.
 
     Initialization thresholds the losses at their mean (below -> component 1),
-    which is deterministic; ``seed`` is accepted for interface stability but
-    does not influence the fit.
+    so the fit is deterministic.
     """
     x = np.asarray(normalized_losses, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] < 10:

@@ -141,6 +141,17 @@ class TestReportVerb:
         (run_dir / "metrics.json").write_text(json.dumps(stored))
         assert main(["report", "--run", str(run_dir)]) == 4
 
+    def test_reused_directory_reports_the_last_run(self, workdir, capsys):
+        # an ensemble-3 run, then a single csv-only run into the same directory
+        self.run_once(workdir, extra="estimator.kind = ensemble\n"
+                                     "estimator.ensemble_size = 3\n")
+        run_dir = self.run_once(workdir, extra="estimator.kind = single\n"
+                                               "output.formats = csv\n")
+        capsys.readouterr()
+        assert main(["report", "--run", str(run_dir)]) == EXIT_OK
+        assert "matches stored" not in capsys.readouterr().out
+        assert [p.name for p in (run_dir / "models").iterdir()] == ["model_0.txt"]
+
     def test_non_run_directory_rejected(self, workdir, capsys):
         code = main(["report", "--run", str(workdir)])
         assert code == EXIT_CONFIG

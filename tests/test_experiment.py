@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import mixboot.experiment as experiment
 from mixboot.config import parse_config
 from mixboot.errors import InvalidInputError
 from mixboot.experiment import (
@@ -217,6 +218,15 @@ class TestRunSweep:
         rows = text.splitlines()
         assert any(ln.startswith("noise_rates,2.0,error: ConfigError,") for ln in rows)
         assert any(ln.startswith("noise_rates,0.0,ok,") for ln in rows)
+
+    def test_programming_error_propagates(self, out_root, monkeypatch):
+        def broken(config):
+            raise RuntimeError("a bug, not a member failure")
+
+        monkeypatch.setattr(experiment, "run_experiment", broken)
+        config = parse_config(FAST_BLOBS + "output.dir = t\n")
+        with pytest.raises(RuntimeError, match="a bug"):
+            run_sweep(config, "noise_rates", [0.0])
 
     def test_estimator_axes_force_kind(self, out_root):
         config = parse_config(FAST_BLOBS + "output.dir = q\n")

@@ -1,14 +1,8 @@
-"""Hot-path kernels: reference agreement and numba/numpy backend parity."""
-
-import os
-import subprocess
-import sys
+"""Numeric kernels: agreement with references written out in the tests."""
 
 import numpy as np
-import pytest
 
 from mixboot import _kernels
-from mixboot.losses import loss_from_target
 from mixboot.noise_model import beta_pdf
 
 
@@ -25,12 +19,15 @@ def random_losses(seed, n=500):
 
 class TestLossKernelReference:
     def test_matches_scalar_losses(self):
+        # one row at a time, written out here: the package's scalar losses
+        # share this kernel, so they cannot serve as its reference
         logits, targets = random_logits_targets(0, n=50)
         values, grads = _kernels.loss_from_targets(logits, targets)
         for r in range(50):
-            ref = loss_from_target(logits[r], targets[r])
-            assert abs(values[r] - ref.value) <= 1e-12
-            np.testing.assert_allclose(grads[r], ref.grad_logits, atol=1e-12)
+            shifted = logits[r] - logits[r].max()
+            logp = shifted - np.log(np.exp(shifted).sum())
+            assert abs(values[r] - (-(targets[r] * logp).sum())) <= 1e-12
+            np.testing.assert_allclose(grads[r], np.exp(logp) - targets[r], atol=1e-12)
 
     def test_grad_rows_sum_to_zero(self):
         # softmax and a normalized target both sum to 1
@@ -82,64 +79,3 @@ class TestDistanceKernelReference:
         bn = np.linalg.norm(bank, axis=1)
         sims = (queries @ bank.T) / np.outer(qn, bn)
         np.testing.assert_allclose(out, 1.0 - sims.max(axis=1), atol=1e-12)
-
-
-@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba backend unavailable")
-class TestBackendParity:
-    def test_loss_kernel_agrees(self):
-        logits, targets = random_logits_targets(5, n=300)
-        v_np, g_np = _kernels.loss_from_targets_numpy(logits, targets)
-        v_nb, g_nb = _kernels.loss_from_targets_numba(logits, targets)
-        np.testing.assert_allclose(v_nb, v_np, atol=1e-13)
-        np.testing.assert_allclose(g_nb, g_np, atol=1e-13)
-
-    def test_e_step_agrees(self):
-        x = random_losses(6, n=1000)
-        args = (x, 1.7, 7.3, 6.1, 1.2, 0.33)
-        r_np, ll_np = _kernels.bmm_e_step_numpy(*args)
-        r_nb, ll_nb = _kernels.bmm_e_step_numba(*args)
-        np.testing.assert_allclose(r_nb, r_np, atol=1e-13)
-        assert abs(ll_nb - ll_np) <= 1e-9 * max(1.0, abs(ll_np))
-
-    def test_distance_kernel_agrees(self):
-        rng = np.random.default_rng(7)
-        queries = rng.normal(size=(50, 8))
-        bank = rng.normal(size=(200, 8))
-        d_np = _kernels.min_cosine_distances_numpy(queries, bank)
-        d_nb = _kernels.min_cosine_distances_numba(queries, bank)
-        np.testing.assert_allclose(d_nb, d_np, atol=1e-13)
-
-
-class TestBackendSelection:
-    def _backend_reported(self, env_value):
-        env = dict(os.environ)
-        if env_value is None:
-            env.pop("MIXBOOT_KERNELS", None)
-        else:
-            env["MIXBOOT_KERNELS"] = env_value
-        out = subprocess.run(
-            [sys.executable, "-c", "from mixboot import _kernels; print(_kernels.BACKEND)"],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        assert out.returncode == 0, out.stderr
-        return out.stdout.strip()
-
-    def test_numpy_forced(self):
-        assert self._backend_reported("numpy") == "numpy"
-
-    def test_auto_prefers_numba_when_available(self):
-        expected = "numba" if _kernels.HAS_NUMBA else "numpy"
-        assert self._backend_reported(None) == expected
-
-    def test_invalid_choice_fails_import(self):
-        env = dict(os.environ, MIXBOOT_KERNELS="cuda")
-        out = subprocess.run(
-            [sys.executable, "-c", "import mixboot._kernels"],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        assert out.returncode != 0
-        assert "MIXBOOT_KERNELS" in out.stderr

@@ -4,7 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from mixboot import _kernels
 from mixboot.errors import InvalidInputError
 from mixboot.losses import (
     batch_bsm_targets,
@@ -15,7 +19,6 @@ from mixboot.losses import (
     bsm_loss,
     ce_loss,
     hard_prediction,
-    log_softmax,
     loss_from_target,
     mixup_ce_loss,
     onehot,
@@ -51,11 +54,6 @@ class TestSoftmax:
         rng = np.random.default_rng(0)
         z = rng.normal(size=5)
         np.testing.assert_allclose(softmax(z), softmax(z + 37.0), atol=1e-15)
-
-    def test_log_softmax_consistency(self):
-        rng = np.random.default_rng(1)
-        z = rng.normal(size=4) * 10
-        np.testing.assert_allclose(np.exp(log_softmax(z)), softmax(z), atol=1e-15)
 
     def test_extreme_logits_stable(self):
         out = softmax(np.array([1000.0, 0.0]))
@@ -261,3 +259,79 @@ class TestFiniteDifferences:
                     2 * step
                 )
                 assert abs(fd - grad[d]) <= 1e-7 * max(1.0, abs(grad[d]))
+
+
+@st.composite
+def loss_batches(draw):
+    """Logits in [-800, 800], K in 2..5, 1..64 rows, targets on the simplex.
+
+    Each target row is a nonnegative weight row divided by its sum
+    (Dirichlet-style); an all-zero weight row becomes uniform.  Labels,
+    mixup coefficients and noise weights come along for the builders.
+    """
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 64))
+    logits = draw(hnp.arrays(np.float64, (n, k), elements=st.floats(-800.0, 800.0)))
+    weights = draw(hnp.arrays(np.float64, (n, k), elements=st.floats(0.0, 1.0)))
+    weights[weights.sum(axis=1) == 0.0] = 1.0
+    unit = st.floats(0.0, 1.0)
+    labels = hnp.arrays(np.int64, n, elements=st.integers(0, k - 1))
+    return {
+        "logits": logits,
+        "targets": weights / weights.sum(axis=1, keepdims=True),
+        "labels_i": draw(labels),
+        "labels_j": draw(labels),
+        "gammas": draw(hnp.arrays(np.float64, n, elements=unit)),
+        "w_i": draw(hnp.arrays(np.float64, n, elements=unit)),
+        "w_j": draw(hnp.arrays(np.float64, n, elements=unit)),
+        "soft": draw(st.booleans()),
+    }
+
+
+def assert_same_bits(out, values, grads, r):
+    assert out.value == values[r]
+    assert (out.grad_logits == grads[r]).all()
+
+
+class TestOneCeCore:
+    """Every loss is the batch kernel's row for its target, bit for bit."""
+
+    @settings(deadline=None)
+    @given(loss_batches())
+    def test_kernel_finite_with_zero_sum_gradients(self, b):
+        values, grads = _kernels.loss_from_targets(b["logits"], b["targets"])
+        assert np.isfinite(values).all()
+        assert np.isfinite(grads).all()
+        np.testing.assert_allclose(grads.sum(axis=1), 0.0, rtol=0.0, atol=1e-12)
+
+    @settings(deadline=None)
+    @given(loss_batches())
+    def test_scalar_losses_equal_kernel_rows(self, b):
+        z, li, lj = b["logits"], b["labels_i"], b["labels_j"]
+        g, wi, wj, soft = b["gammas"], b["w_i"], b["w_j"], b["soft"]
+        k = z.shape[1]
+        ones, zeros = np.ones(len(z)), np.zeros(len(z))
+        ce = _kernels.loss_from_targets(z, batch_onehot(li, k))
+        mix = _kernels.loss_from_targets(z, batch_mixup_targets(li, lj, g, k))
+        bs = _kernels.loss_from_targets(
+            z, batch_bsm_targets(z, li, lj, ones, wi, zeros, soft))
+        bsm = _kernels.loss_from_targets(z, batch_bsm_targets(z, li, lj, g, wi, wj, soft))
+        for r in range(len(z)):
+            yi, yj, gr = int(li[r]), int(lj[r]), float(g[r])
+            assert_same_bits(ce_loss(z[r], yi), *ce, r)
+            assert_same_bits(bs_loss(z[r], yi, float(wi[r]), soft), *bs, r)
+            assert_same_bits(mixup_ce_loss(z[r], yi, yj, gr), *mix, r)
+            assert_same_bits(
+                bsm_loss(z[r], yi, yj, gr, float(wi[r]), float(wj[r]), soft), *bsm, r)
+
+    @settings(deadline=None)
+    @given(loss_batches())
+    def test_batch_targets_sum_to_one(self, b):
+        z, li, lj, g = b["logits"], b["labels_i"], b["labels_j"], b["gammas"]
+        k = z.shape[1]
+        for t in (
+            batch_onehot(li, k),
+            batch_mixup_targets(li, lj, g, k),
+            batch_bsm_targets(z, li, lj, g, b["w_i"], b["w_j"], b["soft"]),
+        ):
+            np.testing.assert_allclose(t.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
