@@ -38,10 +38,15 @@ def loss_from_targets(logits: np.ndarray, targets: np.ndarray):
 # kernel 2: E-step of the two-component beta mixture over normalized losses
 # ---------------------------------------------------------------------------
 
+def log_beta(a, b):
+    """ln B(a, b), the log normalizer of the Beta(a, b) density."""
+    return gammaln(a) + gammaln(b) - gammaln(a + b)
+
+
 def bmm_e_step(x, a1, b1, a2, b2, pi):
     """Responsibilities of component 1 and the observed-data log-likelihood."""
-    ln_b1 = gammaln(a1) + gammaln(b1) - gammaln(a1 + b1)
-    ln_b2 = gammaln(a2) + gammaln(b2) - gammaln(a2 + b2)
+    ln_b1 = log_beta(a1, b1)
+    ln_b2 = log_beta(a2, b2)
     lx = np.log(x)
     l1x = np.log1p(-x)
     w1 = math.log(pi) + (a1 - 1.0) * lx + (b1 - 1.0) * l1x - ln_b1

@@ -137,23 +137,11 @@ def _nonzero_bank(bank: np.ndarray) -> np.ndarray:
     return b[keep]
 
 
-def min_cosine_distance(query_features: np.ndarray, train_bank: np.ndarray) -> float:
-    """1 - max cosine similarity between the query and any bank row."""
-    q = np.asarray(query_features, dtype=np.float64)
-    if q.ndim != 1:
-        raise InvalidInputError("query must be a single H-vector")
-    if np.sqrt((q * q).sum()) == 0.0:
-        raise InvalidInputError("zero-norm query has no direction")
-    bank = _nonzero_bank(train_bank)
-    return float(_kernels.min_cosine_distances(q[None, :], bank)[0])
-
-
 def min_cosine_distances(queries: np.ndarray, train_bank: np.ndarray) -> np.ndarray:
-    """Batch form of `min_cosine_distance`; zero-norm queries yield NaN
-    instead of an error.
+    """1 - max cosine similarity of each query row to any nonzero bank row.
 
-    Each row's value equals ``min_cosine_distance`` of that row bit for bit,
-    whatever other rows are in the batch, zero-norm rows included.
+    A zero-norm query has no direction and yields NaN.  Each row's value
+    is the same bits whatever other rows are in the batch.
     """
     q = np.asarray(queries, dtype=np.float64)
     if q.ndim != 2:

@@ -56,11 +56,6 @@ def sample_gammas(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
     return np.where(total == 0.0, 0.5, ratio)
 
 
-def sample_gamma(alpha: float, rng: np.random.Generator) -> float:
-    """One Beta(alpha, alpha) draw: the n = 1 case of ``sample_gammas``."""
-    return float(sample_gammas(alpha, 1, rng)[0])
-
-
 def mixup_batch(
     inputs: np.ndarray,
     alpha: float,

@@ -12,6 +12,7 @@ from .errors import MixbootError, TrainingDivergenceError
 from .experiment import (
     SWEEP_AXES,
     compute_report,
+    metrics_csv,
     read_predictions,
     run_experiment,
     run_sweep,
@@ -102,13 +103,19 @@ def _cmd_report(args) -> int:
     batch = read_predictions(predictions)
     report, _ = compute_report(config, batch)
     _print_metrics(report)
-    stored = run_dir / "metrics.json"
-    if stored.is_file():
-        with open(stored) as fh:
-            same = json.load(fh) == report.to_dict()
-        print(f"matches stored metrics.json: {'yes' if same else 'NO'}")
-        return EXIT_OK if same else EXIT_MISMATCH
-    return EXIT_OK
+    checks = (
+        ("metrics.json", lambda text: json.loads(text) == report.to_dict()),
+        ("metrics.csv", lambda text: text == metrics_csv(report)),
+    )
+    code = EXIT_OK
+    for name, matches in checks:
+        stored = run_dir / name
+        if stored.is_file():
+            same = matches(stored.read_text())
+            print(f"matches stored {name}: {'yes' if same else 'NO'}")
+            if not same:
+                code = EXIT_MISMATCH
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -71,6 +71,10 @@ class ExperimentConfig:
     formats: tuple[str, ...] = ("csv", "json")
 
     def __post_init__(self):
+        # config.txt stores output.dir as one stripped `key = value` line
+        out = self.output_dir
+        if out.strip() != out or len(out.splitlines()) > 1:
+            raise ConfigError("output.dir must be one line without surrounding whitespace")
         if len(self.formats) == 0:
             raise ConfigError("output.formats must be nonempty")
         for f in self.formats:

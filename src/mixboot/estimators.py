@@ -15,8 +15,8 @@ import numpy as np
 from .augment import PerturbationPolicy, perturb
 from .errors import InvalidInputError
 from .losses import softmax
-from .prob_metrics import ROW_SUM_TOL
 from .mlp import MlpModel
+from .prob_metrics import predictive_entropy
 
 
 @dataclass(frozen=True)
@@ -28,23 +28,6 @@ class EstimatorOutput:
     variance: np.ndarray | None = None
 
 
-def _entropy_rows(mean_probs: np.ndarray) -> np.ndarray:
-    """predictive_entropy of every row of an N x K batch, with its checks.
-
-    For K <= 7 classes each value equals predictive_entropy(row) bit for
-    bit, zero entries included.  For K >= 8 numpy's unrolled row sum adds
-    in another order, so values may differ in the last bits; every
-    generator in data.GENERATORS is binary.
-    """
-    p = np.asarray(mean_probs, dtype=np.float64)
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        raise InvalidInputError("probabilities must lie in [0, 1]")
-    if np.any(np.abs(p.sum(axis=1) - 1.0) > ROW_SUM_TOL):
-        raise InvalidInputError("probability row must sum to 1 within 1e-6")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return -np.where(p > 0.0, p * np.log(p), 0.0).sum(axis=1)
-
-
 def _as_batch(inputs: np.ndarray) -> np.ndarray:
     x = np.asarray(inputs, dtype=np.float64)
     return x[None, :] if x.ndim == 1 else x
@@ -53,7 +36,7 @@ def _as_batch(inputs: np.ndarray) -> np.ndarray:
 def single_forward(model: MlpModel, inputs: np.ndarray) -> EstimatorOutput:
     """One deterministic pass, dropout off."""
     probs = softmax(model.predict_logits(_as_batch(inputs)))
-    return EstimatorOutput(probs, _entropy_rows(probs))
+    return EstimatorOutput(probs, predictive_entropy(probs))
 
 
 def ensemble_predict(models: list[MlpModel], inputs: np.ndarray) -> EstimatorOutput:
@@ -68,7 +51,7 @@ def ensemble_predict(models: list[MlpModel], inputs: np.ndarray) -> EstimatorOut
     for m in models:
         total += softmax(m.predict_logits(x))
     mean = total / len(models)
-    return EstimatorOutput(mean, _entropy_rows(mean))
+    return EstimatorOutput(mean, predictive_entropy(mean))
 
 
 def mc_dropout_predict(
@@ -97,7 +80,7 @@ def mc_dropout_predict(
         total_sq += probs * probs
     mean = total / passes
     variance = tau_inv + total_sq / passes - mean * mean
-    return EstimatorOutput(mean, _entropy_rows(mean), variance)
+    return EstimatorOutput(mean, predictive_entropy(mean), variance)
 
 
 def tta_predict(
@@ -122,4 +105,4 @@ def tta_predict(
     for _ in range(repeats):
         total += softmax(model.predict_logits(perturb(x, policy, rng)))
     mean = total / repeats
-    return EstimatorOutput(mean, _entropy_rows(mean))
+    return EstimatorOutput(mean, predictive_entropy(mean))

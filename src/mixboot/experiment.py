@@ -183,7 +183,8 @@ def _provenance_lines(report: MetricsReport) -> str:
             f"# version={report.version}\n")
 
 
-def _metrics_csv(report: MetricsReport) -> str:
+def metrics_csv(report: MetricsReport) -> str:
+    """Text of metrics.csv for ``report``."""
     return (_provenance_lines(report)
             + ",".join(METRICS_CSV_COLUMNS) + "\n"
             + report.csv_row() + "\n")
@@ -291,7 +292,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[MetricsReport, Path]:
     if "json" in config.formats:
         _write(out / "metrics.json", _json_text(report.to_dict()))
     if "csv" in config.formats:
-        _write(out / "metrics.csv", _metrics_csv(report))
+        _write(out / "metrics.csv", metrics_csv(report))
     _write(out / "reliability_bins.csv", _reliability_csv(report, bins))
     _write(out / "referral_curve.csv", _referral_csv(report, curve))
     _write(out / "threshold_curve.csv", _threshold_csv(report, thresholds))

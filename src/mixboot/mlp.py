@@ -128,19 +128,17 @@ def forward(
     dropout_active: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
-    """Affine/ReLU stack; returns (logits, penultimate features, cache).
+    """Affine/ReLU stack over an N x D batch; returns (logits, penultimate
+    features, cache).
 
-    Accepts one D-vector or an N x D batch and matches the output rank.
     A dropout rate of 0 draws nothing, so active and inactive modes agree.
     """
     x = np.asarray(inputs, dtype=np.float64)
-    single = x.ndim == 1
-    x2 = x[None, :] if single else x
     use_dropout = dropout_active and model.dropout > 0.0
     if use_dropout and rng is None:
         raise InvalidInputError("active dropout requires an rng")
 
-    z1 = x2 @ model.w1 + model.b1
+    z1 = x @ model.w1 + model.b1
     a1 = np.maximum(z1, 0.0)
     mask1 = None
     if use_dropout:
@@ -156,10 +154,7 @@ def forward(
     if not np.isfinite(logits).all():
         raise TrainingDivergenceError("non-finite activations in forward pass")
 
-    cache = ForwardCache(x2, z1, a1, z2, a2, mask1, mask2)
-    if single:
-        return logits[0], a2[0], cache
-    return logits, a2, cache
+    return logits, a2, ForwardCache(x, z1, a1, z2, a2, mask1, mask2)
 
 
 def backward(
@@ -172,8 +167,6 @@ def backward(
     slice of the returned buffer.
     """
     g = np.asarray(grad_logits, dtype=np.float64)
-    if g.ndim == 1:
-        g = g[None, :]
     n = g.shape[0]
     grads = np.empty_like(model.flat)
     dw1, db1, dw2, db2, dw3, db3 = split_flat(grads, model.dims)

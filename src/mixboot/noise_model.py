@@ -77,9 +77,7 @@ def beta_pdf(x, alpha: float, beta: float):
     arr = np.asarray(x, dtype=np.float64)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise InvalidInputError("beta_pdf is defined on the open interval (0, 1)")
-    from scipy.special import gammaln
-
-    log_norm = gammaln(alpha) + gammaln(beta) - gammaln(alpha + beta)
+    log_norm = _kernels.log_beta(alpha, beta)
     log_pdf = (alpha - 1.0) * np.log(arr) + (beta - 1.0) * np.log1p(-arr) - log_norm
     out = np.exp(log_pdf)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
@@ -150,21 +148,17 @@ def bmm_log_likelihood(model: BetaMixtureModel, normalized_losses: np.ndarray) -
     return loglik
 
 
-def noisy_posterior(model: BetaMixtureModel, normalized_loss):
-    """Posterior probability that a loss came from the higher-mean component.
+def noisy_posterior(model: BetaMixtureModel, normalized_losses: np.ndarray) -> np.ndarray:
+    """Per-sample posterior probability of the higher-mean component.
 
-    Accepts a scalar or an array; an uninformative model yields 0.5.
+    An uninformative model yields 0.5 everywhere.
     """
-    arr = np.asarray(normalized_loss, dtype=np.float64)
-    scalar = np.isscalar(normalized_loss) or arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    x = np.asarray(normalized_losses, dtype=np.float64)
+    if np.any(x <= 0.0) or np.any(x >= 1.0):
         raise InvalidInputError("normalized loss must lie strictly inside (0, 1)")
     if model.uninformative:
-        out = np.full(arr.shape, 0.5)
-    else:
-        r1, _ = _kernels.bmm_e_step(
-            arr, model.alpha_1, model.beta_1, model.alpha_2, model.beta_2, model.pi
-        )
-        out = 1.0 - r1
-    return float(out[0]) if scalar else out
+        return np.full(x.shape, 0.5)
+    r1, _ = _kernels.bmm_e_step(
+        x, model.alpha_1, model.beta_1, model.alpha_2, model.beta_2, model.pi
+    )
+    return 1.0 - r1

@@ -90,17 +90,18 @@ class ReliabilityBins:
         return np.abs(self.conf_mean - self.acc)
 
 
-def predictive_entropy(probs_row: np.ndarray) -> float:
-    """Shannon entropy of one probability row, in nats, with 0*ln(0) = 0."""
-    p = np.asarray(probs_row, dtype=np.float64)
-    if p.ndim != 1:
-        raise InvalidInputError("predictive_entropy expects a single probability row")
+def predictive_entropy(probs: np.ndarray) -> np.ndarray:
+    """Shannon entropy of every row of an N x K probability batch, in nats,
+    with 0*ln(0) = 0."""
+    p = np.asarray(probs, dtype=np.float64)
+    if p.ndim != 2:
+        raise InvalidInputError(f"probs must be N x K, got shape {p.shape}")
     if np.any(p < 0.0) or np.any(p > 1.0):
         raise InvalidInputError("probabilities must lie in [0, 1]")
-    if abs(p.sum() - 1.0) > ROW_SUM_TOL:
+    if np.any(np.abs(p.sum(axis=1) - 1.0) > ROW_SUM_TOL):
         raise InvalidInputError("probability row must sum to 1 within 1e-6")
-    nz = p[p > 0.0]
-    return float(-(nz * np.log(nz)).sum())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -np.where(p > 0.0, p * np.log(p), 0.0).sum(axis=1)
 
 
 def reliability_bins(batch: PredictionBatch, bin_width: float = 0.1) -> ReliabilityBins:

@@ -172,10 +172,13 @@ def train(config: TrainConfig, dataset: Dataset) -> tuple[MlpModel, TrainLog]:
         for start in range(0, n_train, config.batch_size):
             idx = order[start:start + config.batch_size]
             x, y = x_train[idx], y_train[idx]
-            mixed = config.method in ("mixup_ce", "bsm") and len(idx) >= 2
 
-            if mixed:
-                xb, partners, gammas = mixup_batch(x, config.alpha, mixup_rng)
+            if config.method in ("mixup_ce", "bsm"):
+                if len(idx) >= 2:
+                    xb, partners, gammas = mixup_batch(x, config.alpha, mixup_rng)
+                else:
+                    # a 1-row leftover batch pairs the row with itself at gamma 1
+                    xb, partners, gammas = x, np.zeros(1, dtype=np.intp), np.ones(1)
             elif config.method == "ce_aug":
                 xb = perturb(x, policy, augment_rng)
             else:
@@ -183,19 +186,13 @@ def train(config: TrainConfig, dataset: Dataset) -> tuple[MlpModel, TrainLog]:
 
             logits, _, cache = forward(model, xb, dropout_active=True,
                                        rng=dropout_rng)
-            if mixed and config.method == "bsm":
+            if config.method == "bsm":
                 targets = batch_bsm_targets(
                     logits, y, y[partners], gammas,
                     w_used[idx], w_used[idx[partners]], config.soft_bootstrap,
                 )
-            elif mixed:
+            elif config.method == "mixup_ce":
                 targets = batch_mixup_targets(y, y[partners], gammas, k)
-            elif config.method == "bsm":
-                # leftover single-sample batch: self-pair degenerates to
-                # a plain bootstrap target
-                z_rows = batch_onehot(logits.argmax(axis=-1), k)
-                wi = w_used[idx][:, None]
-                targets = (1.0 - wi) * batch_onehot(y, k) + wi * z_rows
             else:
                 targets = batch_onehot(y, k)
 
@@ -215,8 +212,9 @@ def train(config: TrainConfig, dataset: Dataset) -> tuple[MlpModel, TrainLog]:
 
         bmm_entry = None
         if config.method == "bsm":
-            bmm = fit_bmm(normalize_losses(ce_values))
-            current_w = noisy_posterior(bmm, normalize_losses(ce_values))
+            normalized = normalize_losses(ce_values)
+            bmm = fit_bmm(normalized)
+            current_w = noisy_posterior(bmm, normalized)
             bmm_entry = _bmm_record(bmm)
 
         val_logits = model.predict_logits(dataset.val_inputs)

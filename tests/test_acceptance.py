@@ -20,7 +20,8 @@ from mixboot.estimators import (
     tta_predict,
 )
 from mixboot.experiment import run_experiment, run_sweep
-from mixboot.losses import bs_loss, bsm_loss, ce_loss, mixup_ce_loss
+from mixboot._kernels import loss_from_targets
+from mixboot.losses import batch_bsm_targets, batch_mixup_targets, batch_onehot
 from mixboot.mlp import kaiming_init
 from mixboot.noise_model import beta_pdf, fit_bmm, normalize_losses
 from mixboot.prob_metrics import (
@@ -76,8 +77,20 @@ def test_criterion_1_metric_oracles():
     nll = negative_log_likelihood_binary(
         PredictionBatch(np.array([[0.1, 0.9], [0.6, 0.4]]), np.array([1, 0]))
     )
+    # 1-row logits batches; bootstrapped CE is bsm with the row paired with
+    # itself at gamma 1
+    z_23 = np.log([[2 / 3, 1 / 3]])
+    z_64, z_37 = np.log([[0.6, 0.4]]), np.log([[0.3, 0.7]])
+    ce_23 = loss_from_targets(z_23, batch_onehot([1], 2))[0][0]
+    bs_64 = loss_from_targets(
+        z_64, batch_bsm_targets(z_64, [0], [0], [1.0], [0.5], [0.5]))[0][0]
+    bs_37 = loss_from_targets(
+        z_37, batch_bsm_targets(z_37, [0], [0], [1.0], [0.4], [0.4]))[0][0]
+    mixup_64 = loss_from_targets(z_64, batch_mixup_targets([0], [1], [0.5], 2))[0][0]
+    bsm_37 = loss_from_targets(
+        z_37, batch_bsm_targets(z_37, [0], [1], [0.5], [0.4], [0.0]))[0][0]
     cases = [
-        ("entropy(0.8,0.2)", predictive_entropy(np.array([0.8, 0.2])),
+        ("entropy(0.8,0.2)", predictive_entropy(np.array([[0.8, 0.2]]))[0],
          0.5004024235381879, 1e-9),
         ("ece hand example", ece, 0.325, 1e-9),
         ("nll hand example", nll, 0.30809306971190853, 1e-9),
@@ -87,16 +100,11 @@ def test_criterion_1_metric_oracles():
         ("auc tied pair",
          roc_auc(np.array([0.9, 0.4, 0.4, 0.1]), np.array([1, 1, 0, 0])),
          0.875, 1e-9),
-        ("ce ln3", ce_loss(np.log([2 / 3, 1 / 3]), 1).value,
-         1.0986122886681098, 1e-9),
-        ("bs agreeing w inert", bs_loss(np.log([0.6, 0.4]), 0, 0.5).value,
-         0.5108256237659907, 1e-9),
-        ("bs disagreeing w=0.4", bs_loss(np.log([0.3, 0.7]), 0, 0.4).value,
-         0.8650536601710546, 1e-9),
-        ("mixup gamma=0.5", mixup_ce_loss(np.log([0.6, 0.4]), 0, 1, 0.5).value,
-         0.7135581778200728, 1e-9),
-        ("bsm composed", bsm_loss(np.log([0.3, 0.7]), 0, 1, 0.5, 0.4, 0.0).value,
-         0.6108643020548935, 1e-9),
+        ("ce ln3", ce_23, 1.0986122886681098, 1e-9),
+        ("bs agreeing w inert", bs_64, 0.5108256237659907, 1e-9),
+        ("bs disagreeing w=0.4", bs_37, 0.8650536601710546, 1e-9),
+        ("mixup gamma=0.5", mixup_64, 0.7135581778200728, 1e-9),
+        ("bsm composed", bsm_37, 0.6108643020548935, 1e-9),
         ("normalized loss midpoint",
          normalize_losses(np.array([0.0, 1.0, 2.0]))[1], 0.5, 1e-9),
         ("beta pdf (2,2) at 0.5", beta_pdf(0.5, 2.0, 2.0), 1.5, 1e-9),
@@ -146,16 +154,21 @@ def test_criterion_2_gradients_match_finite_differences():
             w_i = float(rng.uniform(0.05, 0.95))
             w_j = float(rng.uniform(0.05, 0.95))
             gamma = float(rng.uniform(0.05, 0.95))
+            # q is a 1-row logits batch; bs pairs the row with itself at gamma 1
             if name == "ce":
-                fn = lambda q: ce_loss(q, y_i)
+                targets = lambda q: batch_onehot([y_i], k)
             elif name == "bs":
-                fn = lambda q: bs_loss(q, y_i, w_i)
+                targets = lambda q: batch_bsm_targets(
+                    q, [y_i], [y_i], [1.0], [w_i], [w_i])
             elif name == "mixup":
-                fn = lambda q: mixup_ce_loss(q, y_i, y_j, gamma)
+                targets = lambda q: batch_mixup_targets([y_i], [y_j], [gamma], k)
             else:
-                fn = lambda q: bsm_loss(q, y_i, y_j, gamma, w_i, w_j)
-            grad = fn(z).grad_logits
-            fd = _fd_gradient(lambda q: fn(q).value, z, step=1e-5)
+                targets = lambda q: batch_bsm_targets(
+                    q, [y_i], [y_j], [gamma], [w_i], [w_j])
+            grad = loss_from_targets(z[None], targets(z[None]))[1][0]
+            fd = _fd_gradient(
+                lambda q: loss_from_targets(q[None], targets(q[None]))[0][0],
+                z, step=1e-5)
             rel = np.linalg.norm(fd - grad) / max(np.linalg.norm(grad), 1e-12)
             worst[name] = max(worst[name], rel)
     peak = max(worst.values())
@@ -187,16 +200,19 @@ def test_criterion_4_reduction_identities():
     ok = True
     for _ in range(50):
         k = int(rng.integers(2, 6))
-        z = rng.normal(0.0, 2.0, size=k)
+        z = rng.normal(0.0, 2.0, size=(1, k))
         y_i = int(rng.integers(k))
         y_j = int(rng.integers(k))
         gamma = float(rng.uniform(0.0, 1.0))
-        a, b = bs_loss(z, y_i, 0.0), ce_loss(z, y_i)
-        ok &= a.value == b.value and (a.grad_logits == b.grad_logits).all()
-        a, b = bsm_loss(z, y_i, y_j, gamma, 0.0, 0.0), mixup_ce_loss(z, y_i, y_j, gamma)
-        ok &= a.value == b.value and (a.grad_logits == b.grad_logits).all()
-        a, b = mixup_ce_loss(z, y_i, y_j, 1.0), ce_loss(z, y_i)
-        ok &= a.value == b.value and (a.grad_logits == b.grad_logits).all()
+        ce = batch_onehot([y_i], k)
+        mixup = batch_mixup_targets([y_i], [y_j], [gamma], k)
+        for lhs, rhs in (
+            (batch_bsm_targets(z, [y_i], [y_i], [1.0], [0.0], [0.0]), ce),
+            (batch_bsm_targets(z, [y_i], [y_j], [gamma], [0.0], [0.0]), mixup),
+            (batch_mixup_targets([y_i], [y_j], [1.0], k), ce),
+        ):
+            (va, ga), (vb, gb) = loss_from_targets(z, lhs), loss_from_targets(z, rhs)
+            ok &= bool((va == vb).all() and (ga == gb).all())
 
     model = kaiming_init((2, 16, 16, 3), seed=0, dropout=0.0)
     x = rng.normal(size=(12, 2))

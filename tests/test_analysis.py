@@ -10,7 +10,6 @@ from scipy import stats
 from mixboot.analysis import (
     distance_perception_summary,
     distance_records,
-    min_cosine_distance,
     min_cosine_distances,
     referral_curve,
     spearman,
@@ -132,50 +131,46 @@ class TestThresholdCurve:
 class TestMinCosineDistance:
     def test_query_in_bank_is_zero(self):
         bank = np.array([[1.0, 2.0], [3.0, -1.0]])
-        assert abs(min_cosine_distance(np.array([3.0, -1.0]), bank)) <= 1e-12
+        assert abs(min_cosine_distances(np.array([[3.0, -1.0]]), bank)[0]) <= 1e-12
 
     def test_orthogonal_query_is_one(self):
         bank = np.array([[1.0, 0.0]])
-        assert abs(min_cosine_distance(np.array([0.0, 2.0]), bank) - 1.0) <= 1e-12
+        assert abs(min_cosine_distances(np.array([[0.0, 2.0]]), bank)[0] - 1.0) <= 1e-12
 
     def test_opposite_query_is_two(self):
         bank = np.array([[1.0, 1.0]])
-        assert abs(min_cosine_distance(np.array([-2.0, -2.0]), bank) - 2.0) <= 1e-12
+        assert abs(min_cosine_distances(np.array([[-2.0, -2.0]]), bank)[0] - 2.0) <= 1e-12
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(1)
         bank = rng.normal(size=(20, 4))
         q = rng.normal(size=4)
-        a = min_cosine_distance(q, bank)
-        b = min_cosine_distance(1000.0 * q, bank)
-        assert abs(a - b) <= 1e-12
+        out = min_cosine_distances(np.stack([q, 1000.0 * q]), bank)
+        assert abs(out[0] - out[1]) <= 1e-12
 
     def test_takes_minimum_over_bank(self):
         rng = np.random.default_rng(2)
         bank = rng.normal(size=(10, 3))
-        q = rng.normal(size=3)
-        per_row = [min_cosine_distance(q, bank[i : i + 1]) for i in range(10)]
-        assert abs(min_cosine_distance(q, bank) - min(per_row)) <= 1e-12
-
-    def test_zero_query_rejected_scalar(self):
-        with pytest.raises(InvalidInputError):
-            min_cosine_distance(np.zeros(2), np.ones((1, 2)))
+        q = rng.normal(size=(1, 3))
+        per_row = [min_cosine_distances(q, bank[i : i + 1])[0] for i in range(10)]
+        assert abs(min_cosine_distances(q, bank)[0] - min(per_row)) <= 1e-12
 
     def test_zero_bank_rows_ignored(self):
         bank = np.array([[0.0, 0.0], [0.0, 1.0]])
-        assert abs(min_cosine_distance(np.array([0.0, 3.0]), bank)) <= 1e-12
+        assert abs(min_cosine_distances(np.array([[0.0, 3.0]]), bank)[0]) <= 1e-12
 
     def test_all_zero_bank_rejected(self):
         with pytest.raises(InvalidInputError):
-            min_cosine_distance(np.ones(2), np.zeros((3, 2)))
+            min_cosine_distances(np.ones((1, 2)), np.zeros((3, 2)))
 
     def test_batch_matches_scalar(self):
+        # each row's value is the value of its 1-row batch, bit for bit
         rng = np.random.default_rng(3)
         bank = rng.normal(size=(15, 4))
         queries = rng.normal(size=(6, 4))
         batch = min_cosine_distances(queries, bank)
         for i in range(6):
-            assert batch[i] == min_cosine_distance(queries[i], bank)
+            assert batch[i] == min_cosine_distances(queries[i : i + 1], bank)[0]
 
     def test_zero_row_padding_leaves_value_unchanged(self):
         # zero-norm rows are dropped before the kernel; the remaining row's

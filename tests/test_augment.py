@@ -9,7 +9,6 @@ from mixboot.augment import (
     PerturbationPolicy,
     mixup_batch,
     perturb,
-    sample_gamma,
     sample_gammas,
 )
 from mixboot.errors import InvalidInputError
@@ -19,7 +18,7 @@ GAMMA_STD_ALPHA_32 = 0.06201736729460423
 
 
 def draw_gammas(alpha, n, seed):
-    # equal bit for bit to n sample_gamma calls on the same stream
+    # equal bit for bit to n one-draw calls on the same stream
     # (TestMixupMatchesLoop::test_scalar_draws_equal_one_batch_draw)
     return sample_gammas(alpha, n, np.random.default_rng(seed))
 
@@ -51,7 +50,7 @@ class TestSampleGamma:
 
     def test_alpha_positive_required(self):
         with pytest.raises(InvalidInputError):
-            sample_gamma(0.0, np.random.default_rng(0))
+            sample_gammas(0.0, 1, np.random.default_rng(0))
 
     def test_seeded_stream_reproduces(self):
         assert draw_gammas(0.3, 50, 5).tolist() == draw_gammas(0.3, 50, 5).tolist()
@@ -156,7 +155,7 @@ class TestMixupMatchesLoop:
     @pytest.mark.parametrize("alpha", [0.3, 1.0, 32.0])
     def test_scalar_draws_equal_one_batch_draw(self, alpha):
         rng_scalar, rng_batch = np.random.default_rng(11), np.random.default_rng(11)
-        scalar = [sample_gamma(alpha, rng_scalar) for _ in range(40)]
+        scalar = [sample_gammas(alpha, 1, rng_scalar)[0] for _ in range(40)]
         assert scalar == sample_gammas(alpha, 40, rng_batch).tolist()
         assert rng_scalar.bit_generator.state == rng_batch.bit_generator.state
 

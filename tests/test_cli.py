@@ -149,8 +149,32 @@ class TestReportVerb:
                                                "output.formats = csv\n")
         capsys.readouterr()
         assert main(["report", "--run", str(run_dir)]) == EXIT_OK
-        assert "matches stored" not in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "matches stored metrics.csv: yes" in out
+        assert "matches stored metrics.json" not in out
         assert [p.name for p in (run_dir / "models").iterdir()] == ["model_0.txt"]
+
+    def test_csv_only_run_matches(self, workdir, capsys):
+        run_dir = self.run_once(workdir, extra="output.formats = csv\n")
+        capsys.readouterr()
+        code = main(["report", "--run", str(run_dir)])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert "matches stored metrics.csv: yes" in out
+        assert "matches stored metrics.json" not in out
+
+    def test_tampered_metrics_csv_flagged(self, workdir, capsys):
+        run_dir = self.run_once(workdir)
+        stored = run_dir / "metrics.csv"
+        text = stored.read_text()
+        assert "\nce," in text  # the data row starts with the method
+        stored.write_text(text.replace("\nce,", "\nbsm,"))
+        capsys.readouterr()
+        code = main(["report", "--run", str(run_dir)])
+        out = capsys.readouterr().out
+        assert code == EXIT_MISMATCH
+        assert "matches stored metrics.json: yes" in out
+        assert "matches stored metrics.csv: NO" in out
 
     def test_non_run_directory_rejected(self, workdir, capsys):
         code = main(["report", "--run", str(workdir)])
@@ -160,6 +184,7 @@ class TestReportVerb:
     def test_report_without_stored_metrics_still_prints(self, workdir, capsys):
         run_dir = self.run_once(workdir, extra="output.formats = csv\n")
         assert not (run_dir / "metrics.json").exists()
+        (run_dir / "metrics.csv").unlink()
         capsys.readouterr()
         code = main(["report", "--run", str(run_dir)])
         out = capsys.readouterr().out

@@ -1,8 +1,12 @@
 """Config parsing, canonical serialization and hashing."""
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from mixboot.config import (
+    ESTIMATOR_KINDS,
+    REPORT_FORMATS,
     AnalysisConfig,
     EstimatorConfig,
     ExperimentConfig,
@@ -12,9 +16,69 @@ from mixboot.config import (
     load_config,
     parse_config,
 )
+from mixboot.data import GENERATORS
 from mixboot.errors import ConfigError
+from mixboot.trainer import METHODS, TrainConfig
 
 MINIMAL = "method = ce\n"
+
+
+def floats(lo=None, hi=None, **kwargs):
+    # NaN is left out: a NaN field makes a config unequal to itself
+    return st.floats(lo, hi, allow_nan=False, **kwargs)
+
+
+@st.composite
+def experiment_configs(draw):
+    """Any config the section constructors accept.
+
+    Each field draws from its whole valid range (infinities included where
+    the checks allow them); output.dir is any text, and the few draws that
+    ExperimentConfig rejects are discarded.
+    """
+    positive, nonneg = floats(0.0, exclude_min=True), floats(0.0)
+    train = TrainConfig(
+        method=draw(st.sampled_from(METHODS)),
+        alpha=draw(positive),
+        noise_rate=draw(floats(0.0, 1.0)),
+        learning_rate=draw(positive),
+        lr_decay=draw(floats(0.0, 1.0, exclude_min=True)),
+        weight_decay=draw(nonneg),
+        batch_size=draw(st.integers(1)),
+        max_epochs=draw(st.integers(1)),
+        patience=draw(st.integers(1)),
+        warmup_epochs=draw(st.integers(0)),
+        seed=draw(st.integers()),
+        generator=draw(st.sampled_from(GENERATORS)),
+        n_train=draw(st.integers(2)),
+        n_val=draw(st.integers(2)),
+        generator_noise=draw(floats()),
+        hidden_1=draw(st.integers(1)),
+        hidden_2=draw(st.integers(1)),
+        dropout=draw(floats(0.0, 1.0, exclude_max=True)),
+        soft_bootstrap=draw(st.booleans()),
+        aug_noise_sigma=draw(nonneg),
+        aug_scale_jitter=draw(nonneg),
+    )
+    estimator = EstimatorConfig(
+        kind=draw(st.sampled_from(ESTIMATOR_KINDS)),
+        ensemble_size=draw(st.integers(1)),
+        passes=draw(st.integers(1)),
+        repeats=draw(st.integers(0)),
+        tau_inv=draw(nonneg),
+        policy_noise_sigma=draw(nonneg),
+        policy_scale_jitter=draw(nonneg),
+    )
+    analysis = AnalysisConfig(
+        bin_width=draw(floats(0.0, 1.0, exclude_min=True)),
+        fractions=tuple(draw(st.lists(floats(), min_size=1))),
+        thresholds=tuple(draw(st.lists(floats(), min_size=1))),
+    )
+    formats = tuple(draw(st.lists(st.sampled_from(REPORT_FORMATS), min_size=1)))
+    try:
+        return ExperimentConfig(train, estimator, analysis, draw(st.text()), formats)
+    except ConfigError:
+        reject()
 
 
 class TestParsePairs:
@@ -145,6 +209,11 @@ class TestSerialization:
         keys = [line.split(" = ")[0] for line in lines]
         assert keys == sorted(keys)
 
+    @settings(deadline=None)
+    @given(experiment_configs())
+    def test_canonical_text_round_trips(self, config):
+        assert parse_config(canonical_text(config)) == config
+
     def test_float_repr_survives(self):
         config = parse_config(MINIMAL + "alpha = 0.30000000000000004\n")
         again = parse_config(canonical_text(config))
@@ -187,3 +256,10 @@ class TestSectionValidation:
         base = parse_config(MINIMAL)
         with pytest.raises(ConfigError):
             ExperimentConfig(base.train, base.estimator, base.analysis, formats=())
+
+    @pytest.mark.parametrize("out", [" run", "run\t", "a\nb", "a\rb", "a\x1cb"])
+    def test_output_dir_must_fit_one_config_line(self, out):
+        # config.txt could not give such a directory back
+        base = parse_config(MINIMAL)
+        with pytest.raises(ConfigError, match="output.dir"):
+            ExperimentConfig(base.train, base.estimator, base.analysis, output_dir=out)

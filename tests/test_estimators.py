@@ -6,7 +6,6 @@ import pytest
 from mixboot.augment import PerturbationPolicy
 from mixboot.errors import InvalidInputError
 from mixboot.estimators import (
-    _entropy_rows,
     ensemble_predict,
     mc_dropout_predict,
     single_forward,
@@ -62,7 +61,7 @@ class TestSingleForward:
         model = kaiming_init((2, 8, 8, 2), seed=3)
         out = single_forward(model, example_inputs(10, 4))
         for row, h in zip(out.mean_probs, out.uncertainty):
-            assert predictive_entropy(row) == h
+            assert predictive_entropy(row[None])[0] == h
 
     def test_single_row_input(self):
         model = kaiming_init((2, 8, 8, 2), seed=4)
@@ -75,8 +74,10 @@ class TestSingleForward:
 
 
 class TestEntropyRows:
-    @pytest.mark.parametrize("k", range(2, 8))
+    @pytest.mark.parametrize("k", range(2, 10))
     def test_matches_scalar_entropy_bit_for_bit(self, k):
+        # each row's entropy is the entropy of that row alone, zero entries
+        # included, whatever K
         rng = np.random.default_rng(k)
         for concentration in (0.05, 1.0, 20.0):
             p = rng.dirichlet(np.full(k, concentration), size=400)
@@ -84,17 +85,17 @@ class TestEntropyRows:
             p[p.sum(axis=1) == 0.0, rng.integers(k)] = 1.0
             p /= p.sum(axis=1, keepdims=True)
             p[:k] = np.eye(k)  # one-hot rows: a single nonzero at each position
-            h = _entropy_rows(p)
+            h = predictive_entropy(p)
             for row, value in zip(p, h):
-                assert value == predictive_entropy(row)
+                assert value == predictive_entropy(row[None])[0]
 
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidInputError, match="lie in"):
-            _entropy_rows(np.array([[0.5, 0.5], [1.2, -0.2]]))
+            predictive_entropy(np.array([[0.5, 0.5], [1.2, -0.2]]))
 
     def test_rejects_bad_row_sum(self):
         with pytest.raises(InvalidInputError, match="sum to 1"):
-            _entropy_rows(np.array([[0.5, 0.5], [0.5, 0.4]]))
+            predictive_entropy(np.array([[0.5, 0.5], [0.5, 0.4]]))
 
 
 class TestEnsemble:

@@ -1,31 +1,22 @@
-"""Loss kernels: hand oracles, reduction identities and gradients."""
+"""Loss targets through the one softmax-CE kernel: hand oracles, reduction
+identities and gradients."""
 
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mixboot import _kernels
-from mixboot.errors import InvalidInputError
+from mixboot._kernels import loss_from_targets
 from mixboot.losses import (
     batch_bsm_targets,
     batch_mixup_targets,
     batch_onehot,
-    bootstrap_target,
-    bs_loss,
-    bsm_loss,
-    ce_loss,
-    hard_prediction,
-    loss_from_target,
-    mixup_ce_loss,
-    onehot,
     softmax,
 )
 
-# frozen scalar hand-oracle values
+# frozen hand-oracle values
 CE_LN2_LABEL1 = 1.0986122886681098          # -ln(1/3)
 BS_06_W_INERT = 0.5108256237659907          # -ln 0.6
 BS_03_W04 = 0.8650536601710546              # -(0.6 ln 0.3 + 0.4 ln 0.7)
@@ -34,8 +25,19 @@ BSM_COMPOSED = 0.6108643020548935           # 0.5*BS_03_W04 + 0.5*(-ln 0.7)
 
 
 def logits_for(probs):
-    """Logits whose softmax reproduces the given probability row."""
-    return np.log(np.asarray(probs, dtype=np.float64))
+    """A 1-row batch of logits whose softmax reproduces the probability row."""
+    return np.log(np.asarray(probs, dtype=np.float64))[None, :]
+
+
+def bs_targets(logits, labels, w, soft=False):
+    """Bootstrapped-CE targets: each row paired with itself at gamma 1."""
+    ones = np.ones(len(labels))
+    return batch_bsm_targets(logits, labels, labels, ones, w, w, soft)
+
+
+def assert_same_bits(a, b):
+    assert (a[0] == b[0]).all()
+    assert (a[1] == b[1]).all()
 
 
 class TestSoftmax:
@@ -63,162 +65,152 @@ class TestSoftmax:
 
 class TestCeLoss:
     def test_ln2_oracle(self):
-        out = ce_loss(np.array([math.log(2.0), 0.0]), 1)
-        assert abs(out.value - CE_LN2_LABEL1) <= 1e-9
-        np.testing.assert_allclose(out.grad_logits, [2 / 3, 1 / 3 - 1.0], atol=1e-12)
+        values, grads = loss_from_targets(
+            np.array([[math.log(2.0), 0.0]]), batch_onehot([1], 2))
+        assert abs(values[0] - CE_LN2_LABEL1) <= 1e-9
+        np.testing.assert_allclose(grads[0], [2 / 3, 1 / 3 - 1.0], atol=1e-12)
 
     def test_uniform_binary(self):
-        assert abs(ce_loss(np.zeros(2), 0).value - math.log(2.0)) <= 1e-12
+        values, _ = loss_from_targets(np.zeros((1, 2)), batch_onehot([0], 2))
+        assert abs(values[0] - math.log(2.0)) <= 1e-12
 
     def test_peaked_logits_vanish(self):
-        out = ce_loss(np.array([50.0, 0.0]), 0)
-        assert out.value <= 1e-12
-        assert np.abs(out.grad_logits).max() <= 1e-12
-
-    def test_label_range_checked(self):
-        with pytest.raises(InvalidInputError):
-            ce_loss(np.zeros(2), 2)
+        values, grads = loss_from_targets(np.array([[50.0, 0.0]]), batch_onehot([0], 2))
+        assert values[0] <= 1e-12
+        assert np.abs(grads).max() <= 1e-12
 
 
 class TestBsLoss:
     def test_w_zero_is_ce_bitwise(self):
         rng = np.random.default_rng(2)
-        for _ in range(20):
-            z = rng.normal(size=3) * 3
-            label = int(rng.integers(3))
-            a, b = bs_loss(z, label, 0.0), ce_loss(z, label)
-            assert a.value == b.value
-            assert (a.grad_logits == b.grad_logits).all()
+        z = rng.normal(size=(20, 3)) * 3
+        labels = rng.integers(0, 3, size=20)
+        assert_same_bits(
+            loss_from_targets(z, bs_targets(z, labels, np.zeros(20))),
+            loss_from_targets(z, batch_onehot(labels, 3)),
+        )
 
     def test_agreeing_prediction_makes_w_inert(self):
         # softmax peaks on the label, so z == onehot(label) and t == onehot(label)
-        out = bs_loss(logits_for([0.6, 0.4]), 0, 0.5)
-        assert abs(out.value - BS_06_W_INERT) <= 1e-9
+        z = logits_for([0.6, 0.4])
+        values, _ = loss_from_targets(z, bs_targets(z, [0], [0.5]))
+        assert abs(values[0] - BS_06_W_INERT) <= 1e-9
 
     def test_disagreeing_prediction_oracle(self):
         # prediction is class 1, label 0, w=0.4 -> t = (0.6, 0.4)
-        out = bs_loss(logits_for([0.3, 0.7]), 0, 0.4)
-        assert abs(out.value - BS_03_W04) <= 1e-9
-        np.testing.assert_allclose(
-            out.grad_logits, [0.3 - 0.6, 0.7 - 0.4], atol=1e-12
-        )
+        z = logits_for([0.3, 0.7])
+        values, grads = loss_from_targets(z, bs_targets(z, [0], [0.4]))
+        assert abs(values[0] - BS_03_W04) <= 1e-9
+        np.testing.assert_allclose(grads[0], [0.3 - 0.6, 0.7 - 0.4], atol=1e-12)
 
     def test_soft_variant_uses_softmax_row(self):
         z = logits_for([0.3, 0.7])
-        t = bootstrap_target(z, 0, 0.4, soft=True)
-        np.testing.assert_allclose(t, [0.6 + 0.4 * 0.3, 0.4 * 0.7], atol=1e-12)
-        expected = -(t[0] * math.log(0.3) + t[1] * math.log(0.7))
-        assert abs(bs_loss(z, 0, 0.4, soft=True).value - expected) <= 1e-9
-
-    def test_w_range_checked(self):
-        with pytest.raises(InvalidInputError):
-            bs_loss(np.zeros(2), 0, 1.5)
+        t = bs_targets(z, [0], [0.4], soft=True)
+        np.testing.assert_allclose(t[0], [0.6 + 0.4 * 0.3, 0.4 * 0.7], atol=1e-12)
+        expected = -(t[0, 0] * math.log(0.3) + t[0, 1] * math.log(0.7))
+        values, _ = loss_from_targets(z, t)
+        assert abs(values[0] - expected) <= 1e-9
 
 
 class TestMixupCeLoss:
     def test_gamma_one_is_ce_bitwise(self):
         rng = np.random.default_rng(3)
-        for _ in range(20):
-            z = rng.normal(size=4) * 2
-            li, lj = int(rng.integers(4)), int(rng.integers(4))
-            a, b = mixup_ce_loss(z, li, lj, 1.0), ce_loss(z, li)
-            assert a.value == b.value
-            assert (a.grad_logits == b.grad_logits).all()
+        z = rng.normal(size=(20, 4)) * 2
+        li, lj = rng.integers(0, 4, size=20), rng.integers(0, 4, size=20)
+        assert_same_bits(
+            loss_from_targets(z, batch_mixup_targets(li, lj, np.ones(20), 4)),
+            loss_from_targets(z, batch_onehot(li, 4)),
+        )
 
     def test_equal_labels_collapse(self):
-        z = np.array([0.3, -1.2, 0.8])
-        for gamma in (0.0, 0.25, 0.5, 0.75, 1.0):  # dyadic: exact arithmetic
-            a, b = mixup_ce_loss(z, 2, 2, gamma), ce_loss(z, 2)
-            assert a.value == b.value
+        gammas = np.array([0.0, 0.25, 0.5, 0.75, 1.0])  # dyadic: exact arithmetic
+        z = np.tile([0.3, -1.2, 0.8], (5, 1))
+        labels = np.full(5, 2)
+        a, _ = loss_from_targets(z, batch_mixup_targets(labels, labels, gammas, 3))
+        b, _ = loss_from_targets(z, batch_onehot(labels, 3))
+        assert (a == b).all()
 
     def test_hand_oracle(self):
-        out = mixup_ce_loss(logits_for([0.6, 0.4]), 0, 1, 0.5)
-        assert abs(out.value - MIXUP_06_HALF) <= 1e-9
+        values, _ = loss_from_targets(
+            logits_for([0.6, 0.4]), batch_mixup_targets([0], [1], [0.5], 2))
+        assert abs(values[0] - MIXUP_06_HALF) <= 1e-9
 
     def test_convexity_in_gamma(self):
-        z = logits_for([0.6, 0.4])
-        v0 = mixup_ce_loss(z, 0, 1, 0.0).value
-        v1 = mixup_ce_loss(z, 0, 1, 1.0).value
-        for gamma in (0.2, 0.5, 0.8):
-            v = mixup_ce_loss(z, 0, 1, gamma).value
-            assert abs(v - (gamma * v1 + (1 - gamma) * v0)) <= 1e-12
-
-    def test_gamma_range_checked(self):
-        with pytest.raises(InvalidInputError):
-            mixup_ce_loss(np.zeros(2), 0, 1, -0.1)
+        gammas = np.array([0.0, 1.0, 0.2, 0.5, 0.8])
+        z = np.repeat(logits_for([0.6, 0.4]), 5, axis=0)
+        v, _ = loss_from_targets(
+            z, batch_mixup_targets(np.zeros(5, int), np.ones(5, int), gammas, 2))
+        for gamma, value in zip(gammas[2:], v[2:]):
+            assert abs(value - (gamma * v[1] + (1 - gamma) * v[0])) <= 1e-12
 
 
 class TestBsmLoss:
     def test_zero_weights_reduce_to_mixup_bitwise(self):
         rng = np.random.default_rng(4)
-        for _ in range(20):
-            z = rng.normal(size=3) * 3
-            li, lj = int(rng.integers(3)), int(rng.integers(3))
-            gamma = float(rng.random())
-            a = bsm_loss(z, li, lj, gamma, 0.0, 0.0)
-            b = mixup_ce_loss(z, li, lj, gamma)
-            assert a.value == b.value
-            assert (a.grad_logits == b.grad_logits).all()
+        z = rng.normal(size=(20, 3)) * 3
+        li, lj = rng.integers(0, 3, size=20), rng.integers(0, 3, size=20)
+        gammas, zeros = rng.random(20), np.zeros(20)
+        assert_same_bits(
+            loss_from_targets(z, batch_bsm_targets(z, li, lj, gammas, zeros, zeros)),
+            loss_from_targets(z, batch_mixup_targets(li, lj, gammas, 3)),
+        )
 
     def test_gamma_one_reduces_to_bs_bitwise(self):
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            z = rng.normal(size=3) * 3
-            li, lj = int(rng.integers(3)), int(rng.integers(3))
-            wi, wj = float(rng.random()), float(rng.random())
-            a = bsm_loss(z, li, lj, 1.0, wi, wj)
-            b = bs_loss(z, li, wi)
-            assert a.value == b.value
-            assert (a.grad_logits == b.grad_logits).all()
+        z = rng.normal(size=(20, 3)) * 3
+        li, lj = rng.integers(0, 3, size=20), rng.integers(0, 3, size=20)
+        wi, wj = rng.random(20), rng.random(20)
+        assert_same_bits(
+            loss_from_targets(z, batch_bsm_targets(z, li, lj, np.ones(20), wi, wj)),
+            loss_from_targets(z, bs_targets(z, li, wi)),
+        )
 
     def test_composed_hand_oracle(self):
-        out = bsm_loss(logits_for([0.3, 0.7]), 0, 1, 0.5, 0.4, 0.0)
-        assert abs(out.value - BSM_COMPOSED) <= 1e-9
+        z = logits_for([0.3, 0.7])
+        values, _ = loss_from_targets(
+            z, batch_bsm_targets(z, [0], [1], [0.5], [0.4], [0.0]))
+        assert abs(values[0] - BSM_COMPOSED) <= 1e-9
 
     def test_shared_hard_prediction(self):
         # both bootstrap terms must reuse the same z row from the one
         # forward pass; with w_i = w_j = 1 the target is exactly z
         z = logits_for([0.3, 0.7])
-        out = bsm_loss(z, 0, 1, 0.37, 1.0, 1.0)
-        assert abs(out.value - (-math.log(0.7))) <= 1e-12
+        values, _ = loss_from_targets(
+            z, batch_bsm_targets(z, [0], [1], [0.37], [1.0], [1.0]))
+        assert abs(values[0] - (-math.log(0.7))) <= 1e-12
 
     def test_target_rows_sum_to_one(self):
         rng = np.random.default_rng(6)
-        for _ in range(50):
-            z = rng.normal(size=4) * 2
-            t_sum = (
-                bsm_loss(
-                    z,
-                    int(rng.integers(4)),
-                    int(rng.integers(4)),
-                    float(rng.random()),
-                    float(rng.random()),
-                    float(rng.random()),
-                ).grad_logits
-                - softmax(z)
-            ).sum()
-            # grad = softmax - t, so -sum(grad - softmax) recovers sum(t)
-            assert abs(-t_sum - 1.0) <= 1e-12
+        z = rng.normal(size=(50, 4)) * 2
+        targets = batch_bsm_targets(
+            z, rng.integers(0, 4, size=50), rng.integers(0, 4, size=50),
+            rng.random(50), rng.random(50), rng.random(50))
+        _, grads = loss_from_targets(z, targets)
+        # grad = softmax - t, so -sum(grad - softmax) recovers sum(t)
+        t_sum = -(grads - softmax(z)).sum(axis=1)
+        assert np.abs(t_sum - 1.0).max() <= 1e-12
 
 
 class TestBatchBuilders:
     def test_batch_onehot_matches_scalar(self):
         labels = np.array([2, 0, 1])
         rows = batch_onehot(labels, 3)
+        assert (rows == np.eye(3)[labels]).all()
         for r, lab in zip(rows, labels):
-            assert (r == onehot(int(lab), 3)).all()
+            assert (r == batch_onehot([lab], 3)[0]).all()
 
     def test_batch_mixup_matches_scalar_loss(self):
+        # row r of an 8-row batch is the 1-row batch of that row, bit for bit
         rng = np.random.default_rng(7)
         z = rng.normal(size=(8, 3))
         li = rng.integers(0, 3, size=8)
         lj = rng.integers(0, 3, size=8)
         g = rng.random(8)
-        targets = batch_mixup_targets(li, lj, g, 3)
+        values, grads = loss_from_targets(z, batch_mixup_targets(li, lj, g, 3))
         for r in range(8):
-            ref = mixup_ce_loss(z[r], int(li[r]), int(lj[r]), float(g[r]))
-            out = loss_from_target(z[r], targets[r])
-            assert out.value == ref.value
+            s = slice(r, r + 1)
+            one = loss_from_targets(z[s], batch_mixup_targets(li[s], lj[s], g[s], 3))
+            assert_same_bits(one, (values[s], grads[s]))
 
     def test_batch_bsm_matches_scalar_loss(self):
         rng = np.random.default_rng(8)
@@ -228,37 +220,35 @@ class TestBatchBuilders:
         g = rng.random(8)
         wi = rng.random(8)
         wj = rng.random(8)
-        targets = batch_bsm_targets(z, li, lj, g, wi, wj)
+        values, grads = loss_from_targets(z, batch_bsm_targets(z, li, lj, g, wi, wj))
         for r in range(8):
-            ref = bsm_loss(
-                z[r], int(li[r]), int(lj[r]), float(g[r]), float(wi[r]), float(wj[r])
-            )
-            out = loss_from_target(z[r], targets[r])
-            assert out.value == ref.value
-            assert (out.grad_logits == ref.grad_logits).all()
+            s = slice(r, r + 1)
+            one = loss_from_targets(
+                z[s], batch_bsm_targets(z[s], li[s], lj[s], g[s], wi[s], wj[s]))
+            assert_same_bits(one, (values[s], grads[s]))
 
 
 class TestHardPrediction:
     def test_tie_goes_to_lowest_index(self):
-        assert (hard_prediction(np.array([1.0, 1.0, 0.0])) == [1, 0, 0]).all()
+        # at w = 1 the target is the hard prediction itself
+        z = np.array([[1.0, 1.0, 0.0]])
+        assert (bs_targets(z, [2], [1.0]) == [[1.0, 0.0, 0.0]]).all()
 
 
 class TestFiniteDifferences:
     def test_loss_from_target_gradient(self):
         rng = np.random.default_rng(9)
         step = 1e-6
-        for _ in range(10):
-            z = rng.normal(size=4) * 2
-            t = rng.dirichlet(np.ones(4))
-            grad = loss_from_target(z, t).grad_logits
-            for d in range(4):
-                zp, zm = z.copy(), z.copy()
-                zp[d] += step
-                zm[d] -= step
-                fd = (loss_from_target(zp, t).value - loss_from_target(zm, t).value) / (
-                    2 * step
-                )
-                assert abs(fd - grad[d]) <= 1e-7 * max(1.0, abs(grad[d]))
+        z = rng.normal(size=(10, 4)) * 2
+        t = rng.dirichlet(np.ones(4), size=10)
+        _, grad = loss_from_targets(z, t)
+        for d in range(4):
+            zp, zm = z.copy(), z.copy()
+            zp[:, d] += step
+            zm[:, d] -= step
+            fd = (loss_from_targets(zp, t)[0] - loss_from_targets(zm, t)[0]) / (2 * step)
+            tol = 1e-7 * np.maximum(1.0, np.abs(grad[:, d]))
+            assert (np.abs(fd - grad[:, d]) <= tol).all()
 
 
 @st.composite
@@ -288,41 +278,45 @@ def loss_batches(draw):
     }
 
 
-def assert_same_bits(out, values, grads, r):
-    assert out.value == values[r]
-    assert (out.grad_logits == grads[r]).all()
-
-
 class TestOneCeCore:
     """Every loss is the batch kernel's row for its target, bit for bit."""
 
     @settings(deadline=None)
     @given(loss_batches())
     def test_kernel_finite_with_zero_sum_gradients(self, b):
-        values, grads = _kernels.loss_from_targets(b["logits"], b["targets"])
+        values, grads = loss_from_targets(b["logits"], b["targets"])
         assert np.isfinite(values).all()
         assert np.isfinite(grads).all()
         np.testing.assert_allclose(grads.sum(axis=1), 0.0, rtol=0.0, atol=1e-12)
 
     @settings(deadline=None)
     @given(loss_batches())
-    def test_scalar_losses_equal_kernel_rows(self, b):
-        z, li, lj = b["logits"], b["labels_i"], b["labels_j"]
-        g, wi, wj, soft = b["gammas"], b["w_i"], b["w_j"], b["soft"]
-        k = z.shape[1]
-        ones, zeros = np.ones(len(z)), np.zeros(len(z))
-        ce = _kernels.loss_from_targets(z, batch_onehot(li, k))
-        mix = _kernels.loss_from_targets(z, batch_mixup_targets(li, lj, g, k))
-        bs = _kernels.loss_from_targets(
-            z, batch_bsm_targets(z, li, lj, ones, wi, zeros, soft))
-        bsm = _kernels.loss_from_targets(z, batch_bsm_targets(z, li, lj, g, wi, wj, soft))
+    def test_reduction_identities_hold_bitwise(self, b):
+        # bs(w=0) = ce, bsm(w=0, w=0) = mixup, mixup(gamma=1) = ce
+        z, li, lj, g = b["logits"], b["labels_i"], b["labels_j"], b["gammas"]
+        soft = b["soft"]
+        n, k = z.shape
+        ones, zeros = np.ones(n), np.zeros(n)
+        ce = batch_onehot(li, k)
+        mix = batch_mixup_targets(li, lj, g, k)
+        assert (bs_targets(z, li, zeros, soft) == ce).all()
+        assert (batch_bsm_targets(z, li, lj, g, zeros, zeros, soft) == mix).all()
+        assert (batch_mixup_targets(li, lj, ones, k) == ce).all()
+
+    @settings(deadline=None)
+    @given(loss_batches())
+    def test_rows_do_not_depend_on_their_batch(self, b):
+        # a 1-row batch (the trainer's leftover batch) gets the bits that
+        # row would get inside any larger batch
+        z, li, lj, g = b["logits"], b["labels_i"], b["labels_j"], b["gammas"]
+        wi, wj, soft = b["w_i"], b["w_j"], b["soft"]
+        full = batch_bsm_targets(z, li, lj, g, wi, wj, soft)
+        values, grads = loss_from_targets(z, full)
         for r in range(len(z)):
-            yi, yj, gr = int(li[r]), int(lj[r]), float(g[r])
-            assert_same_bits(ce_loss(z[r], yi), *ce, r)
-            assert_same_bits(bs_loss(z[r], yi, float(wi[r]), soft), *bs, r)
-            assert_same_bits(mixup_ce_loss(z[r], yi, yj, gr), *mix, r)
-            assert_same_bits(
-                bsm_loss(z[r], yi, yj, gr, float(wi[r]), float(wj[r]), soft), *bsm, r)
+            s = slice(r, r + 1)
+            one = batch_bsm_targets(z[s], li[s], lj[s], g[s], wi[s], wj[s], soft)
+            assert (one == full[s]).all()
+            assert_same_bits(loss_from_targets(z[s], one), (values[s], grads[s]))
 
     @settings(deadline=None)
     @given(loss_batches())

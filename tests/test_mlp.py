@@ -37,8 +37,6 @@ def ce_batch_value(model, inputs, labels):
 def loop_backward(model, cache, grad_logits):
     """Reference: six separately allocated gradient arrays, in params() order."""
     g = np.asarray(grad_logits, dtype=np.float64)
-    if g.ndim == 1:
-        g = g[None, :]
     n = g.shape[0]
     dw3 = cache.a2.T @ g / n
     db3 = g.mean(axis=0)
@@ -130,22 +128,13 @@ class TestForward:
 
     def test_zero_input_zero_bias_gives_zero_logits(self):
         model = kaiming_init((3, 8, 8, 2), seed=4)
-        logits = model.predict_logits(np.zeros(3))
+        logits = model.predict_logits(np.zeros((2, 3)))
         assert (logits == 0.0).all()
-
-    def test_single_and_batch_ranks(self):
-        model = kaiming_init((2, 8, 8, 3), seed=5)
-        x = np.array([0.3, -0.7])
-        single = model.predict_logits(x)
-        batch = model.predict_logits(x[None, :])
-        assert single.shape == (3,)
-        assert batch.shape == (1, 3)
-        assert (single == batch[0]).all()
 
     def test_active_dropout_requires_rng(self):
         model = kaiming_init((2, 8, 8, 2), seed=6)
         with pytest.raises(InvalidInputError):
-            model.predict_logits(np.zeros(2), dropout_active=True)
+            model.predict_logits(np.zeros((1, 2)), dropout_active=True)
 
     def test_dropout_masks_differ_between_calls(self):
         model = kaiming_init((2, 64, 64, 2), seed=7, dropout=0.5)
@@ -159,7 +148,7 @@ class TestForward:
         model = kaiming_init((2, 8, 8, 2), seed=8)
         with np.errstate(invalid="ignore"):
             with pytest.raises(TrainingDivergenceError):
-                model.predict_logits(np.array([np.inf, 0.0]))
+                model.predict_logits(np.array([[np.inf, 0.0]]))
 
     def test_features_are_penultimate_activations(self):
         model = kaiming_init((2, 8, 8, 2), seed=9)

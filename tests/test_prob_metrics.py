@@ -61,27 +61,31 @@ class TestPredictionBatch:
 
 class TestPredictiveEntropy:
     def test_hand_oracle(self):
-        assert abs(predictive_entropy(np.array([0.8, 0.2])) - ENTROPY_08_02) <= 1e-9
+        h = predictive_entropy(np.array([[0.8, 0.2]]))
+        assert abs(h[0] - ENTROPY_08_02) <= 1e-9
 
     def test_one_hot_row_is_zero(self):
-        assert predictive_entropy(np.array([1.0, 0.0, 0.0])) == 0.0
+        assert (predictive_entropy(np.eye(3)) == 0.0).all()
 
     def test_uniform_is_ln_k(self):
         for k in (2, 3, 5, 10):
-            row = np.full(k, 1.0 / k)
-            assert abs(predictive_entropy(row) - np.log(k)) <= 1e-12
+            h = predictive_entropy(np.full((4, k), 1.0 / k))
+            assert np.abs(h - np.log(k)).max() <= 1e-12
 
     def test_bounds_random_rows(self):
         rng = np.random.default_rng(0)
-        for _ in range(200):
-            k = int(rng.integers(2, 6))
-            row = rng.dirichlet(np.ones(k))
-            h = predictive_entropy(row)
-            assert 0.0 <= h <= np.log(k) + 1e-12
+        for k in range(2, 6):
+            h = predictive_entropy(rng.dirichlet(np.ones(k), size=50))
+            assert (h >= 0.0).all()
+            assert (h <= np.log(k) + 1e-12).all()
 
     def test_rejects_bad_row(self):
         with pytest.raises(InvalidInputError):
-            predictive_entropy(np.array([0.9, 0.2]))
+            predictive_entropy(np.array([[0.5, 0.5], [0.9, 0.2]]))
+
+    def test_rejects_single_row_vector(self):
+        with pytest.raises(InvalidInputError, match="N x K"):
+            predictive_entropy(np.array([0.8, 0.2]))
 
 
 class TestReliabilityAndEce:

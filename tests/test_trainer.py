@@ -5,6 +5,7 @@ import pytest
 
 import mixboot.trainer as trainer_module
 from mixboot.errors import ConfigError, TrainingDivergenceError
+from mixboot.losses import batch_bsm_targets, batch_onehot
 from mixboot.noise_model import BetaMixtureModel
 from mixboot.trainer import TrainConfig, dataset_from_config, train
 
@@ -154,6 +155,61 @@ class TestMethods:
         _, log = train(config, dataset_from_config(config))
         assert log.stopped_epoch == 2
         assert all(entry["uninformative"] for entry in log.bmm)
+
+
+class TestLeftoverBatch:
+    """n_train = 100 with batch_size = 33 leaves a 1-row batch every epoch.
+
+    That row is paired with itself at gamma 1: it trains unmixed and its
+    target comes from the same builder as every other batch.
+    """
+
+    @pytest.mark.parametrize("method,soft", [
+        ("bsm", True), ("bsm", False), ("mixup_ce", False),
+    ])
+    def test_leftover_row_targets(self, monkeypatch, method, soft):
+        config = moons_config(method=method, soft_bootstrap=soft, n_train=100,
+                              batch_size=33, max_epochs=3)
+        ds = dataset_from_config(config)
+        steps, posteriors = [], []
+        forward = trainer_module.forward
+        loss_from_targets = trainer_module._kernels.loss_from_targets
+        noisy_posterior = trainer_module.noisy_posterior
+
+        def spy_forward(model, xb, **kwargs):
+            if len(xb) == 1:
+                # bsm refits the posterior once per epoch, so for bsm this
+                # counts the epochs done so far
+                steps.append({"x": xb.copy(), "epoch": len(posteriors)})
+            return forward(model, xb, **kwargs)
+
+        def spy_loss(logits, targets):
+            if len(logits) == 1:
+                steps[-1].update(logits=logits.copy(), targets=targets.copy())
+            return loss_from_targets(logits, targets)
+
+        def spy_posterior(model, losses):
+            w = noisy_posterior(model, losses)
+            posteriors.append(w)
+            return w
+
+        monkeypatch.setattr(trainer_module, "forward", spy_forward)
+        monkeypatch.setattr(trainer_module._kernels, "loss_from_targets", spy_loss)
+        monkeypatch.setattr(trainer_module, "noisy_posterior", spy_posterior)
+        train(config, ds)
+
+        assert len(steps) == config.max_epochs
+        for step in steps:
+            # the row is a training row, unmixed
+            (i,) = np.flatnonzero((ds.train_inputs == step["x"]).all(axis=1))
+            y = ds.train_labels[i:i + 1]
+            if method == "mixup_ce":
+                expected = batch_onehot(y, 2)
+            else:
+                epoch = step["epoch"]
+                w = posteriors[epoch - 1][i:i + 1] if epoch >= 1 else np.zeros(1)
+                expected = batch_bsm_targets(step["logits"], y, y, [1.0], w, w, soft)
+            assert (step["targets"] == expected).all()
 
 
 class TestDivergence:
