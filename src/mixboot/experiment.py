@@ -327,7 +327,8 @@ def run_sweep(base: ExperimentConfig, axis: str, values: list) -> tuple[str, Pat
     """One experiment per axis value; consolidated CSV ordered as given.
 
     A member failing with a mixboot error or an OSError becomes a
-    status=error row instead of aborting; any other exception propagates.
+    status=error row, whose status field is ``error: <Type>: <message>``,
+    instead of aborting; any other exception propagates.
     """
     if axis not in SWEEP_AXES:
         raise InvalidInputError(f"unknown sweep axis {axis!r}; "
@@ -346,8 +347,10 @@ def run_sweep(base: ExperimentConfig, axis: str, values: list) -> tuple[str, Pat
             report, _ = run_experiment(member)
             lines.append(f"{axis},{value},ok," + report.csv_row())
         except (MixbootError, OSError) as exc:  # member failure must not kill the sweep
+            # one quoted field on one line: the message may hold commas
+            message = " ".join(str(exc).split()).replace('"', '""')
             empty = ",".join([""] * len(METRICS_CSV_COLUMNS))
-            lines.append(f"{axis},{value},error: {type(exc).__name__},{empty}")
+            lines.append(f'{axis},{value},"error: {type(exc).__name__}: {message}",{empty}')
     text = "\n".join(lines) + "\n"
     _write(out / "sweep.csv", text)
     return text, out

@@ -93,10 +93,14 @@ class MlpModel:
 
 @dataclass
 class ForwardCache:
+    """What backward needs: the input, the masked activations and the masks.
+
+    A unit's pre-activation was positive exactly where its activation is,
+    so backward tests ``a > 0`` and no pre-activation is kept.
+    """
+
     x: np.ndarray
-    z1: np.ndarray
     a1: np.ndarray
-    z2: np.ndarray
     a2: np.ndarray
     mask1: np.ndarray | None
     mask2: np.ndarray | None
@@ -118,8 +122,12 @@ def kaiming_init(
 
 
 def _dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
-    # inverted dropout: surviving units are scaled by 1/(1-rate)
-    return (rng.random(shape) >= rate).astype(np.float64) / (1.0 - rate)
+    # inverted dropout: surviving units are scaled by 1/(1-rate); the mask
+    # is built in the buffer of the uniform draw
+    r = rng.random(shape)
+    np.greater_equal(r, rate, out=r)
+    r /= 1.0 - rate
+    return r
 
 
 def forward(
@@ -131,30 +139,35 @@ def forward(
     """Affine/ReLU stack over an N x D batch; returns (logits, penultimate
     features, cache).
 
-    A dropout rate of 0 draws nothing, so active and inactive modes agree.
+    Each hidden layer is one array, written in place: affine, bias, ReLU,
+    then the dropout mask.  A dropout rate of 0 draws nothing, so active
+    and inactive modes agree.
     """
     x = np.asarray(inputs, dtype=np.float64)
     use_dropout = dropout_active and model.dropout > 0.0
     if use_dropout and rng is None:
         raise InvalidInputError("active dropout requires an rng")
 
-    z1 = x @ model.w1 + model.b1
-    a1 = np.maximum(z1, 0.0)
+    a1 = x @ model.w1
+    a1 += model.b1
+    np.maximum(a1, 0.0, out=a1)
     mask1 = None
     if use_dropout:
         mask1 = _dropout_mask(a1.shape, model.dropout, rng)
-        a1 = a1 * mask1
-    z2 = a1 @ model.w2 + model.b2
-    a2 = np.maximum(z2, 0.0)
+        a1 *= mask1
+    a2 = a1 @ model.w2
+    a2 += model.b2
+    np.maximum(a2, 0.0, out=a2)
     mask2 = None
     if use_dropout:
         mask2 = _dropout_mask(a2.shape, model.dropout, rng)
-        a2 = a2 * mask2
-    logits = a2 @ model.w3 + model.b3
+        a2 *= mask2
+    logits = a2 @ model.w3
+    logits += model.b3
     if not np.isfinite(logits).all():
         raise TrainingDivergenceError("non-finite activations in forward pass")
 
-    return logits, a2, ForwardCache(x, z1, a1, z2, a2, mask1, mask2)
+    return logits, a2, ForwardCache(x, a1, a2, mask1, mask2)
 
 
 def backward(
@@ -177,14 +190,14 @@ def backward(
     da2 = g @ model.w3.T
     if cache.mask2 is not None:
         da2 = da2 * cache.mask2
-    dz2 = da2 * (cache.z2 > 0.0)
+    dz2 = da2 * (cache.a2 > 0.0)
     np.matmul(cache.a1.T, dz2, out=dw2)
     dw2 /= n
     dz2.mean(axis=0, out=db2)
     da1 = dz2 @ model.w2.T
     if cache.mask1 is not None:
         da1 = da1 * cache.mask1
-    dz1 = da1 * (cache.z1 > 0.0)
+    dz1 = da1 * (cache.a1 > 0.0)
     np.matmul(cache.x.T, dz1, out=dw1)
     dw1 /= n
     dz1.mean(axis=0, out=db1)

@@ -71,7 +71,9 @@ class TrainConfig:
             (self.max_epochs >= 1, "max_epochs must be >= 1"),
             (self.patience >= 1, "patience must be >= 1"),
             (self.warmup_epochs >= 0, "warmup_epochs must be nonnegative"),
+            (self.seed >= 0, "seed must be nonnegative"),
             (self.generator in GENERATORS, f"generator must be one of {GENERATORS}"),
+            (self.generator_noise >= 0.0, "generator_noise must be nonnegative"),
             (self.n_train >= 2, "n_train must be >= 2"),
             (self.n_val >= 2, "n_val must be >= 2"),
             (self.hidden_1 >= 1 and self.hidden_2 >= 1, "hidden sizes must be >= 1"),

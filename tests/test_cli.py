@@ -70,6 +70,17 @@ class TestRunVerb:
         assert code == EXIT_CONFIG
         assert "method" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override,message", [
+        ("seed=-1", "seed must be nonnegative"),
+        ("generator_noise=-1", "generator_noise must be nonnegative"),
+    ])
+    def test_negative_setting_is_config_error(self, workdir, capsys, override, message):
+        # both once reached numpy and ended in a bare ValueError traceback
+        config = write_config(workdir, FAST_BLOBS + "output.dir = neg\n")
+        code = main(["run", "--config", config, "--set", override])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
     def test_divergence_exit_code(self, workdir, capsys):
         import numpy as np
 

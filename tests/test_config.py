@@ -48,11 +48,11 @@ def experiment_configs(draw):
         max_epochs=draw(st.integers(1)),
         patience=draw(st.integers(1)),
         warmup_epochs=draw(st.integers(0)),
-        seed=draw(st.integers()),
+        seed=draw(st.integers(0)),
         generator=draw(st.sampled_from(GENERATORS)),
         n_train=draw(st.integers(2)),
         n_val=draw(st.integers(2)),
-        generator_noise=draw(floats()),
+        generator_noise=draw(nonneg),
         hidden_1=draw(st.integers(1)),
         hidden_2=draw(st.integers(1)),
         dropout=draw(floats(0.0, 1.0, exclude_max=True)),

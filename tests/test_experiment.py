@@ -1,5 +1,6 @@
 """End-to-end experiment runs: artifacts, reruns, estimator paths, sweeps."""
 
+import csv
 import json
 
 import numpy as np
@@ -215,9 +216,25 @@ class TestRunSweep:
     def test_failing_member_becomes_error_row(self, out_root):
         config = parse_config(FAST_BLOBS + "output.dir = p\n")
         text, _ = run_sweep(config, "noise_rates", [0.0, 2.0])
-        rows = text.splitlines()
-        assert any(ln.startswith("noise_rates,2.0,error: ConfigError,") for ln in rows)
-        assert any(ln.startswith("noise_rates,0.0,ok,") for ln in rows)
+        rows = list(csv.reader(ln for ln in text.splitlines() if not ln.startswith("#")))
+        assert len(rows) == 3 and all(len(row) == len(rows[0]) for row in rows)
+        assert rows[1][:3] == ["noise_rates", "0.0", "ok"]
+        assert rows[2][:3] == ["noise_rates", "2.0",
+                               "error: ConfigError: noise_rate must lie in [0, 1]"]
+        assert rows[2][3:] == [""] * (len(rows[0]) - 3)
+
+    def test_error_message_is_one_quoted_field(self, out_root, monkeypatch):
+        def failing(config):
+            raise InvalidInputError('bad "value", see\n  next line')
+
+        monkeypatch.setattr(experiment, "run_experiment", failing)
+        config = parse_config(FAST_BLOBS + "output.dir = u\n")
+        text, _ = run_sweep(config, "noise_rates", [0.0])
+        data = [ln for ln in text.splitlines() if not ln.startswith("#")]
+        assert len(data) == 2
+        header, row = csv.reader(data)
+        assert len(row) == len(header)
+        assert row[2] == 'error: InvalidInputError: bad "value", see next line'
 
     def test_programming_error_propagates(self, out_root, monkeypatch):
         def broken(config):

@@ -2,9 +2,13 @@
 
 import copy
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import mixboot.trainer as trainer_module
 from mixboot.errors import InvalidInputError, TrainingDivergenceError
@@ -21,6 +25,7 @@ from mixboot.mlp import (
     forward,
     kaiming_init,
     load_model,
+    param_count,
     save_model,
     split_flat,
 )
@@ -34,8 +39,32 @@ def ce_batch_value(model, inputs, labels):
     return float(-logp[np.arange(len(labels)), labels].mean())
 
 
+def reference_forward(model, inputs, dropout_active=False, rng=None):
+    """Reference: the out-of-place forward, one fresh array per step, with
+    the mask built by ``astype`` and a division.  Returns (logits, [a1, a2],
+    masks); a2 is the feature matrix."""
+    x = np.asarray(inputs, dtype=np.float64)
+    rate = model.dropout
+    use_dropout = dropout_active and rate > 0.0
+    acts, masks = [], []
+    a = x
+    for w, b in ((model.w1, model.b1), (model.w2, model.b2)):
+        a = np.maximum(a @ w + b, 0.0)
+        if use_dropout:
+            masks.append((rng.random(a.shape) >= rate).astype(np.float64) / (1.0 - rate))
+            a = a * masks[-1]
+        acts.append(a)
+    return a @ model.w3 + model.b3, acts, masks
+
+
 def loop_backward(model, cache, grad_logits):
-    """Reference: six separately allocated gradient arrays, in params() order."""
+    """Reference: six separately allocated gradient arrays, in params() order.
+
+    The ReLU gates test the pre-activations, rebuilt here from the cached
+    input and layer-1 activations, where backward tests the activations.
+    """
+    z1 = cache.x @ model.w1 + model.b1
+    z2 = cache.a1 @ model.w2 + model.b2
     g = np.asarray(grad_logits, dtype=np.float64)
     n = g.shape[0]
     dw3 = cache.a2.T @ g / n
@@ -43,13 +72,13 @@ def loop_backward(model, cache, grad_logits):
     da2 = g @ model.w3.T
     if cache.mask2 is not None:
         da2 = da2 * cache.mask2
-    dz2 = da2 * (cache.z2 > 0.0)
+    dz2 = da2 * (z2 > 0.0)
     dw2 = cache.a1.T @ dz2 / n
     db2 = dz2.mean(axis=0)
     da1 = dz2 @ model.w2.T
     if cache.mask1 is not None:
         da1 = da1 * cache.mask1
-    dz1 = da1 * (cache.z1 > 0.0)
+    dz1 = da1 * (z1 > 0.0)
     dw1 = cache.x.T @ dz1 / n
     db1 = dz1.mean(axis=0)
     return [dw1, db1, dw2, db2, dw3, db3]
@@ -212,6 +241,85 @@ class TestBackward:
                              loop_backward(model, cache, grad_logits)):
             assert got.shape == want.shape
             assert (got == want).all()
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert (got == want).all()
+    assert (np.signbit(got) == np.signbit(want)).all()
+
+
+@st.composite
+def forward_cases(draw):
+    """A small model, 1..64 input rows and per-row logit gradients.
+
+    The dropout rate is 0, 0.2 or 0.5, active or not.  Half the cases draw
+    inputs, parameters and gradients from a grid of halves with signed
+    zeros, so many pre-activations are exactly +-0.
+    """
+    n = draw(st.integers(1, 64))
+    dims = (draw(st.integers(1, 4)), draw(st.integers(1, 8)),
+            draw(st.integers(1, 8)), draw(st.integers(2, 4)))
+    if draw(st.booleans()):
+        elements = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+    else:
+        elements = st.floats(-3.0, 3.0)
+    flat = draw(hnp.arrays(np.float64, param_count(dims), elements=elements))
+    return {
+        "model": MlpModel(flat, dims, dropout=draw(st.sampled_from([0.0, 0.2, 0.5]))),
+        "x": draw(hnp.arrays(np.float64, (n, dims[0]), elements=elements)),
+        "grad_logits": draw(hnp.arrays(np.float64, (n, dims[3]), elements=elements)),
+        "active": draw(st.booleans()),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+class TestInPlaceForward:
+    """The in-place forward and the a > 0 gates give the out-of-place bits."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(forward_cases())
+    def test_matches_out_of_place_reference(self, case):
+        model, x, active = case["model"], case["x"], case["active"]
+        logits, feats, cache = forward(
+            model, x, dropout_active=active, rng=np.random.default_rng(case["seed"])
+        )
+        ref_logits, ref_acts, ref_masks = reference_forward(
+            model, x, dropout_active=active, rng=np.random.default_rng(case["seed"])
+        )
+        assert_same_bits(logits, ref_logits)
+        masks = [m for m in (cache.mask1, cache.mask2) if m is not None]
+        assert len(masks) == len(ref_masks)
+        for got, want in zip([feats, cache.a1, cache.a2] + masks,
+                             [ref_acts[1]] + ref_acts + ref_masks):
+            assert_same_bits(got, want)
+
+        # with the activations equal, loop_backward rebuilds the reference's
+        # pre-activations and gates on them
+        grads = backward(model, cache, case["grad_logits"])
+        for got, want in zip(split_flat(grads, model.dims),
+                             loop_backward(model, cache, case["grad_logits"])):
+            assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("h1,h2", [(64, 64), (64, 1)])
+    def test_dropout_forward_allocation_budget(self, h1, h2):
+        # one 20000-row pass with dropout holds a1, a2 and their two masks,
+        # 4.0 x (N * 64 * 8) bytes at 64/64; the budget leaves 2.5% for the
+        # logits, so one more N x H temporary exceeds it (the 64/1 case
+        # catches a layer-1 temporary freed before layer 2 peaks)
+        n = 20000
+        model = kaiming_init((2, h1, h2, 2), seed=33, dropout=0.2)
+        x = np.random.default_rng(34).normal(size=(n, 2))
+        rng = np.random.default_rng(35)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            forward(model, x, dropout_active=True, rng=rng)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.025 * 2 * n * (h1 + h2) * 8
 
 
 class TestAdam:
