@@ -7,6 +7,9 @@
 * ``min_cosine_distances``: min cosine distance of query rows to a
   feature bank.
 
+``gammaln``, behind the E-step and the Spearman p-value, is a port of
+Cephes ``lgam``, so numpy is the only runtime dependency.
+
 Callers reach them as ``_kernels.<name>`` so a wrapper installed on the
 module (a profiler, say) sees every call.
 """
@@ -14,9 +17,9 @@ module (a profiler, say) sees every call.
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
-from scipy.special import gammaln
 
 
 # ---------------------------------------------------------------------------
@@ -37,6 +40,57 @@ def loss_from_targets(logits: np.ndarray, targets: np.ndarray):
 # ---------------------------------------------------------------------------
 # kernel 2: E-step of the two-component beta mixture over normalized losses
 # ---------------------------------------------------------------------------
+
+# Cephes lgam coefficients: A for the Stirling tail, B/C for the rational
+# approximation on [2, 3)
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+           7.93650340457716943945e-4, -2.77777777730099687205e-3,
+           8.33333333333331927722e-2)
+_LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4,
+           -3.31612992738871184744e5, -1.16237097492762307383e6,
+           -1.72173700820839662146e6, -8.53555664245765465627e5)
+_LGAM_C = (-3.51815701436523470549e2, -1.70642106651881159223e4,
+           -2.20528590553854454839e5, -1.13933444367982507207e6,
+           -2.53252307177582951285e6, -2.01889141433532773231e6)
+_LS2PI = 0.91893853320467274178  # ln sqrt(2 pi)
+
+
+def gammaln(x) -> float:
+    """ln Gamma(x) for x > 0, Cephes ``lgam`` step for step.
+
+    Equal to ``scipy.special.gammaln`` bit for bit; x <= 0 and NaN raise.
+    """
+    x = float(x)
+    if not x > 0.0:
+        raise ValueError(f"gammaln is defined here for x > 0 only, got {x!r}")
+    if x < 13.0:
+        # shift x into [2, 3), carrying the product of the steps in z
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        x += p - 2.0
+        num = reduce(lambda acc, c: acc * x + c, _LGAM_B)
+        den = reduce(lambda acc, c: acc * x + c, _LGAM_C[1:], x + _LGAM_C[0])
+        return math.log(z) + x * num / den
+    if x > 2.556348e305:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    return q + reduce(lambda acc, c: acc * p + c, _LGAM_A) / x
+
 
 def log_beta(a, b):
     """ln B(a, b), the log normalizer of the Beta(a, b) density."""

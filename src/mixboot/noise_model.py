@@ -87,7 +87,8 @@ def _moment_match(x: np.ndarray, resp: np.ndarray) -> tuple[float, float]:
     """Weighted-moment Beta shape estimates, clamped to a stable range.
 
     The upper clamp rescales both shapes together so the component mean
-    alpha/(alpha+beta) survives; only the lower clamp may move it.
+    alpha/(alpha+beta) survives; only the lower clamp may move it.  ``min``
+    keeps the rescaled largest shape from overshooting SHAPE_MAX by an ulp.
     """
     wsum = max(resp.sum(), 1e-12)
     mu = float((resp * x).sum() / wsum)
@@ -99,8 +100,8 @@ def _moment_match(x: np.ndarray, resp: np.ndarray) -> tuple[float, float]:
     largest = max(a, b)
     if largest > SHAPE_MAX:
         scale = SHAPE_MAX / largest
-        a *= scale
-        b *= scale
+        a = min(a * scale, SHAPE_MAX)
+        b = min(b * scale, SHAPE_MAX)
     return float(max(a, SHAPE_MIN)), float(max(b, SHAPE_MIN))
 
 

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from mixboot.analysis import (
     distance_perception_summary,
@@ -13,6 +13,7 @@ from mixboot.analysis import (
     min_cosine_distances,
     referral_curve,
     spearman,
+    t_two_tailed_p,
     threshold_curve,
 )
 from mixboot.errors import InvalidInputError, UndefinedMetricError
@@ -228,8 +229,30 @@ class TestSpearman:
                 assert abs(p - ref.pvalue) <= 1e-9
 
     def test_p_value_matches_scipy_t_sf(self):
-        # the p-value is bit-identical to the scipy.stats.t.sf expression
-        # it replaced, over rho in (-1, 1) and n from 3 to 5000
+        # the incomplete-beta p-value agrees with scipy's Student-t tail to
+        # 1e-11 relative (about 1.4e-12 measured), not bit for bit: over df
+        # 1-20000 and |t| from 1e-4 (p about 1) to where p falls below
+        # 1e-300.  Below |t| ~ 1e-5 at df = 1 scipy itself drifts (2.8e-11
+        # at 1e-6 against the closed form 1 - 2 atan(t) / pi).
+        dfs = np.unique(np.concatenate(
+            [np.arange(1, 31), np.geomspace(31, 20000, 60).round(), [19998]]
+        )).astype(int)
+        ts = np.concatenate([np.linspace(0.05, 4.0, 80), np.geomspace(1e-4, 1e150, 120)])
+        smallest, checked = 1.0, 0
+        for df in dfs:
+            ref = 2.0 * special.stdtr(df, -ts)
+            for t, p_ref in zip(ts, ref):
+                if p_ref < 1e-300:
+                    continue
+                p = t_two_tailed_p(float(t), int(df))
+                assert abs(p - p_ref) <= 1e-11 * p_ref, (df, t, p, p_ref)
+                smallest = min(smallest, p_ref)
+                checked += 1
+        assert smallest < 1e-299
+        assert checked > 5000
+
+    def test_spearman_p_value_matches_scipy(self):
+        # the same bound through spearman, over rho in (-1, 1) and n 3-5000
         rng = np.random.default_rng(9)
         checked = 0
         for n in (3, 4, 5, 8, 20, 100, 1000, 5000):
@@ -245,9 +268,19 @@ class TestSpearman:
                 if abs(rho) >= 1.0:
                     continue
                 t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-                assert p == 2.0 * float(stats.t.sf(abs(t), n - 2))
+                p_ref = 2.0 * float(stats.t.sf(abs(t), n - 2))
+                assert abs(p - p_ref) <= 1e-11 * p_ref
                 checked += 1
         assert checked > 100
+
+    def test_p_value_edges(self):
+        for df in (1, 2, 7, 20000):
+            assert t_two_tailed_p(0.0, df) == 1.0
+            assert t_two_tailed_p(-0.0, df) == 1.0
+        # ranks (1, 2, 3) against (1.5, 3, 1.5): rho = 0, so t = 0
+        assert spearman(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 1.0])) == (0.0, 1.0)
+        x = np.arange(12.0)
+        assert spearman(x, x) == (1.0, 0.0)
 
     def test_exact_permutation_matches_brute_force(self):
         rng = np.random.default_rng(7)

@@ -205,17 +205,40 @@ class TestReportVerb:
 
 
 class TestImportGraph:
-    def test_cli_import_leaves_scipy_stats_unloaded(self):
-        # scipy.stats costs about a second of start-up; mixboot needs only
-        # scipy.special, so every verb must start without it.
+    # numpy is the only runtime dependency: scipy (0.2 s of start-up for
+    # scipy.special, about a second for scipy.stats) serves only as a test
+    # oracle, and a lazy import would just move that cost into a verb
+    SCIPY_LOADED = "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+
+    def run_python(self, code):
         src = Path(__file__).resolve().parents[1] / "src"
         out = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, mixboot.cli; print('scipy.stats' in sys.modules)"],
+            [sys.executable, "-c", code],
             env=dict(os.environ, PYTHONPATH=str(src)),
             capture_output=True,
             text=True,
             timeout=120,
         )
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "False"
+        return out.stdout.strip().splitlines()[-1]
+
+    def test_cli_import_loads_no_scipy(self):
+        assert self.run_python(f"import sys, mixboot.cli; print({self.SCIPY_LOADED})") == "False"
+
+    def test_run_and_report_load_no_scipy(self, workdir):
+        # a small bsm run (perfbench's smoke sizes) reaches the BMM fit, the
+        # Spearman p-value and report
+        config = write_config(workdir, (
+            "method = bsm\ngenerator = two_moons\nnoise_rate = 0.2\n"
+            "n_train = 200\nn_val = 100\nmax_epochs = 2\npatience = 2\n"
+            "estimator.kind = mc_dropout\nestimator.passes = 3\n"
+            "output.dir = run\n"
+        ))
+        code = (
+            "import sys\n"
+            "from mixboot.cli import main\n"
+            f"assert main(['run', '--config', {config!r}]) == 0\n"
+            f"assert main(['report', '--run', {str(workdir / 'run')!r}]) == 0\n"
+            f"print({self.SCIPY_LOADED})\n"
+        )
+        assert self.run_python(code) == "False"

@@ -1,6 +1,10 @@
 """Numeric kernels: agreement with references written out in the tests."""
 
+import math
+
 import numpy as np
+import pytest
+from scipy import special
 
 from mixboot import _kernels
 from mixboot.noise_model import beta_pdf
@@ -79,3 +83,27 @@ class TestDistanceKernelReference:
         bn = np.linalg.norm(bank, axis=1)
         sims = (queries @ bank.T) / np.outer(qn, bn)
         np.testing.assert_allclose(out, 1.0 - sims.max(axis=1), atol=1e-12)
+
+
+class TestGammalnPort:
+    def test_equals_scipy_gammaln(self):
+        # the Cephes lgam port keeps BMM fits and every artifact byte-identical
+        # only if it is scipy's gammaln bit for bit; the fixed points sit on
+        # both sides of each branch: the [2, 3) shift, 13, 1000 and 1e8
+        rng = np.random.default_rng(12)
+        branch = [2.0, 3.0, np.nextafter(13.0, 0.0), 13.0, 1000.0, 1e8,
+                  np.nextafter(2.0, 0.0), np.nextafter(3.0, 0.0),
+                  np.nextafter(1000.0, 0.0), np.nextafter(1e8, 2e8), 0.01, 2e4]
+        x = np.concatenate([
+            rng.uniform(0.01, 2e4, 50_000),
+            np.exp(rng.uniform(math.log(0.01), math.log(2e4), 50_000)),
+            np.arange(1.0, 14.0),
+            branch,
+        ])
+        got = np.array([_kernels.gammaln(v) for v in x])
+        np.testing.assert_array_equal(got, special.gammaln(x))
+
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, -2.5, math.nan])
+    def test_rejects_nonpositive_and_nan(self, bad):
+        with pytest.raises(ValueError):
+            _kernels.gammaln(bad)

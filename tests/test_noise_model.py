@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from mixboot.errors import InvalidInputError
 from mixboot.noise_model import (
+    SHAPE_MAX,
+    SHAPE_MIN,
     BetaMixtureModel,
     beta_pdf,
     bmm_log_likelihood,
@@ -144,6 +149,33 @@ class TestFitRecovery:
             ]
             deltas = np.diff(lls)
             assert deltas.min() >= -1e-3
+
+
+open_unit_losses = hnp.arrays(
+    np.float64,
+    st.integers(10, 60),
+    elements=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+
+
+class TestFitProperties:
+    @settings(deadline=None)
+    @given(open_unit_losses)
+    def test_ordered_bounded_fit_and_posterior(self, x):
+        model = fit_bmm(x)
+        assert model.mean_1 <= model.mean_2
+        for shape in (model.alpha_1, model.beta_1, model.alpha_2, model.beta_2):
+            assert SHAPE_MIN <= shape <= SHAPE_MAX
+        assert 0.0 < model.pi < 1.0
+        post = noisy_posterior(model, x)
+        assert ((post >= 0.0) & (post <= 1.0)).all()
+
+    @settings(deadline=None)
+    @given(open_unit_losses.map(lambda x: np.full_like(x, x[0])))
+    def test_constant_losses_give_exactly_half(self, x):
+        model = fit_bmm(x)
+        assert model.uninformative
+        assert (noisy_posterior(model, x) == 0.5).all()
 
 
 class TestNoisyPosterior:
