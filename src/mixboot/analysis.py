@@ -3,10 +3,9 @@ rank correlation between similarity and uncertainty."""
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -14,41 +13,21 @@ from . import _kernels
 from .errors import InvalidInputError, UndefinedMetricError
 from .prob_metrics import rank_average, roc_auc
 
-EXACT_PERMUTATION_MAX_N = 10
-_PERM_CHUNK = 100_000
 
+class ReferralPoint(NamedTuple):
+    """Retained-set accuracy and AUC after rejecting the most-uncertain
+    fraction; auc is None where only one class remains."""
 
-@dataclass(frozen=True)
-class ReferralPoint:
     rejected_fraction: float
     accuracy: float
     auc: float | None
     n_retained: int
 
 
-@dataclass(frozen=True)
-class ReferralCurve:
-    """Accuracy/AUC of the retained set as the most-uncertain samples are
-    rejected; auc is None where only one class remains."""
-
-    points: tuple[ReferralPoint, ...]
-
-
-@dataclass(frozen=True)
-class ThresholdPoint:
+class ThresholdPoint(NamedTuple):
     threshold: float
     accuracy: float
     n_retained: int
-
-
-@dataclass(frozen=True)
-class DistanceRecord:
-    """Per-sample min cosine distance to the train bank plus its uncertainty."""
-
-    sample_index: int
-    min_cosine_distance: float
-    uncertainty: float
-    correct: bool
 
 
 def _check_fractions(fractions) -> np.ndarray:
@@ -60,35 +39,26 @@ def _check_fractions(fractions) -> np.ndarray:
     return f
 
 
-def _labels_from_scores(scores: np.ndarray, correctness: np.ndarray) -> np.ndarray:
-    # binary positive-class scores: predicted = score > 0.5, and the true
-    # label is the prediction iff the sample is correct
-    predicted = (scores > 0.5).astype(np.int64)
-    return np.where(correctness.astype(bool), predicted, 1 - predicted)
-
-
 def referral_curve(
     uncertainties: np.ndarray,
     correctness: np.ndarray,
     scores: np.ndarray,
     fractions,
-    labels: np.ndarray | None = None,
-) -> ReferralCurve:
+    labels: np.ndarray,
+) -> list[ReferralPoint]:
     """Reject the ceil(f*N) most-uncertain samples per fraction f.
 
     Ties in uncertainty are broken by sample index.  ``scores`` are binary
-    positive-class probabilities used for the retained-set ROC-AUC; true
-    labels are reconstructed from scores and correctness unless given.
+    positive-class probabilities used with ``labels`` for the retained-set
+    ROC-AUC.
     """
     u = np.asarray(uncertainties, dtype=np.float64)
     c = np.asarray(correctness, dtype=np.float64)
     s = np.asarray(scores, dtype=np.float64)
-    if not (len(u) == len(c) == len(s)) or len(u) == 0:
-        raise InvalidInputError("uncertainties, correctness, scores must match")
+    y = np.asarray(labels)
+    if not (len(u) == len(c) == len(s) == len(y)) or len(u) == 0:
+        raise InvalidInputError("uncertainties, correctness, scores, labels must match")
     fracs = _check_fractions(fractions)
-    y = np.asarray(labels) if labels is not None else _labels_from_scores(s, c)
-    if len(y) != len(u):
-        raise InvalidInputError("labels length must match")
 
     order = np.argsort(-u, kind="stable")  # most uncertain first, index ties
     n = len(u)
@@ -105,7 +75,7 @@ def referral_curve(
         else:
             auc = roc_auc(s[retained], y[retained])
         points.append(ReferralPoint(float(f), acc, auc, int(retained.size)))
-    return ReferralCurve(tuple(points))
+    return points
 
 
 def threshold_curve(
@@ -159,41 +129,20 @@ def distance_records(
     bank_features: np.ndarray,
     uncertainties: np.ndarray,
     correctness: np.ndarray,
-) -> list[DistanceRecord]:
+) -> np.ndarray:
+    """Min cosine distance of each query row to the bank, checked to line
+    up row for row with the uncertainties and correctness it is reported
+    beside."""
     d = min_cosine_distances(query_features, bank_features)
-    u = np.asarray(uncertainties, dtype=np.float64)
-    c = np.asarray(correctness)
-    if not (len(d) == len(u) == len(c)):
+    if not (len(d) == len(uncertainties) == len(correctness)):
         raise InvalidInputError("features, uncertainties, correctness must match")
-    return [
-        DistanceRecord(i, float(d[i]), float(u[i]), bool(c[i]))
-        for i in range(len(d))
-    ]
+    return d
 
 
 def _pearson(a: np.ndarray, b: np.ndarray) -> float:
     am = a - a.mean()
     bm = b - b.mean()
     return float((am * bm).sum() / np.sqrt((am * am).sum() * (bm * bm).sum()))
-
-
-def _exact_two_tailed_p(xr: np.ndarray, yr: np.ndarray, rho_obs: float) -> float:
-    """Permutation p-value: share of y-rank permutations with |rho| >= |rho_obs|."""
-    n = len(xr)
-    xm = xr - xr.mean()
-    denom = np.sqrt((xm * xm).sum() * ((yr - yr.mean()) ** 2).sum())
-    target = abs(rho_obs) - 1e-12
-    count = 0
-    total = 0
-    perms = itertools.permutations(yr)
-    while True:
-        chunk = np.array(list(itertools.islice(perms, _PERM_CHUNK)))
-        if chunk.size == 0:
-            break
-        rhos = (chunk - yr.mean()) @ xm / denom
-        count += int((np.abs(rhos) >= target).sum())
-        total += chunk.shape[0]
-    return count / total
 
 
 def _log_gamma_half_ratio(a: float) -> float:
@@ -252,12 +201,11 @@ def t_two_tailed_p(t: float, df: int) -> float:
     return 1.0 - 2.0 * math.exp(log_front) * _beta_continued_fraction(0.5, a, one_minus_x)
 
 
-def spearman(x: np.ndarray, y: np.ndarray, exact: bool = False) -> tuple[float, float]:
+def spearman(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Rank correlation with average ranks for ties, plus a two-tailed p.
 
     The p-value uses the t approximation t = rho*sqrt((N-2)/(1-rho^2))
-    with N-2 degrees of freedom; ``exact`` switches to a full permutation
-    test (only for N <= 10).
+    with N-2 degrees of freedom.
     """
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
@@ -270,12 +218,6 @@ def spearman(x: np.ndarray, y: np.ndarray, exact: bool = False) -> tuple[float, 
         raise UndefinedMetricError("correlation undefined for a constant vector")
     xr, yr = rank_average(xa), rank_average(ya)
     rho = _pearson(xr, yr)
-    if exact:
-        if n > EXACT_PERMUTATION_MAX_N:
-            raise InvalidInputError(
-                f"exact mode supports N <= {EXACT_PERMUTATION_MAX_N}"
-            )
-        return rho, _exact_two_tailed_p(xr, yr, rho)
     if abs(rho) >= 1.0:
         return rho, 0.0
     t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
@@ -283,18 +225,18 @@ def spearman(x: np.ndarray, y: np.ndarray, exact: bool = False) -> tuple[float, 
 
 
 def distance_perception_summary(
-    records: list[DistanceRecord], exact: bool = False
+    distances: np.ndarray, uncertainties: np.ndarray
 ) -> dict:
     """Spearman of uncertainty vs. similarity (1 - distance) and vs. distance.
 
-    NaN-distance records (zero-norm features) are dropped first.
+    Samples with a NaN distance (zero-norm features) are dropped first.
     """
-    d = np.array([r.min_cosine_distance for r in records])
-    u = np.array([r.uncertainty for r in records])
+    d = np.asarray(distances, dtype=np.float64)
+    u = np.asarray(uncertainties, dtype=np.float64)
     ok = np.isfinite(d)
     d, u = d[ok], u[ok]
-    rho_sim, p_sim = spearman(1.0 - d, u, exact=exact)
-    rho_dist, p_dist = spearman(d, u, exact=exact)
+    rho_sim, p_sim = spearman(1.0 - d, u)
+    rho_dist, p_dist = spearman(d, u)
     return {
         "n": int(ok.sum()),
         "n_dropped": int((~ok).sum()),

@@ -69,11 +69,16 @@ def _print_metrics(report) -> None:
         print(f"{key} = {d[key]!r}")
 
 
-def _cmd_run(args) -> int:
+def _load_args_config(args):
+    """The --config file with each --set override and --out applied."""
     overrides = list(args.overrides)
     if args.out is not None:
         overrides.append(f"output.dir = {args.out}")
-    config = load_config(args.config, overrides)
+    return load_config(args.config, overrides)
+
+
+def _cmd_run(args) -> int:
+    config = _load_args_config(args)
     report, out_dir = run_experiment(config)
     _print_metrics(report)
     print(f"artifacts written to {out_dir}")
@@ -81,10 +86,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    overrides = list(args.overrides)
-    if args.out is not None:
-        overrides.append(f"output.dir = {args.out}")
-    config = load_config(args.config, overrides)
+    config = _load_args_config(args)
     values = _parse_axis_values(args.axis, args.values)
     _, out_dir = run_sweep(config, args.axis, values)
     print(f"sweep table written to {out_dir / 'sweep.csv'}")
@@ -126,10 +128,7 @@ def main(argv: list[str] | None = None) -> int:
     except TrainingDivergenceError as exc:
         print(f"error: training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except MixbootError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (MixbootError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

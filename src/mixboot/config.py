@@ -60,6 +60,8 @@ class AnalysisConfig:
             raise ConfigError("analysis.bin_width must lie in (0, 1]")
         if len(self.fractions) == 0 or len(self.thresholds) == 0:
             raise ConfigError("analysis.fractions and analysis.thresholds must be nonempty")
+        if not all(0.0 <= f < 1.0 for f in self.fractions):
+            raise ConfigError("analysis.fractions must lie in [0, 1)")
 
 
 @dataclass(frozen=True)

@@ -48,10 +48,6 @@ class Dataset:
         return self.observed_labels[self.is_train]
 
     @property
-    def train_clean_labels(self) -> np.ndarray:
-        return self.clean_labels[self.is_train]
-
-    @property
     def train_flip_mask(self) -> np.ndarray:
         """Per-train-sample flag: was this label flipped."""
         return (self.clean_labels != self.observed_labels)[self.is_train]

@@ -28,14 +28,9 @@ class EstimatorOutput:
     variance: np.ndarray | None = None
 
 
-def _as_batch(inputs: np.ndarray) -> np.ndarray:
-    x = np.asarray(inputs, dtype=np.float64)
-    return x[None, :] if x.ndim == 1 else x
-
-
 def single_forward(model: MlpModel, inputs: np.ndarray) -> EstimatorOutput:
     """One deterministic pass, dropout off."""
-    probs = softmax(model.predict_logits(_as_batch(inputs)))
+    probs = softmax(model.predict_logits(inputs))
     return EstimatorOutput(probs, predictive_entropy(probs))
 
 
@@ -46,10 +41,9 @@ def ensemble_predict(models: list[MlpModel], inputs: np.ndarray) -> EstimatorOut
     dims = models[0].dims
     if any(m.dims != dims for m in models):
         raise InvalidInputError("ensemble members must share input/output shapes")
-    x = _as_batch(inputs)
-    total = np.zeros((x.shape[0], dims[3]))
+    total = np.zeros((len(inputs), dims[3]))
     for m in models:
-        total += softmax(m.predict_logits(x))
+        total += softmax(m.predict_logits(inputs))
     mean = total / len(models)
     return EstimatorOutput(mean, predictive_entropy(mean))
 
@@ -71,11 +65,10 @@ def mc_dropout_predict(
         raise InvalidInputError("tau_inv must be nonnegative")
     if model.dropout > 0.0 and rng is None:
         raise InvalidInputError("mc_dropout with a positive rate requires an rng")
-    x = _as_batch(inputs)
-    total = np.zeros((x.shape[0], model.dims[3]))
+    total = np.zeros((len(inputs), model.dims[3]))
     total_sq = np.zeros_like(total)
     for _ in range(passes):
-        probs = softmax(model.predict_logits(x, dropout_active=True, rng=rng))
+        probs = softmax(model.predict_logits(inputs, dropout_active=True, rng=rng))
         total += probs
         total_sq += probs * probs
     mean = total / passes
@@ -100,9 +93,8 @@ def tta_predict(
         return single_forward(model, inputs)
     if not policy.is_identity and rng is None:
         raise InvalidInputError("a non-identity policy requires an rng")
-    x = _as_batch(inputs)
-    total = np.zeros((x.shape[0], model.dims[3]))
+    total = np.zeros((len(inputs), model.dims[3]))
     for _ in range(repeats):
-        total += softmax(model.predict_logits(perturb(x, policy, rng)))
+        total += softmax(model.predict_logits(perturb(inputs, policy, rng)))
     mean = total / repeats
     return EstimatorOutput(mean, predictive_entropy(mean))

@@ -15,8 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    DistanceRecord,
-    ReferralCurve,
+    ReferralPoint,
     ThresholdPoint,
     distance_perception_summary,
     distance_records,
@@ -97,13 +96,9 @@ class MetricsReport:
             },
         }
 
-    def csv_row(self) -> str:
-        return ",".join(
-            repr(v) if isinstance(v, float) else str(v)
-            for v in (self.method, self.noise_rate, self.estimator,
-                      self.roc_auc, self.ece, self.brier, self.nll,
-                      self.accuracy, self.seed)
-        )
+    def row(self) -> tuple:
+        """The metrics.csv data row, in METRICS_CSV_COLUMNS order."""
+        return tuple(getattr(self, c) for c in METRICS_CSV_COLUMNS)
 
 
 def resolve_output_dir(config: ExperimentConfig) -> Path:
@@ -177,62 +172,35 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _provenance_lines(report: MetricsReport) -> str:
-    return (f"# config_hash={report.config_hash}\n"
-            f"# seed={report.seed}\n"
-            f"# version={report.version}\n")
+def _cell(value) -> str:
+    """One table cell: floats as repr, None (an undefined value) as nan,
+    bools and integers as digits, strings unchanged."""
+    if value is None:
+        return "nan"
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, (int, np.integer, np.bool_)):
+        return str(int(value))
+    return value
+
+
+def _table(header, rows, provenance: tuple[str, int, str] | None = None) -> str:
+    """Text of one artifact table: ``# config_hash=``, ``# seed=`` and
+    ``# version=`` lines from ``provenance`` when given, the CSV header,
+    then one line of ``_cell`` values per row."""
+    lines = [] if provenance is None else [
+        f"# {key}={value}"
+        for key, value in zip(("config_hash", "seed", "version"), provenance)
+    ]
+    lines.append(",".join(header))
+    lines.extend(",".join(map(_cell, row)) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def metrics_csv(report: MetricsReport) -> str:
     """Text of metrics.csv for ``report``."""
-    return (_provenance_lines(report)
-            + ",".join(METRICS_CSV_COLUMNS) + "\n"
-            + report.csv_row() + "\n")
-
-
-def _reliability_csv(report: MetricsReport, bins: ReliabilityBins) -> str:
-    lines = [_provenance_lines(report) + "bin_lo,bin_hi,count,conf_mean,acc,gap"]
-    gaps = bins.gaps()
-    for i in range(bins.n_bins):
-        lines.append(",".join([
-            repr(float(bins.edges[i])), repr(float(bins.edges[i + 1])),
-            str(int(bins.counts[i])), repr(float(bins.conf_mean[i])),
-            repr(float(bins.acc[i])), repr(float(gaps[i])),
-        ]))
-    return "\n".join(lines) + "\n"
-
-
-def _referral_csv(report: MetricsReport, curve: ReferralCurve) -> str:
-    lines = [_provenance_lines(report) + "rejected_fraction,accuracy,auc,n_retained"]
-    for p in curve.points:
-        auc = repr(p.auc) if p.auc is not None else "nan"
-        lines.append(f"{p.rejected_fraction!r},{p.accuracy!r},{auc},{p.n_retained}")
-    return "\n".join(lines) + "\n"
-
-
-def _threshold_csv(report: MetricsReport, points: list[ThresholdPoint]) -> str:
-    lines = [_provenance_lines(report) + "threshold,accuracy,n_retained"]
-    for p in points:
-        lines.append(f"{p.threshold!r},{p.accuracy!r},{p.n_retained}")
-    return "\n".join(lines) + "\n"
-
-
-def _distance_csv(report: MetricsReport, records: list[DistanceRecord]) -> str:
-    lines = [_provenance_lines(report)
-             + "sample_index,min_cosine_distance,uncertainty,correct"]
-    for r in records:
-        lines.append(f"{r.sample_index},{r.min_cosine_distance!r},"
-                     f"{r.uncertainty!r},{int(r.correct)}")
-    return "\n".join(lines) + "\n"
-
-
-def _predictions_csv(batch: PredictionBatch) -> str:
-    header = "sample_index,label," + ",".join(f"prob_{j}" for j in range(batch.k))
-    lines = [header]
-    for i in range(batch.n):
-        probs = ",".join(repr(float(v)) for v in batch.probs[i])
-        lines.append(f"{i},{int(batch.labels[i])},{probs}")
-    return "\n".join(lines) + "\n"
+    return _table(METRICS_CSV_COLUMNS, [report.row()],
+                  (report.config_hash, report.seed, report.version))
 
 
 def read_predictions(path) -> PredictionBatch:
@@ -249,12 +217,12 @@ def read_predictions(path) -> PredictionBatch:
     return PredictionBatch(np.array(probs), np.array(labels))
 
 
-def _safe_distance_summary(records: list[DistanceRecord]) -> dict:
+def _safe_distance_summary(distances: np.ndarray, uncertainties: np.ndarray) -> dict:
     # degenerate geometry (constant distances) leaves the correlation undefined
     try:
-        return distance_perception_summary(records)
+        return distance_perception_summary(distances, uncertainties)
     except UndefinedMetricError as exc:
-        return {"n": len(records), "degenerate": str(exc)}
+        return {"n": len(distances), "degenerate": str(exc)}
 
 
 def _remove_stale_artifacts(out: Path, config: ExperimentConfig, n_models: int) -> None:
@@ -284,8 +252,9 @@ def run_experiment(config: ExperimentConfig) -> tuple[MetricsReport, Path]:
                                  config.analysis.thresholds)
     bank = models[0].features(dataset.train_inputs)
     queries = models[0].features(dataset.val_inputs)
-    records = distance_records(queries, bank, output.uncertainty, correctness)
-    summary = _safe_distance_summary(records)
+    distances = distance_records(queries, bank, output.uncertainty, correctness)
+    summary = _safe_distance_summary(distances, output.uncertainty)
+    provenance = (report.config_hash, report.seed, report.version)
 
     _remove_stale_artifacts(out, config, len(models))
     _write(out / "config.txt", canonical_text(config))
@@ -293,14 +262,25 @@ def run_experiment(config: ExperimentConfig) -> tuple[MetricsReport, Path]:
         _write(out / "metrics.json", _json_text(report.to_dict()))
     if "csv" in config.formats:
         _write(out / "metrics.csv", metrics_csv(report))
-    _write(out / "reliability_bins.csv", _reliability_csv(report, bins))
-    _write(out / "referral_curve.csv", _referral_csv(report, curve))
-    _write(out / "threshold_curve.csv", _threshold_csv(report, thresholds))
-    _write(out / "distance_records.csv", _distance_csv(report, records))
+    _write(out / "reliability_bins.csv", _table(
+        ("bin_lo", "bin_hi", "count", "conf_mean", "acc", "gap"),
+        zip(bins.edges[:-1], bins.edges[1:], bins.counts, bins.conf_mean,
+            bins.acc, bins.gaps()),
+        provenance))
+    _write(out / "referral_curve.csv", _table(ReferralPoint._fields, curve, provenance))
+    _write(out / "threshold_curve.csv",
+           _table(ThresholdPoint._fields, thresholds, provenance))
+    _write(out / "distance_records.csv", _table(
+        ("sample_index", "min_cosine_distance", "uncertainty", "correct"),
+        zip(range(batch.n), distances.tolist(), output.uncertainty.tolist(),
+            correctness.astype(bool).tolist()),
+        provenance))
     _write(out / "distance_summary.json", _json_text(summary))
     _write(out / "train_log.json",
            _json_text({"models": [log.to_dict() for log in logs]}))
-    _write(out / "predictions.csv", _predictions_csv(batch))
+    _write(out / "predictions.csv", _table(
+        ("sample_index", "label", *(f"prob_{j}" for j in range(batch.k))),
+        zip(range(batch.n), batch.labels.tolist(), *batch.probs.T.tolist())))
     models_dir = out / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
     for m, model in enumerate(models):
@@ -336,21 +316,18 @@ def run_sweep(base: ExperimentConfig, axis: str, values: list) -> tuple[str, Pat
     if not values:
         raise InvalidInputError("sweep needs at least one value")
     out = resolve_output_dir(base)
-    header = "axis,value,status," + ",".join(METRICS_CSV_COLUMNS)
-    lines = [f"# config_hash={config_hash(base)}",
-             f"# seed={base.train.seed}",
-             f"# version={__version__}",
-             header]
+    rows = []
     for ordinal, value in enumerate(values):
         try:
             member = _sweep_member_config(base, axis, value, ordinal)
             report, _ = run_experiment(member)
-            lines.append(f"{axis},{value},ok," + report.csv_row())
+            rows.append((axis, value, "ok", *report.row()))
         except (MixbootError, OSError) as exc:  # member failure must not kill the sweep
             # one quoted field on one line: the message may hold commas
             message = " ".join(str(exc).split()).replace('"', '""')
-            empty = ",".join([""] * len(METRICS_CSV_COLUMNS))
-            lines.append(f'{axis},{value},"error: {type(exc).__name__}: {message}",{empty}')
-    text = "\n".join(lines) + "\n"
+            rows.append((axis, value, f'"error: {type(exc).__name__}: {message}"',
+                         *[""] * len(METRICS_CSV_COLUMNS)))
+    text = _table(("axis", "value", "status", *METRICS_CSV_COLUMNS), rows,
+                  (config_hash(base), base.train.seed, __version__))
     _write(out / "sweep.csv", text)
     return text, out

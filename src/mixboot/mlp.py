@@ -249,11 +249,10 @@ def backward_step(
     adam_state: AdamState,
     lr: float,
     weight_decay: float = 0.0,
-) -> tuple[MlpModel, AdamState]:
+) -> None:
     """Backprop the batch gradient and apply one Adam update in place."""
     grads = backward(model, cache, grad_logits)
     adam_step(model.flat, grads, adam_state, lr, weight_decay)
-    return model, adam_state
 
 
 def save_model(model: MlpModel, path) -> None:

@@ -76,6 +76,7 @@ class TrainConfig:
             (self.generator_noise >= 0.0, "generator_noise must be nonnegative"),
             (self.n_train >= 2, "n_train must be >= 2"),
             (self.n_val >= 2, "n_val must be >= 2"),
+            ((self.n_train + self.n_val) % 2 == 0, "n_train + n_val must be even"),
             (self.hidden_1 >= 1 and self.hidden_2 >= 1, "hidden sizes must be >= 1"),
             (0.0 <= self.dropout < 1.0, "dropout must lie in [0, 1)"),
             (self.aug_noise_sigma >= 0.0, "aug_noise_sigma must be nonnegative"),

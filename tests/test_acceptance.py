@@ -266,15 +266,15 @@ def test_criterion_7_referral_improves_accuracy(fleet):
         correct = batch.correctness()
         curve = referral_curve(est.uncertainty, correct, est.mean_probs[:, 1],
                                (0.0, 0.1, 0.2, 0.3), labels=ds.val_labels)
-        full = curve.points[0].accuracy
-        wins += all(p.accuracy >= full for p in curve.points[1:])
+        full = curve[0].accuracy
+        wins += all(p.accuracy >= full for p in curve[1:])
 
     ds = datasets[0]
     est, batch = val_predictions(models[("bsm", 0)], ds)
     correct = batch.correctness()
     oracle = referral_curve(1.0 - correct, correct, est.mean_probs[:, 1],
                             np.linspace(0.0, 0.9, 19), labels=ds.val_labels)
-    accs = [p.accuracy for p in oracle.points]
+    accs = [p.accuracy for p in oracle]
     monotone = all(b >= a for a, b in zip(accs, accs[1:]))
     check(7, f"entropy referral >= full-set accuracy in {wins}/10 seeds; "
              f"oracle curve nondecreasing: {monotone}", wins >= 8 and monotone)

@@ -1,6 +1,5 @@
 """Referral curves, feature-distance queries and rank correlation."""
 
-import itertools
 import math
 
 import numpy as np
@@ -17,7 +16,6 @@ from mixboot.analysis import (
     threshold_curve,
 )
 from mixboot.errors import InvalidInputError, UndefinedMetricError
-from mixboot.prob_metrics import roc_auc
 
 # frozen tied-rank hand-oracle: ranks (1, 2.5, 2.5, 4) vs (1, 3, 2, 4)
 SPEARMAN_TIED_EXAMPLE = 0.9486832980505138
@@ -28,8 +26,8 @@ class TestReferralCurve:
         u = np.array([0.3, 0.1, 0.9, 0.4])
         c = np.array([1.0, 1.0, 0.0, 1.0])
         s = np.array([0.9, 0.8, 0.6, 0.2])
-        curve = referral_curve(u, c, s, [0.0])
-        point = curve.points[0]
+        curve = referral_curve(u, c, s, [0.0], np.array([1, 1, 0, 0]))
+        point = curve[0]
         assert point.accuracy == 0.75
         assert point.n_retained == 4
 
@@ -37,8 +35,8 @@ class TestReferralCurve:
         u = np.array([0.9, 0.8, 0.1, 0.1])
         c = np.array([0.0, 0.0, 1.0, 1.0])
         s = np.array([0.9, 0.8, 0.9, 0.1])
-        curve = referral_curve(u, c, s, [0.5])
-        point = curve.points[0]
+        curve = referral_curve(u, c, s, [0.5], np.array([0, 0, 1, 0]))
+        point = curve[0]
         assert point.accuracy == 1.0
         assert point.n_retained == 2
 
@@ -47,24 +45,25 @@ class TestReferralCurve:
         c = (rng.random(40) < 0.7).astype(np.float64)
         u = 1.0 - c
         s = rng.random(40)
+        labels = np.where(c == 1.0, s > 0.5, s <= 0.5).astype(int)
         fracs = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
-        curve = referral_curve(u, c, s, fracs)
-        accs = [p.accuracy for p in curve.points]
+        curve = referral_curve(u, c, s, fracs, labels)
+        accs = [p.accuracy for p in curve]
         assert all(b >= a - 1e-12 for a, b in zip(accs, accs[1:]))
 
     def test_ceil_rejection_rule(self):
         u = np.array([0.4, 0.3, 0.2, 0.1])
         c = np.ones(4)
         s = np.full(4, 0.9)
-        curve = referral_curve(u, c, s, [0.26])
-        assert curve.points[0].n_retained == 2  # ceil(0.26 * 4) = 2 rejected
+        curve = referral_curve(u, c, s, [0.26], np.ones(4, dtype=int))
+        assert curve[0].n_retained == 2  # ceil(0.26 * 4) = 2 rejected
 
     def test_uncertainty_ties_break_by_index(self):
         u = np.array([0.5, 0.5, 0.5, 0.2])
         c = np.array([0.0, 1.0, 1.0, 1.0])
         s = np.array([0.1, 0.9, 0.9, 0.9])
-        curve = referral_curve(u, c, s, [0.25])
-        point = curve.points[0]
+        curve = referral_curve(u, c, s, [0.25], np.ones(4, dtype=int))
+        point = curve[0]
         # index 0 is rejected first among the tied 0.5s
         assert point.n_retained == 3
         assert point.accuracy == 1.0
@@ -74,30 +73,20 @@ class TestReferralCurve:
         c = np.array([1.0, 1.0])
         s = np.array([0.9, 0.8])
         with pytest.warns(UserWarning):
-            curve = referral_curve(u, c, s, [0.0, 0.9])
-        assert len(curve.points) == 1
+            curve = referral_curve(u, c, s, [0.0, 0.9], np.ones(2, dtype=int))
+        assert len(curve) == 1
 
     def test_auc_none_when_one_class_left(self):
         u = np.array([0.9, 0.2, 0.1])
         c = np.array([0.0, 1.0, 1.0])
         s = np.array([0.2, 0.9, 0.8])  # rejecting index 0 leaves only label 1
-        curve = referral_curve(u, c, s, [1 / 3])
-        assert curve.points[0].auc is None
-
-    def test_label_reconstruction_matches_explicit(self):
-        scores = np.array([0.9, 0.4, 0.4, 0.1])
-        labels = np.array([1, 1, 0, 0])
-        predicted = (scores > 0.5).astype(int)
-        correctness = (predicted == labels).astype(np.float64)
-        u = np.array([0.2, 0.6, 0.5, 0.1])
-        implicit = referral_curve(u, correctness, scores, [0.0])
-        explicit = referral_curve(u, correctness, scores, [0.0], labels=labels)
-        assert implicit.points[0].auc == explicit.points[0].auc
-        assert abs(implicit.points[0].auc - roc_auc(scores, labels)) <= 1e-12
+        curve = referral_curve(u, c, s, [1 / 3], np.ones(3, dtype=int))
+        assert curve[0].auc is None
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(InvalidInputError):
-            referral_curve(np.ones(2), np.ones(2), np.full(2, 0.5), [1.0])
+            referral_curve(np.ones(2), np.ones(2), np.full(2, 0.5), [1.0],
+                           np.zeros(2, dtype=int))
 
 
 class TestThresholdCurve:
@@ -282,29 +271,6 @@ class TestSpearman:
         x = np.arange(12.0)
         assert spearman(x, x) == (1.0, 0.0)
 
-    def test_exact_permutation_matches_brute_force(self):
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=6)
-        y = rng.normal(size=6)
-        rho, p = spearman(x, y, exact=True)
-
-        xr = stats.rankdata(x)
-        yr = stats.rankdata(y)
-        count = 0
-        total = 0
-        for perm in itertools.permutations(yr):
-            r = np.corrcoef(xr, np.array(perm))[0, 1]
-            if abs(r) >= abs(rho) - 1e-12:
-                count += 1
-            total += 1
-        assert total == math.factorial(6)
-        assert abs(p - count / total) <= 1e-12
-
-    def test_exact_mode_size_limit(self):
-        x = np.arange(11.0)
-        with pytest.raises(InvalidInputError):
-            spearman(x, x, exact=True)
-
     def test_constant_vector_undefined(self):
         with pytest.raises(UndefinedMetricError):
             spearman(np.ones(5), np.arange(5.0))
@@ -327,12 +293,12 @@ class TestDistanceRecordsAndSummary:
     def test_records_carry_fields(self):
         bank = np.array([[1.0, 0.0], [0.0, 1.0]])
         queries = np.array([[1.0, 0.0], [1.0, 1.0]])
-        recs = distance_records(queries, bank, np.array([0.3, 0.7]), np.array([1, 0]))
-        assert [r.sample_index for r in recs] == [0, 1]
-        assert recs[0].min_cosine_distance <= 1e-12
-        assert recs[0].uncertainty == 0.3
-        assert recs[0].correct is True
-        assert recs[1].correct is False
+        d = distance_records(queries, bank, np.array([0.3, 0.7]), np.array([1, 0]))
+        assert d.shape == (2,)
+        assert d[0] <= 1e-12
+        assert abs(d[1] - (1.0 - np.sqrt(0.5))) <= 1e-12
+        with pytest.raises(InvalidInputError):
+            distance_records(queries, bank, np.array([0.3]), np.array([1, 0]))
 
     def test_summary_signs_are_opposite(self):
         # uncertainty grows with distance by construction
@@ -341,8 +307,7 @@ class TestDistanceRecordsAndSummary:
         queries = rng.normal(size=(25, 3))
         d = min_cosine_distances(queries, bank)
         u = d + 0.01 * rng.normal(size=25)
-        recs = distance_records(queries, bank, u, np.ones(25))
-        summary = distance_perception_summary(recs)
+        summary = distance_perception_summary(d, u)
         assert summary["n"] == 25
         assert summary["n_dropped"] == 0
         assert summary["rho_distance"] > 0.5
@@ -353,7 +318,7 @@ class TestDistanceRecordsAndSummary:
         bank = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         queries = np.vstack([np.zeros(2), np.random.default_rng(10).normal(size=(9, 2))])
         u = np.linspace(0.1, 1.0, 10)
-        recs = distance_records(queries, bank, u, np.ones(10))
-        summary = distance_perception_summary(recs)
+        d = distance_records(queries, bank, u, np.ones(10))
+        summary = distance_perception_summary(d, u)
         assert summary["n"] == 9
         assert summary["n_dropped"] == 1

@@ -73,13 +73,19 @@ class TestRunVerb:
     @pytest.mark.parametrize("override,message", [
         ("seed=-1", "seed must be nonnegative"),
         ("generator_noise=-1", "generator_noise must be nonnegative"),
+        pytest.param("analysis.fractions=0.0,1.0",
+                     "analysis.fractions must lie in [0, 1)", id="fraction_one"),
+        pytest.param("n_train=33", "n_train + n_val must be even", id="odd_total"),
     ])
     def test_negative_setting_is_config_error(self, workdir, capsys, override, message):
-        # both once reached numpy and ended in a bare ValueError traceback
+        # each once failed past config loading: the negative settings in
+        # numpy with a bare ValueError traceback, the fractions after all
+        # training, the odd total with a message naming no config key
         config = write_config(workdir, FAST_BLOBS + "output.dir = neg\n")
         code = main(["run", "--config", config, "--set", override])
         assert code == EXIT_CONFIG
         assert message in capsys.readouterr().err
+        assert not (workdir / "neg").exists()
 
     def test_divergence_exit_code(self, workdir, capsys):
         import numpy as np

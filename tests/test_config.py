@@ -37,6 +37,7 @@ def experiment_configs(draw):
     ExperimentConfig rejects are discarded.
     """
     positive, nonneg = floats(0.0, exclude_min=True), floats(0.0)
+    n_train = draw(st.integers(2))
     train = TrainConfig(
         method=draw(st.sampled_from(METHODS)),
         alpha=draw(positive),
@@ -50,8 +51,8 @@ def experiment_configs(draw):
         warmup_epochs=draw(st.integers(0)),
         seed=draw(st.integers(0)),
         generator=draw(st.sampled_from(GENERATORS)),
-        n_train=draw(st.integers(2)),
-        n_val=draw(st.integers(2)),
+        n_train=n_train,
+        n_val=2 * draw(st.integers(1)) + n_train % 2,  # an even total
         generator_noise=draw(nonneg),
         hidden_1=draw(st.integers(1)),
         hidden_2=draw(st.integers(1)),
@@ -71,7 +72,7 @@ def experiment_configs(draw):
     )
     analysis = AnalysisConfig(
         bin_width=draw(floats(0.0, 1.0, exclude_min=True)),
-        fractions=tuple(draw(st.lists(floats(), min_size=1))),
+        fractions=tuple(draw(st.lists(floats(0.0, 1.0, exclude_max=True), min_size=1))),
         thresholds=tuple(draw(st.lists(floats(), min_size=1))),
     )
     formats = tuple(draw(st.lists(st.sampled_from(REPORT_FORMATS), min_size=1)))

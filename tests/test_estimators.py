@@ -65,7 +65,7 @@ class TestSingleForward:
 
     def test_single_row_input(self):
         model = kaiming_init((2, 8, 8, 2), seed=4)
-        out = single_forward(model, np.array([0.1, -0.2]))
+        out = single_forward(model, np.array([[0.1, -0.2]]))
         assert out.mean_probs.shape == (1, 2)
 
     def test_no_variance_reported(self):

@@ -7,17 +7,21 @@ import numpy as np
 import pytest
 
 import mixboot.experiment as experiment
-from mixboot.config import parse_config
+from mixboot.config import config_hash, parse_config
 from mixboot.errors import InvalidInputError
+from mixboot.estimators import EstimatorOutput
 from mixboot.experiment import (
     OUTPUT_ROOT_ENV,
+    MetricsReport,
     compute_report,
+    metrics_csv,
     read_predictions,
     resolve_output_dir,
     run_experiment,
     run_sweep,
 )
 from mixboot.mlp import load_model
+from mixboot.version import __version__
 
 FAST_BLOBS = (
     "method = ce\n"
@@ -263,8 +267,7 @@ class TestRunSweep:
         member_csv = (out_dir / "member_0" / "metrics.csv").read_text()
         run_cfg = parse_config(FAST_BLOBS + "output.dir = s/member_0\n")
         report, _ = run_experiment(run_cfg)
-        data_rows = [ln for ln in member_csv.splitlines() if not ln.startswith("#")]
-        assert data_rows[1] == report.csv_row()
+        assert member_csv == metrics_csv(report)
 
     def test_unknown_axis_rejected(self, out_root):
         config = parse_config(FAST_BLOBS + "output.dir = t\n")
@@ -272,3 +275,72 @@ class TestRunSweep:
             run_sweep(config, "learning_rates", [1e-3])
         with pytest.raises(InvalidInputError):
             run_sweep(config, "alphas", [])
+
+
+class TestTableFormat:
+    """The artifact-table format, pinned to the text the per-file writers
+    emitted before they shared one table writer."""
+
+    REPORT = MetricsReport(
+        method="bsm", noise_rate=0.2, estimator="mc_dropout", roc_auc=0.9,
+        ece=float("nan"), brier=1e-300, nll=-0.0, accuracy=2 / 3, seed=5,
+        config_hash="0123456789ab", version="0.1.0",
+    )
+    METRICS_HEADER = "method,noise_rate,estimator,roc_auc,ece,brier,nll,accuracy,seed\n"
+    METRICS_ROW = "bsm,0.2,mc_dropout,0.9,nan,1e-300,-0.0,0.6666666666666666,5\n"
+
+    def test_cell_rule(self):
+        row = (float("nan"), None, np.bool_(True), np.bool_(False), np.int64(7),
+               np.float64(0.1), -0.0, 1e-300, "ce")
+        assert experiment._table(tuple("abcdefghi"), [row]) == (
+            "a,b,c,d,e,f,g,h,i\n"
+            "nan,nan,1,0,7,0.1,-0.0,1e-300,ce\n"
+        )
+
+    def test_metrics_csv_provenance_and_row(self):
+        assert metrics_csv(self.REPORT) == (
+            "# config_hash=0123456789ab\n"
+            "# seed=5\n"
+            "# version=0.1.0\n"
+            + self.METRICS_HEADER + self.METRICS_ROW
+        )
+
+    def test_sweep_header_and_ok_row(self, out_root, monkeypatch):
+        monkeypatch.setattr(experiment, "run_experiment",
+                            lambda config: (self.REPORT, None))
+        config = parse_config(FAST_BLOBS + "output.dir = v\nseed = 3\n")
+        text, _ = run_sweep(config, "alphas", [0.3])
+        assert text == (
+            f"# config_hash={config_hash(config)}\n"
+            "# seed=3\n"
+            f"# version={__version__}\n"
+            "axis,value,status," + self.METRICS_HEADER
+            + "alphas,0.3,ok," + self.METRICS_ROW
+        )
+
+    def test_run_tables(self, out_root, monkeypatch):
+        # every validation row predicts (1/3, 2/3): the predictions rows and
+        # the empty first reliability bin are then known by hand
+        def thirds(config, models, inputs):
+            n = len(inputs)
+            return EstimatorOutput(np.tile([1 / 3, 2 / 3], (n, 1)),
+                                   np.linspace(0.1, 0.6, n))
+
+        monkeypatch.setattr(experiment, "estimate", thirds)
+        _, out_dir = run_experiment(parse_config(FAST_BLOBS + "output.dir = w\n"))
+        lines = (out_dir / "predictions.csv").read_text().splitlines()
+        assert len(lines) == 21  # no provenance lines, one row per val sample
+        assert lines[0] == "sample_index,label,prob_0,prob_1"
+        assert lines[1] in ("0,0,0.3333333333333333,0.6666666666666666",
+                            "0,1,0.3333333333333333,0.6666666666666666")
+        headers = {
+            "reliability_bins.csv": "bin_lo,bin_hi,count,conf_mean,acc,gap",
+            "referral_curve.csv": "rejected_fraction,accuracy,auc,n_retained",
+            "threshold_curve.csv": "threshold,accuracy,n_retained",
+            "distance_records.csv":
+                "sample_index,min_cosine_distance,uncertainty,correct",
+        }
+        for name, header in headers.items():
+            assert (out_dir / name).read_text().splitlines()[3] == header, name
+        bins = (out_dir / "reliability_bins.csv").read_text().splitlines()
+        assert bins[4] == "0.0,0.1,0,nan,nan,nan"

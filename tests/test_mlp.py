@@ -106,7 +106,6 @@ def loop_backward_step(model, cache, grad_logits, adam_state, lr, weight_decay=0
         split_flat(adam_state.m, model.dims), split_flat(adam_state.v, model.dims),
         adam_state.t, lr, weight_decay,
     )
-    return model, adam_state
 
 
 def assert_views_of_flat(model):
