@@ -229,12 +229,16 @@ def distance_perception_summary(
 ) -> dict:
     """Spearman of uncertainty vs. similarity (1 - distance) and vs. distance.
 
-    Samples with a NaN distance (zero-norm features) are dropped first.
+    Samples with a NaN distance (zero-norm features) are dropped first;
+    fewer than 3 left leave the correlation undefined.
     """
     d = np.asarray(distances, dtype=np.float64)
     u = np.asarray(uncertainties, dtype=np.float64)
     ok = np.isfinite(d)
     d, u = d[ok], u[ok]
+    if len(d) < 3:
+        raise UndefinedMetricError(
+            f"correlation needs at least 3 finite distances, got {len(d)}")
     rho_sim, p_sim = spearman(1.0 - d, u)
     rho_dist, p_dist = spearman(d, u)
     return {

@@ -7,8 +7,8 @@ import json
 import sys
 from pathlib import Path
 
-from .config import load_config
-from .errors import MixbootError, TrainingDivergenceError
+from .config import load_config, parse_values
+from .errors import ConfigError, MixbootError, TrainingDivergenceError
 from .experiment import (
     SWEEP_AXES,
     compute_report,
@@ -50,19 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_axis_values(axis: str, raw: str) -> list:
-    typ = SWEEP_AXES[axis][1]
-    parts = [p.strip() for p in raw.split(",") if p.strip() != ""]
-    if not parts:
-        raise MixbootError("--values must be a nonempty comma-separated list")
-    try:
-        return [typ(p) for p in parts]
-    except ValueError:
-        raise MixbootError(
-            f"--values for axis {axis!r} must parse as {typ.__name__}"
-        ) from None
-
-
 def _print_metrics(report) -> None:
     d = report.to_dict()
     for key in sorted(k for k in d if k != "provenance"):
@@ -87,7 +74,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _load_args_config(args)
-    values = _parse_axis_values(args.axis, args.values)
+    try:
+        values = parse_values(SWEEP_AXES[args.axis][0], args.values)
+    except ConfigError as exc:
+        raise ConfigError(f"--values for axis {args.axis!r}: {exc}") from None
     _, out_dir = run_sweep(config, args.axis, values)
     print(f"sweep table written to {out_dir / 'sweep.csv'}")
     return EXIT_OK

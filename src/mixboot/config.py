@@ -84,21 +84,25 @@ class ExperimentConfig:
                 raise ConfigError(f"output.formats entry {f!r} not in {REPORT_FORMATS}")
 
 
+# (ExperimentConfig attribute, key prefix, dataclass) of each nested section;
+# the "output" section's keys are fields of ExperimentConfig itself
+_SECTIONS = (
+    ("train", "", TrainConfig),
+    ("estimator", "estimator.", EstimatorConfig),
+    ("analysis", "analysis.", AnalysisConfig),
+)
+
+
 def _registry() -> dict[str, tuple[str, str, type]]:
     """Maps dotted config key -> (section, dataclass field, python type)."""
     reg = {}
-    train_hints = get_type_hints(TrainConfig)
-    for f in fields(TrainConfig):
-        reg[f.name] = ("train", f.name, train_hints[f.name])
-    est_hints = get_type_hints(EstimatorConfig)
-    for f in fields(EstimatorConfig):
-        key = f.name
-        if key.startswith("policy_"):
-            key = "policy." + key[len("policy_"):]
-        reg["estimator." + key] = ("estimator", f.name, est_hints[f.name])
-    ana_hints = get_type_hints(AnalysisConfig)
-    for f in fields(AnalysisConfig):
-        reg["analysis." + f.name] = ("analysis", f.name, ana_hints[f.name])
+    for section, prefix, cls in _SECTIONS:
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            name = f.name
+            if name.startswith("policy_"):
+                name = "policy." + name[len("policy_"):]
+            reg[prefix + name] = (section, f.name, hints[f.name])
     reg["output.dir"] = ("output", "output_dir", str)
     reg["output.formats"] = ("output", "formats", tuple[str, ...])
     return reg
@@ -138,6 +142,11 @@ def _convert(key: str, raw: str, typ):
     raise ConfigError(f"{key}: unsupported value type")
 
 
+def parse_values(key: str, raw: str) -> tuple:
+    """A comma-separated list of values, each typed as config key ``key``."""
+    return _convert(key, raw, tuple[_REGISTRY[key][2], ...])
+
+
 def _split_pair(line: str, origin: str) -> tuple[str, str] | None:
     """(key, raw value) of one `key = value` line, None for a blank or
     comment line; errors name ``origin``."""
@@ -153,32 +162,20 @@ def _split_pair(line: str, origin: str) -> tuple[str, str] | None:
     return key, value
 
 
-def _numbered_pairs(text: str) -> dict[str, tuple[str, int]]:
-    """key -> (raw value, line number of its last occurrence)."""
-    pairs = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        pair = _split_pair(line, f"line {lineno}")
-        if pair is not None:
-            key, value = pair
-            pairs[key] = (value, lineno)
-    return pairs
-
-
 def config_from_pairs(pairs: dict[str, str], origins: dict[str, str]) -> ExperimentConfig:
     """Typed config from raw pairs; ``origins[key]`` says where key was set."""
     for required in REQUIRED_KEYS:
         if required not in pairs:
             raise ConfigError(f"missing required key {required!r}")
-    sections: dict[str, dict] = {"train": {}, "estimator": {}, "analysis": {}, "output": {}}
+    sections: dict[str, dict] = {section: {} for section, _, _ in _SECTIONS}
+    sections["output"] = {}
     for key, raw in pairs.items():
         if key not in _REGISTRY:
             raise ConfigError(f"{origins[key]}: unknown config key {key!r}")
         section, field_name, typ = _REGISTRY[key]
         sections[section][field_name] = _convert(key, raw, typ)
     return ExperimentConfig(
-        train=TrainConfig(**sections["train"]),
-        estimator=EstimatorConfig(**sections["estimator"]),
-        analysis=AnalysisConfig(**sections["analysis"]),
+        **{section: cls(**sections[section]) for section, _, cls in _SECTIONS},
         **sections["output"],
     )
 
@@ -190,12 +187,12 @@ def parse_config(text: str, overrides: list[str] | None = None) -> ExperimentCon
     text came from: a line of ``text`` (for an unknown key, the line of its
     last occurrence) or the override item.
     """
+    items = [(line, f"line {lineno}")
+             for lineno, line in enumerate(text.splitlines(), start=1)]
+    items += [(item, f"override {item!r}") for item in overrides or []]
     pairs, origins = {}, {}
-    for key, (value, lineno) in _numbered_pairs(text).items():
-        pairs[key], origins[key] = value, f"line {lineno}"
-    for item in overrides or []:
-        origin = f"override {item!r}"
-        pair = _split_pair(item, origin)
+    for line, origin in items:
+        pair = _split_pair(line, origin)
         if pair is not None:
             key, value = pair
             pairs[key], origins[key] = value, origin
@@ -221,15 +218,8 @@ def config_to_pairs(config: ExperimentConfig) -> dict[str, str]:
     """Every key materialized (defaults included), canonical value strings."""
     out = {}
     for key, (section, field_name, _) in _REGISTRY.items():
-        if section == "train":
-            value = getattr(config.train, field_name)
-        elif section == "estimator":
-            value = getattr(config.estimator, field_name)
-        elif section == "analysis":
-            value = getattr(config.analysis, field_name)
-        else:
-            value = getattr(config, field_name)
-        out[key] = _serialize_value(value)
+        owner = config if section == "output" else getattr(config, section)
+        out[key] = _serialize_value(getattr(owner, field_name))
     return out
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -23,7 +24,8 @@ from .analysis import (
     threshold_curve,
 )
 from .augment import PerturbationPolicy
-from .config import REPORT_FORMATS, ExperimentConfig, canonical_text, config_hash
+from .config import (REPORT_FORMATS, ExperimentConfig, canonical_text, config_hash,
+                     parse_config)
 from .data import Dataset
 from .errors import InvalidInputError, MixbootError, UndefinedMetricError
 from .estimators import (
@@ -50,12 +52,13 @@ OUTPUT_ROOT_ENV = "MIXBOOT_OUTPUT_ROOT"
 _MC_RNG_KEY = 201
 _TTA_RNG_KEY = 202
 
+# axis -> (the config key it varies, then any override every member gets)
 SWEEP_AXES = {
-    "alphas": ("alpha", float),
-    "noise_rates": ("noise_rate", float),
-    "methods": ("method", str),
-    "tta_repeats": ("repeats", int),
-    "ensemble_sizes": ("ensemble_size", int),
+    "alphas": ("alpha",),
+    "noise_rates": ("noise_rate",),
+    "methods": ("method",),
+    "tta_repeats": ("estimator.repeats", "estimator.kind = tta"),
+    "ensemble_sizes": ("estimator.ensemble_size", "estimator.kind = ensemble"),
 }
 METRICS_CSV_COLUMNS = (
     "method", "noise_rate", "estimator", "roc_auc", "ece", "brier",
@@ -290,17 +293,16 @@ def run_experiment(config: ExperimentConfig) -> tuple[MetricsReport, Path]:
 
 def _sweep_member_config(base: ExperimentConfig, axis: str, value,
                          ordinal: int) -> ExperimentConfig:
-    field, _ = SWEEP_AXES[axis]
-    train = replace(base.train, seed=base.train.seed + ordinal)
-    estimator = base.estimator
-    if axis in ("alphas", "noise_rates", "methods"):
-        train = replace(train, **{field: value})
-    elif axis == "tta_repeats":
-        estimator = replace(estimator, kind="tta", repeats=int(value))
-    else:
-        estimator = replace(estimator, kind="ensemble", ensemble_size=int(value))
-    member_dir = str(Path(base.output_dir) / f"member_{ordinal}")
-    return replace(base, train=train, estimator=estimator, output_dir=member_dir)
+    """``base`` overridden like ``--set``: the axis key set to ``value``, the
+    seed offset by ``ordinal`` and the output in ``member_<ordinal>/``."""
+    key, *forced = SWEEP_AXES[axis]
+    member_dir = Path(base.output_dir) / f"member_{ordinal}"
+    return parse_config(canonical_text(base), [
+        *forced,
+        f"{key} = {value}",
+        f"seed = {base.train.seed + ordinal}",
+        f"output.dir = {member_dir}",
+    ])
 
 
 def run_sweep(base: ExperimentConfig, axis: str, values: list) -> tuple[str, Path]:
@@ -308,7 +310,8 @@ def run_sweep(base: ExperimentConfig, axis: str, values: list) -> tuple[str, Pat
 
     A member failing with a mixboot error or an OSError becomes a
     status=error row, whose status field is ``error: <Type>: <message>``,
-    instead of aborting; any other exception propagates.
+    instead of aborting; any other exception propagates.  Member
+    directories an earlier, longer sweep left behind are deleted.
     """
     if axis not in SWEEP_AXES:
         raise InvalidInputError(f"unknown sweep axis {axis!r}; "
@@ -327,6 +330,10 @@ def run_sweep(base: ExperimentConfig, axis: str, values: list) -> tuple[str, Pat
             message = " ".join(str(exc).split()).replace('"', '""')
             rows.append((axis, value, f'"error: {type(exc).__name__}: {message}"',
                          *[""] * len(METRICS_CSV_COLUMNS)))
+    for path in out.glob("member_*"):
+        index = path.name[len("member_"):]
+        if index.isdigit() and int(index) >= len(values) and path.is_dir():
+            shutil.rmtree(path)
     text = _table(("axis", "value", "status", *METRICS_CSV_COLUMNS), rows,
                   (config_hash(base), base.train.seed, __version__))
     _write(out / "sweep.csv", text)

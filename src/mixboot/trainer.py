@@ -17,11 +17,11 @@ import numpy as np
 
 from . import _kernels
 from .augment import PerturbationPolicy, mixup_batch, perturb
-from .data import GENERATORS, Dataset, build_dataset
+from .data import GENERATORS, N_CLASSES, Dataset, build_dataset
 from .errors import ConfigError, TrainingDivergenceError
 from .losses import batch_bsm_targets, batch_mixup_targets, batch_onehot
 from .mlp import MlpModel, adam_init, backward_step, forward, kaiming_init
-from .noise_model import BetaMixtureModel, fit_bmm, noisy_posterior, normalize_losses
+from .noise_model import fit_bmm, noisy_posterior, normalize_losses
 
 METHODS = ("ce", "ce_aug", "mixup_ce", "bsm")
 
@@ -124,17 +124,6 @@ def dataset_from_config(config: TrainConfig) -> Dataset:
     )
 
 
-def _bmm_record(model: BetaMixtureModel) -> dict:
-    return {
-        "alpha_1": model.alpha_1,
-        "beta_1": model.beta_1,
-        "alpha_2": model.alpha_2,
-        "beta_2": model.beta_2,
-        "pi": model.pi,
-        "uninformative": model.uninformative,
-    }
-
-
 def _per_sample_ce(model: MlpModel, inputs: np.ndarray, labels: np.ndarray,
                    k: int) -> np.ndarray:
     """No-gradient, no-dropout per-sample cross-entropy losses."""
@@ -149,7 +138,7 @@ def train(config: TrainConfig, dataset: Dataset) -> tuple[MlpModel, TrainLog]:
     y_train = dataset.train_labels
     flip_mask = dataset.train_flip_mask
     n_train = x_train.shape[0]
-    k = int(dataset.clean_labels.max()) + 1
+    k = N_CLASSES
     d = x_train.shape[1]
 
     model = kaiming_init((d, config.hidden_1, config.hidden_2, k),
@@ -218,7 +207,7 @@ def train(config: TrainConfig, dataset: Dataset) -> tuple[MlpModel, TrainLog]:
             normalized = normalize_losses(ce_values)
             bmm = fit_bmm(normalized)
             current_w = noisy_posterior(bmm, normalized)
-            bmm_entry = _bmm_record(bmm)
+            bmm_entry = asdict(bmm)
 
         val_logits = model.predict_logits(dataset.val_inputs)
         val_acc = float((val_logits.argmax(axis=-1) == dataset.val_labels).mean())

@@ -5,8 +5,6 @@ noisy two-moons fixture; the fleet is built once per module.  Run with
 `pytest tests/test_acceptance.py -v -s` to see the criterion lines inline.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -294,7 +292,7 @@ def test_criterion_8_distance_and_domain_shift(fleet):
         rho, p = spearman(1.0 - d[m], est.uncertainty[m])
         rho_wins += rho < 0.0 and p < 0.05
 
-        shift = 3.0 * ds.inputs.std(axis=0)
+        shift = 3.0 * np.vstack([ds.train_inputs, ds.val_inputs]).std(axis=0)
         in_dom = mc_dropout_predict(model, ds.val_inputs, 20,
                                     rng=np.random.default_rng([seed, 900]))
         out_dom = mc_dropout_predict(model, ds.val_inputs + shift, 20,

@@ -322,3 +322,10 @@ class TestDistanceRecordsAndSummary:
         summary = distance_perception_summary(d, u)
         assert summary["n"] == 9
         assert summary["n_dropped"] == 1
+
+    def test_summary_undefined_below_three_finite(self):
+        # spearman's own n < 3 input error would fail the whole run
+        d = np.array([np.nan, 0.2, np.nan, 0.5, np.nan])
+        u = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+        with pytest.raises(UndefinedMetricError, match="at least 3 finite"):
+            distance_perception_summary(d, u)

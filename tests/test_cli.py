@@ -45,6 +45,16 @@ class TestRunVerb:
         assert "artifacts written to" in out
         assert (workdir / "run1" / "metrics.json").is_file()
 
+    def test_too_few_distances_still_writes_run(self, workdir):
+        # two validation rows (one per class here): too few for a rank correlation
+        config = write_config(workdir, "method = ce\ngenerator = blobs\nseed = 0\n"
+                                       "n_train = 40\nn_val = 2\nmax_epochs = 3\n"
+                                       "output.dir = tiny\n")
+        assert main(["run", "--config", config]) == EXIT_OK
+        summary = json.loads((workdir / "tiny" / "distance_summary.json").read_text())
+        assert summary == {
+            "degenerate": "correlation needs at least 3 finite distances, got 2", "n": 2}
+
     def test_out_flag_overrides_directory(self, workdir):
         config = write_config(workdir, FAST_BLOBS + "output.dir = ignored\n")
         code = main(["run", "--config", config, "--out", "chosen"])
@@ -117,7 +127,17 @@ class TestSweepVerb:
         code = main(["sweep", "--config", config, "--axis", "alphas",
                      "--values", "small,big"])
         assert code == EXIT_CONFIG
-        assert "alphas" in capsys.readouterr().err
+        assert ("--values for axis 'alphas': alpha: expected a number, got 'small'"
+                in capsys.readouterr().err)
+        assert not (workdir / "sw2").exists()
+
+    def test_empty_values_are_config_error(self, workdir, capsys):
+        config = write_config(workdir, FAST_BLOBS + "output.dir = sw3\n")
+        code = main(["sweep", "--config", config, "--axis", "tta_repeats",
+                     "--values", " , "])
+        assert code == EXIT_CONFIG
+        assert ("--values for axis 'tta_repeats': estimator.repeats: expected a "
+                "comma-separated list, got ' , '" in capsys.readouterr().err)
 
     def test_unknown_axis_rejected_by_parser(self, workdir):
         config = write_config(workdir, FAST_BLOBS)

@@ -1,63 +1,71 @@
 """Synthetic dataset generation, splitting and label-noise injection."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from mixboot.data import Dataset, build_dataset, generate_dataset, inject_label_noise
+from mixboot.data import build_dataset, inject_label_noise
 from mixboot.errors import InvalidInputError
 
 
 class TestGenerateDataset:
+    """Generation, shuffle and split, at noise rate 0."""
+
     def test_balanced_classes(self):
-        ds = generate_dataset("two_moons", 100, 0.1, seed=0)
-        assert (ds.clean_labels == 0).sum() == 50
-        assert (ds.clean_labels == 1).sum() == 50
+        ds = build_dataset("two_moons", 80, 20, 0.1, 0.0, seed=0)
+        labels = np.concatenate([ds.train_labels, ds.val_labels])
+        assert (labels == 0).sum() == 50
+        assert (labels == 1).sum() == 50
 
     def test_same_seed_identical(self):
-        a = generate_dataset("two_moons", 60, 0.2, seed=3)
-        b = generate_dataset("two_moons", 60, 0.2, seed=3)
-        assert (a.inputs == b.inputs).all()
-        assert (a.clean_labels == b.clean_labels).all()
-        assert (a.is_train == b.is_train).all()
+        a = build_dataset("two_moons", 48, 12, 0.2, 0.0, seed=3)
+        b = build_dataset("two_moons", 48, 12, 0.2, 0.0, seed=3)
+        assert (a.train_inputs == b.train_inputs).all()
+        assert (a.val_inputs == b.val_inputs).all()
+        assert (a.train_labels == b.train_labels).all()
+        assert (a.val_labels == b.val_labels).all()
 
     def test_different_seed_differs(self):
-        a = generate_dataset("two_moons", 60, 0.2, seed=3)
-        b = generate_dataset("two_moons", 60, 0.2, seed=4)
-        assert not (a.inputs == b.inputs).all()
-
-    def test_default_split_ratio(self):
-        ds = generate_dataset("blobs", 100, 0.1, seed=1)
-        assert ds.is_train.sum() == 80
-        assert (~ds.is_train).sum() == 20
+        a = build_dataset("two_moons", 48, 12, 0.2, 0.0, seed=3)
+        b = build_dataset("two_moons", 48, 12, 0.2, 0.0, seed=4)
+        assert not (a.train_inputs == b.train_inputs).all()
 
     def test_explicit_split(self):
-        ds = generate_dataset("blobs", 100, 0.1, seed=1, n_train=90)
-        assert ds.is_train.sum() == 90
+        ds = build_dataset("blobs", 90, 10, 0.1, 0.0, seed=1)
+        assert ds.train_inputs.shape == (90, 2)
+        assert ds.val_inputs.shape == (10, 2)
 
     def test_noiseless_blobs_two_points(self):
-        ds = generate_dataset("blobs", 40, 0.0, seed=2)
+        ds = build_dataset("blobs", 32, 8, 0.0, 0.0, seed=2)
+        inputs = np.vstack([ds.train_inputs, ds.val_inputs])
+        labels = np.concatenate([ds.train_labels, ds.val_labels])
         for label, center in ((0, (-2.0, 0.0)), (1, (2.0, 0.0))):
-            rows = ds.inputs[ds.clean_labels == label]
+            rows = inputs[labels == label]
             assert (rows == np.array(center)).all()
 
     def test_observed_equals_clean_before_injection(self):
-        ds = generate_dataset("two_moons", 40, 0.2, seed=5)
-        assert (ds.observed_labels == ds.clean_labels).all()
-        assert ds.flip_indices.size == 0
+        ds = build_dataset("two_moons", 32, 8, 0.2, 0.0, seed=5)
+        assert not ds.train_flip_mask.any()
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(InvalidInputError):
-            generate_dataset("spiral", 40, 0.1, seed=0)
+        with pytest.raises(InvalidInputError, match="unknown generator"):
+            build_dataset("spiral", 32, 8, 0.1, 0.0, seed=0)
 
     def test_odd_n_rejected(self):
-        with pytest.raises(InvalidInputError):
-            generate_dataset("blobs", 41, 0.1, seed=0)
+        with pytest.raises(InvalidInputError, match="must be even"):
+            build_dataset("blobs", 33, 8, 0.1, 0.0, seed=0)
+
+    @pytest.mark.parametrize("n_train,n_val", [(1, 9), (9, 1), (0, 10)])
+    def test_tiny_split_rejected(self, n_train, n_val):
+        with pytest.raises(InvalidInputError, match=">= 2"):
+            build_dataset("blobs", n_train, n_val, 0.1, 0.0, seed=0)
 
     def test_split_views_consistent(self):
-        ds = generate_dataset("two_moons", 50, 0.1, seed=6)
-        assert ds.train_inputs.shape[0] + ds.val_inputs.shape[0] == ds.n
-        np.testing.assert_array_equal(ds.train_labels, ds.observed_labels[ds.is_train])
-        np.testing.assert_array_equal(ds.val_labels, ds.observed_labels[~ds.is_train])
+        ds = build_dataset("two_moons", 40, 10, 0.1, 0.0, seed=6)
+        assert len(ds.train_labels) == len(ds.train_flip_mask) == 40
+        assert len(ds.val_labels) == 10
+        assert ds.train_flip_mask.dtype == bool
 
 
 class TestInjectLabelNoise:
@@ -105,37 +113,45 @@ class TestInjectLabelNoise:
 class TestBuildDataset:
     def test_shapes_and_counts(self):
         ds = build_dataset("two_moons", 200, 50, 0.2, 0.2, seed=0)
-        assert ds.n == 250
-        assert ds.is_train.sum() == 200
-        assert ds.flip_indices.size == 40  # floor(0.2 * 200)
+        assert ds.train_inputs.shape == (200, 2)
+        assert ds.val_inputs.shape == (50, 2)
+        assert ds.train_flip_mask.sum() == 40  # floor(0.2 * 200)
 
     def test_noise_confined_to_train(self):
-        ds = build_dataset("two_moons", 200, 50, 0.2, 0.3, seed=1)
-        assert ds.is_train[ds.flip_indices].all()
-        val_mask = ~ds.is_train
-        assert (ds.observed_labels[val_mask] == ds.clean_labels[val_mask]).all()
+        noisy = build_dataset("two_moons", 200, 50, 0.2, 0.3, seed=1)
+        clean = build_dataset("two_moons", 200, 50, 0.2, 0.0, seed=1)
+        np.testing.assert_array_equal(noisy.val_labels, clean.val_labels)
+        np.testing.assert_array_equal(noisy.val_inputs, clean.val_inputs)
+        np.testing.assert_array_equal(noisy.train_inputs, clean.train_inputs)
 
     def test_flip_mask_matches_disagreement(self):
-        ds = build_dataset("two_moons", 100, 20, 0.2, 0.25, seed=2)
-        disagrees = np.flatnonzero(ds.observed_labels != ds.clean_labels)
-        np.testing.assert_array_equal(disagrees, ds.flip_indices)
-        train_flips = ds.train_flip_mask
-        assert train_flips.sum() == 25
+        noisy = build_dataset("two_moons", 100, 20, 0.2, 0.25, seed=2)
+        clean = build_dataset("two_moons", 100, 20, 0.2, 0.0, seed=2)
+        np.testing.assert_array_equal(noisy.train_labels != clean.train_labels,
+                                      noisy.train_flip_mask)
+        assert noisy.train_flip_mask.sum() == 25
 
     def test_deterministic(self):
         a = build_dataset("blobs", 80, 20, 0.1, 0.2, seed=3)
         b = build_dataset("blobs", 80, 20, 0.1, 0.2, seed=3)
-        assert (a.inputs == b.inputs).all()
-        assert (a.observed_labels == b.observed_labels).all()
-        assert (a.flip_indices == b.flip_indices).all()
+        assert (a.train_inputs == b.train_inputs).all()
+        assert (a.train_labels == b.train_labels).all()
+        assert (a.train_flip_mask == b.train_flip_mask).all()
 
-    def test_dataset_invariant_enforced(self):
-        ds = build_dataset("blobs", 40, 10, 0.1, 0.0, seed=4)
-        with pytest.raises(InvalidInputError):
-            Dataset(
-                ds.inputs,
-                ds.clean_labels,
-                ds.observed_labels,
-                ds.is_train,
-                flip_indices=np.array([0]),  # claims a flip that is not there
-            )
+    @pytest.mark.parametrize("args,digest", [
+        pytest.param(("two_moons", 200, 50, 0.2, 0.2, 0),
+                     "72d2acf0043e170ac6a2aa81adac5a3ad9e209d6515a0cef6b98e87c0cc3b4c9",
+                     id="two_moons"),
+        pytest.param(("blobs", 97, 33, 0.1, 0.3, 7),
+                     "77d732aa7aca31a941ada9526ead67f43222cb11cddf3e512ca24dbab57864ea",
+                     id="blobs"),
+    ])
+    def test_bytes_frozen(self, args, digest):
+        # sha256 of the splits as built before Dataset held only them
+        ds = build_dataset(*args)
+        h = hashlib.sha256()
+        for part in (ds.train_inputs, ds.train_labels.astype(np.int64),
+                     ds.train_flip_mask.astype(bool), ds.val_inputs,
+                     ds.val_labels.astype(np.int64)):
+            h.update(np.ascontiguousarray(part).tobytes())
+        assert h.hexdigest() == digest

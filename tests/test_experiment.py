@@ -269,6 +269,16 @@ class TestRunSweep:
         report, _ = run_experiment(run_cfg)
         assert member_csv == metrics_csv(report)
 
+    def test_shorter_rerun_removes_stale_members(self, out_root):
+        config = parse_config(FAST_BLOBS + "output.dir = v\nmax_epochs = 2\n")
+        _, out_dir = run_sweep(config, "noise_rates", [0.1, 0.2, 0.3])
+        (out_dir / "member_notes").mkdir()
+        run_sweep(config, "noise_rates", [0.1])
+        assert (out_dir / "member_0" / "metrics.csv").is_file()
+        assert not (out_dir / "member_1").exists()
+        assert not (out_dir / "member_2").exists()
+        assert (out_dir / "member_notes").is_dir()
+
     def test_unknown_axis_rejected(self, out_root):
         config = parse_config(FAST_BLOBS + "output.dir = t\n")
         with pytest.raises(InvalidInputError):
