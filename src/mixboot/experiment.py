@@ -7,9 +7,13 @@ paths appear, so re-running a config reproduces every file byte for byte.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
+import pickle
 import shutil
+import signal
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -45,7 +49,7 @@ from .prob_metrics import (
     roc_auc,
 )
 from .mlp import MlpModel, save_model
-from .trainer import TrainLog, dataset_from_config, train
+from .trainer import TrainConfig, TrainLog, dataset_from_config, train
 from .version import __version__
 
 OUTPUT_ROOT_ENV = "MIXBOOT_OUTPUT_ROOT"
@@ -112,17 +116,120 @@ def resolve_output_dir(config: ExperimentConfig) -> Path:
     return Path(os.environ.get(OUTPUT_ROOT_ENV, ".")) / out
 
 
-def train_models(config: ExperimentConfig) -> tuple[Dataset, list[MlpModel], list[TrainLog]]:
-    """Train one model, or ensemble_size members differing only by seed."""
+def _training_jobs(config: ExperimentConfig) -> tuple[Dataset, list[tuple[TrainConfig, Dataset]]]:
+    """The dataset and one training job per model: a single model, or
+    ensemble_size members differing only by seed."""
     dataset = dataset_from_config(config.train)
     n_models = config.estimator.ensemble_size if config.estimator.kind == "ensemble" else 1
-    models, logs = [], []
-    for m in range(n_models):
-        member_cfg = replace(config.train, seed=config.train.seed + m) if m else config.train
-        model, log = train(member_cfg, dataset)
-        models.append(model)
-        logs.append(log)
-    return dataset, models, logs
+    return dataset, [(replace(config.train, seed=config.train.seed + m), dataset)
+                     for m in range(n_models)]
+
+
+def _one_blas_thread() -> None:
+    """Limit the OpenBLAS that numpy loaded to one thread; a no-op when
+    none is found.  Workers share the CPUs, so more threads only contend."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line}
+    except OSError:
+        return
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_set_num_threads64_",
+                       "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes = [ctypes.c_int]
+                fn.restype = None
+                fn(1)
+                return
+
+
+def _train_job(job: tuple[TrainConfig, Dataset]):
+    try:
+        return train(*job)
+    except Exception as exc:  # the caller decides which failures a run survives
+        return exc
+
+
+def _worker(jobs: list, sink) -> None:
+    """Body of a forked worker: train ``jobs``, pickle the results into
+    ``sink`` and exit without returning to the caller's stack."""
+    status = 1
+    try:
+        _one_blas_thread()
+        sink.write(pickle.dumps([_train_job(job) for job in jobs]))
+        sink.flush()
+        status = 0
+    except BaseException:
+        sys.excepthook(*sys.exc_info())
+        sys.stderr.flush()
+    finally:
+        os._exit(status)
+
+
+def _train_all(jobs: list[tuple[TrainConfig, Dataset]]) -> list:
+    """Train every ``(TrainConfig, Dataset)`` job; in job order, its
+    ``(model, log)`` or the exception it raised.
+
+    With two or more usable CPUs and jobs, forked workers (one per CPU,
+    at most one per job) take the jobs round-robin, each with one BLAS
+    thread, and send their results back through a pipe.  Training is a
+    pure function of the job, so the results equal a serial run's bit for
+    bit.  Otherwise the jobs run here, one after another.  An exception
+    raised here before every result is in (an interrupt) kills the
+    workers before they are reaped.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, len(jobs))
+    if workers < 2 or not hasattr(os, "fork"):
+        return [_train_job(job) for job in jobs]
+    # a plain fork adds nothing to this process's peak memory, unlike a pool
+    pids, pipes, payloads = [], [], None
+    try:
+        for w in range(workers):
+            read_fd, write_fd = os.pipe()
+            pipes.append(os.fdopen(read_fd, "rb"))
+            with os.fdopen(write_fd, "wb") as sink:  # closes this process's end
+                pid = os.fork()
+                if pid == 0:
+                    _worker(jobs[w::workers], sink)
+            pids.append(pid)
+        payloads = [pipe.read() for pipe in pipes]
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        if payloads is None:  # interrupted: nobody will read what the workers train
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    results = [None] * len(jobs)
+    for w, (payload, code) in enumerate(zip(payloads, codes)):
+        if code != 0 or not payload:
+            raise ChildProcessError(f"training worker {w} exited with status {code} "
+                                    "without returning its results")
+        results[w::workers] = pickle.loads(payload)
+    return results
+
+
+def _models_and_logs(results: list) -> tuple[list[MlpModel], list[TrainLog]]:
+    """Split one run's ``_train_all`` results; the first exception is raised."""
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return [model for model, _ in results], [log for _, log in results]
+
+
+def train_models(config: ExperimentConfig) -> tuple[Dataset, list[MlpModel], list[TrainLog]]:
+    """Train one model, or ensemble_size members differing only by seed."""
+    dataset, jobs = _training_jobs(config)
+    return (dataset, *_models_and_logs(_train_all(jobs)))
 
 
 def estimate(config: ExperimentConfig, models: list[MlpModel],
@@ -241,8 +348,13 @@ def _remove_stale_artifacts(out: Path, config: ExperimentConfig, n_models: int) 
 
 def run_experiment(config: ExperimentConfig) -> tuple[MetricsReport, Path]:
     """Train, evaluate on the validation split, and write all artifacts."""
+    return _evaluate_and_write(config, *train_models(config))
+
+
+def _evaluate_and_write(config: ExperimentConfig, dataset: Dataset, models: list[MlpModel],
+                        logs: list[TrainLog]) -> tuple[MetricsReport, Path]:
+    """Everything a run does after training: estimate, analyse, write."""
     out = resolve_output_dir(config)
-    dataset, models, logs = train_models(config)
     output = estimate(config, models, dataset.val_inputs)
     batch = PredictionBatch(output.mean_probs, dataset.val_labels)
     report, bins = compute_report(config, batch)
@@ -308,10 +420,13 @@ def _sweep_member_config(base: ExperimentConfig, axis: str, value,
 def run_sweep(base: ExperimentConfig, axis: str, values: list) -> tuple[str, Path]:
     """One experiment per axis value; consolidated CSV ordered as given.
 
-    A member failing with a mixboot error or an OSError becomes a
-    status=error row, whose status field is ``error: <Type>: <message>``,
-    instead of aborting; any other exception propagates.  Member
-    directories an earlier, longer sweep left behind are deleted.
+    Every member's trainings go to one ``_train_all`` call, so they share
+    the workers; each member is then estimated and written in order.  A
+    member failing with a mixboot error or an OSError (its first, in
+    config, training, then evaluation order) becomes a status=error row,
+    whose status field is ``error: <Type>: <message>``, instead of
+    aborting; any other exception propagates.  Member directories an
+    earlier, longer sweep left behind are deleted.
     """
     if axis not in SWEEP_AXES:
         raise InvalidInputError(f"unknown sweep axis {axis!r}; "
@@ -319,11 +434,25 @@ def run_sweep(base: ExperimentConfig, axis: str, values: list) -> tuple[str, Pat
     if not values:
         raise InvalidInputError("sweep needs at least one value")
     out = resolve_output_dir(base)
-    rows = []
+    members, jobs = [], []  # per member: its config error, or what it trains
     for ordinal, value in enumerate(values):
         try:
             member = _sweep_member_config(base, axis, value, ordinal)
-            report, _ = run_experiment(member)
+            dataset, member_jobs = _training_jobs(member)
+        except (MixbootError, OSError) as exc:
+            members.append(exc)
+            continue
+        members.append((member, dataset, slice(len(jobs), len(jobs) + len(member_jobs))))
+        jobs.extend(member_jobs)
+    results = _train_all(jobs)
+    rows = []
+    for value, member in zip(values, members):
+        try:
+            if isinstance(member, Exception):
+                raise member
+            config, dataset, span = member
+            report, _ = _evaluate_and_write(config, dataset,
+                                            *_models_and_logs(results[span]))
             rows.append((axis, value, "ok", *report.row()))
         except (MixbootError, OSError) as exc:  # member failure must not kill the sweep
             # one quoted field on one line: the message may hold commas

@@ -17,7 +17,7 @@ from mixboot.estimators import (
     single_forward,
     tta_predict,
 )
-from mixboot.experiment import run_experiment, run_sweep
+from mixboot.experiment import _models_and_logs, _train_all, run_experiment, run_sweep
 from mixboot._kernels import loss_from_targets
 from mixboot.losses import batch_bsm_targets, batch_mixup_targets, batch_onehot
 from mixboot.mlp import kaiming_init
@@ -30,7 +30,7 @@ from mixboot.prob_metrics import (
     predictive_entropy,
     roc_auc,
 )
-from mixboot.trainer import TrainConfig, dataset_from_config, train
+from mixboot.trainer import TrainConfig, dataset_from_config
 
 N_SEEDS = 10
 WARMUP_EPOCHS = 1  # TrainConfig default; epochs >= this are post-warm-up
@@ -43,19 +43,21 @@ def check(number, description, ok):
 
 @pytest.fixture(scope="module")
 def fleet():
-    """Models, logs, and datasets for 10 seeds x {ce, bsm}."""
-    models, logs, datasets = {}, {}, {}
-    for seed in range(N_SEEDS):
-        for method in ("ce", "bsm"):
+    """Models, logs, and datasets for 10 seeds x {ce, bsm}, trained by the
+    experiment job runner (in parallel where it can fork)."""
+    datasets, keys, jobs = {}, [], []
+    # method-major order, so a round-robin split mixes ce and bsm jobs
+    for method in ("ce", "bsm"):
+        for seed in range(N_SEEDS):
             config = TrainConfig(
                 method=method, noise_rate=0.2, max_epochs=100, seed=seed
             )
             if seed not in datasets:
                 datasets[seed] = dataset_from_config(config)
-            model, log = train(config, datasets[seed])
-            models[(method, seed)] = model
-            logs[(method, seed)] = log
-    return models, logs, datasets
+            keys.append((method, seed))
+            jobs.append((config, datasets[seed]))
+    models, logs = _models_and_logs(_train_all(jobs))
+    return dict(zip(keys, models)), dict(zip(keys, logs)), datasets
 
 
 def val_predictions(model, ds):

@@ -251,6 +251,12 @@ class TestImportGraph:
     def test_cli_import_loads_no_scipy(self):
         assert self.run_python(f"import sys, mixboot.cli; print({self.SCIPY_LOADED})") == "False"
 
+    def test_cli_import_loads_no_process_pool(self):
+        # members train in plain forked workers, which need neither module
+        loaded = ("any(m in sys.modules for m in "
+                  "('multiprocessing', 'concurrent.futures'))")
+        assert self.run_python(f"import sys, mixboot.cli; print({loaded})") == "False"
+
     def test_run_and_report_load_no_scipy(self, workdir):
         # a small bsm run (perfbench's smoke sizes) reaches the BMM fit, the
         # Spearman p-value and report

@@ -2,6 +2,12 @@
 
 import csv
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,10 +234,10 @@ class TestRunSweep:
         assert rows[2][3:] == [""] * (len(rows[0]) - 3)
 
     def test_error_message_is_one_quoted_field(self, out_root, monkeypatch):
-        def failing(config):
+        def failing(config, dataset, models, logs):
             raise InvalidInputError('bad "value", see\n  next line')
 
-        monkeypatch.setattr(experiment, "run_experiment", failing)
+        monkeypatch.setattr(experiment, "_evaluate_and_write", failing)
         config = parse_config(FAST_BLOBS + "output.dir = u\n")
         text, _ = run_sweep(config, "noise_rates", [0.0])
         data = [ln for ln in text.splitlines() if not ln.startswith("#")]
@@ -241,10 +247,10 @@ class TestRunSweep:
         assert row[2] == 'error: InvalidInputError: bad "value", see next line'
 
     def test_programming_error_propagates(self, out_root, monkeypatch):
-        def broken(config):
+        def broken(config, dataset, models, logs):
             raise RuntimeError("a bug, not a member failure")
 
-        monkeypatch.setattr(experiment, "run_experiment", broken)
+        monkeypatch.setattr(experiment, "_evaluate_and_write", broken)
         config = parse_config(FAST_BLOBS + "output.dir = t\n")
         with pytest.raises(RuntimeError, match="a bug"):
             run_sweep(config, "noise_rates", [0.0])
@@ -287,6 +293,140 @@ class TestRunSweep:
             run_sweep(config, "alphas", [])
 
 
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set how many CPUs the process may use, as ``taskset`` would, and
+    record the pid of every worker forked; returns that list."""
+    forked = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+
+    def use(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                            raising=False)
+        return forked
+
+    return use
+
+
+@pytest.fixture
+def deadline():
+    """Fail, instead of hanging, a test still running after 120 s."""
+    def expire(signum, frame):
+        raise TimeoutError("test ran past its deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(120)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+ENSEMBLE_OF_TWO = FAST_BLOBS + "output.dir = ens\nestimator.kind = ensemble\n" \
+                               "estimator.ensemble_size = 2\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestParallelTraining:
+    def test_forked_sweep_matches_serial_bytes(self, tmp_path, monkeypatch, cpus):
+        config = parse_config(FAST_MOONS + "output.dir = sweep\n")
+        trees = {}
+        for name, n_cpus in (("serial", 1), ("forked", 2)):
+            monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path / name))
+            forked = cpus(n_cpus)
+            _, out_dir = run_sweep(config, "ensemble_sizes", [1, 2])
+            trees[name] = read_tree(out_dir)
+            assert len(forked) == (0 if n_cpus == 1 else 2)
+        assert "member_1/models/model_1.txt" in trees["serial"]
+        assert trees["forked"].keys() == trees["serial"].keys()
+        for rel in trees["serial"]:
+            assert trees["forked"][rel] == trees["serial"][rel], rel
+
+    def test_dead_worker_is_reported_and_reaped(self, out_root, monkeypatch, cpus,
+                                                deadline):
+        monkeypatch.setattr(experiment, "train", lambda config, dataset: os._exit(7))
+        forked = cpus(2)
+        with pytest.raises(ChildProcessError, match="exited with status 7"):
+            run_experiment(parse_config(ENSEMBLE_OF_TWO))
+        assert len(forked) == 2
+        for pid in forked:  # every worker was reaped: none is left a zombie
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_worker_bug_propagates(self, out_root, monkeypatch, cpus, deadline):
+        def broken(config, dataset):
+            raise RuntimeError(f"a bug in the worker training seed {config.seed}")
+
+        monkeypatch.setattr(experiment, "train", broken)
+        forked = cpus(2)
+        with pytest.raises(RuntimeError) as info:
+            run_experiment(parse_config(ENSEMBLE_OF_TWO))
+        assert info.type is RuntimeError
+        assert str(info.value) == "a bug in the worker training seed 0"
+        assert len(forked) == 2
+
+    def test_interrupted_parent_kills_its_workers(self, out_root, monkeypatch, cpus):
+        monkeypatch.setattr(experiment, "train", lambda config, dataset: time.sleep(60))
+        forked = cpus(2)
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)  # while the parent reads the pipes
+        start = time.monotonic()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_experiment(parse_config(ENSEMBLE_OF_TWO))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - start < 30  # the workers' sleep was not waited out
+        assert len(forked) == 2
+        for pid in forked:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+
+# numpy loads OpenBLAS, with the thread count OPENBLAS_NUM_THREADS asks
+# for, before the process is pinned to one CPU; mixboot then takes its
+# serial path while OpenBLAS keeps its threads
+SERIAL_CLI = ("import os, sys, numpy\n"
+              "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+              "from mixboot.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                    reason="OpenBLAS runs at most one thread per usable CPU")
+def test_serial_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # forked workers train with one BLAS thread and must match a serial run
+    # at any thread count
+    config = tmp_path / "sweep.cfg"
+    config.write_text(FAST_MOONS + "output.dir = sweep\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    trees = []
+    for threads in ("1", "2"):
+        root = tmp_path / f"threads_{threads}"
+        subprocess.run(
+            [sys.executable, "-c", SERIAL_CLI, "sweep", "--config", str(config),
+             "--axis", "ensemble_sizes", "--values", "1,2"],
+            env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads,
+                     **{OUTPUT_ROOT_ENV: str(root)}),
+            check=True, capture_output=True, timeout=120,
+        )
+        trees.append(read_tree(root / "sweep"))
+    assert "member_1/models/model_1.txt" in trees[0]
+    assert trees[0] == trees[1]
+
+
 class TestTableFormat:
     """The artifact-table format, pinned to the text the per-file writers
     emitted before they shared one table writer."""
@@ -316,8 +456,8 @@ class TestTableFormat:
         )
 
     def test_sweep_header_and_ok_row(self, out_root, monkeypatch):
-        monkeypatch.setattr(experiment, "run_experiment",
-                            lambda config: (self.REPORT, None))
+        monkeypatch.setattr(experiment, "_evaluate_and_write",
+                            lambda config, dataset, models, logs: (self.REPORT, None))
         config = parse_config(FAST_BLOBS + "output.dir = v\nseed = 3\n")
         text, _ = run_sweep(config, "alphas", [0.3])
         assert text == (

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from mixboot.errors import InvalidInputError, UndefinedMetricError, UnsupportedShapeError
@@ -252,6 +255,21 @@ class TestRankAverage:
         assert out.dtype == np.float64
         assert np.isnan(out).all() and np.isnan(ref).all()
         assert out.shape == ref.shape
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.one_of(
+        # tied: few distinct values, signed zeros among them
+        hnp.arrays(np.float64, st.integers(0, 300),
+                   elements=st.sampled_from([-1.5, -0.0, 0.0, 0.25, 3.0, 1e300])),
+        # integer-valued, as an integer array
+        hnp.arrays(np.int64, st.integers(0, 300), elements=st.integers(-3, 3)),
+        # NaN-holding: NaN as often as any other float, infinities included
+        hnp.arrays(np.float64, st.integers(0, 300),
+                   elements=st.one_of(st.just(np.nan),
+                                      st.floats(allow_nan=True, allow_infinity=True))),
+    ))
+    def test_matches_rankdata_property(self, x):
+        assert_same_ranks(x)
 
     def test_rejects_non_vector(self):
         with pytest.raises(InvalidInputError):
