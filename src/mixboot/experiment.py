@@ -7,13 +7,9 @@ paths appear, so re-running a config reproduces every file byte for byte.
 
 from __future__ import annotations
 
-import ctypes
 import json
 import os
-import pickle
 import shutil
-import signal
-import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -39,6 +35,7 @@ from .estimators import (
     single_forward,
     tta_predict,
 )
+from .jobs import run_jobs
 from .prob_metrics import (
     PredictionBatch,
     ReliabilityBins,
@@ -77,7 +74,7 @@ class MetricsReport:
     method: str
     noise_rate: float
     estimator: str
-    roc_auc: float
+    roc_auc: float | None  # None when the split holds one class
     ece: float
     brier: float
     nll: float
@@ -125,97 +122,12 @@ def _training_jobs(config: ExperimentConfig) -> tuple[Dataset, list[tuple[TrainC
                      for m in range(n_models)]
 
 
-def _one_blas_thread() -> None:
-    """Limit the OpenBLAS that numpy loaded to one thread; a no-op when
-    none is found.  Workers share the CPUs, so more threads only contend."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = {line.split()[-1] for line in fh if "openblas" in line}
-    except OSError:
-        return
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for symbol in ("scipy_openblas_set_num_threads64_",
-                       "openblas_set_num_threads64_", "openblas_set_num_threads"):
-            fn = getattr(lib, symbol, None)
-            if fn is not None:
-                fn.argtypes = [ctypes.c_int]
-                fn.restype = None
-                fn(1)
-                return
-
-
-def _train_job(job: tuple[TrainConfig, Dataset]):
-    try:
-        return train(*job)
-    except Exception as exc:  # the caller decides which failures a run survives
-        return exc
-
-
-def _worker(jobs: list, sink) -> None:
-    """Body of a forked worker: train ``jobs``, pickle the results into
-    ``sink`` and exit without returning to the caller's stack."""
-    status = 1
-    try:
-        _one_blas_thread()
-        sink.write(pickle.dumps([_train_job(job) for job in jobs]))
-        sink.flush()
-        status = 0
-    except BaseException:
-        sys.excepthook(*sys.exc_info())
-        sys.stderr.flush()
-    finally:
-        os._exit(status)
-
-
 def _train_all(jobs: list[tuple[TrainConfig, Dataset]]) -> list:
-    """Train every ``(TrainConfig, Dataset)`` job; in job order, its
-    ``(model, log)`` or the exception it raised.
-
-    With two or more usable CPUs and jobs, forked workers (one per CPU,
-    at most one per job) take the jobs round-robin, each with one BLAS
-    thread, and send their results back through a pipe.  Training is a
-    pure function of the job, so the results equal a serial run's bit for
-    bit.  Otherwise the jobs run here, one after another.  An exception
-    raised here before every result is in (an interrupt) kills the
-    workers before they are reaped.
-    """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        cpus = os.cpu_count() or 1
-    workers = min(cpus, len(jobs))
-    if workers < 2 or not hasattr(os, "fork"):
-        return [_train_job(job) for job in jobs]
-    # a plain fork adds nothing to this process's peak memory, unlike a pool
-    pids, pipes, payloads = [], [], None
-    try:
-        for w in range(workers):
-            read_fd, write_fd = os.pipe()
-            pipes.append(os.fdopen(read_fd, "rb"))
-            with os.fdopen(write_fd, "wb") as sink:  # closes this process's end
-                pid = os.fork()
-                if pid == 0:
-                    _worker(jobs[w::workers], sink)
-            pids.append(pid)
-        payloads = [pipe.read() for pipe in pipes]
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        if payloads is None:  # interrupted: nobody will read what the workers train
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    results = [None] * len(jobs)
-    for w, (payload, code) in enumerate(zip(payloads, codes)):
-        if code != 0 or not payload:
-            raise ChildProcessError(f"training worker {w} exited with status {code} "
-                                    "without returning its results")
-        results[w::workers] = pickle.loads(payload)
-    return results
+    """Train every ``(TrainConfig, Dataset)`` job through ``run_jobs``; in
+    job order, its ``(model, log)`` or the exception it raised.  Training
+    is a pure function of the job, so forked workers return a serial
+    run's models bit for bit."""
+    return list(run_jobs(lambda job: train(*job), jobs))
 
 
 def _models_and_logs(results: list) -> tuple[list[MlpModel], list[TrainLog]]:
@@ -256,11 +168,13 @@ def estimate(config: ExperimentConfig, models: list[MlpModel],
 def compute_report(config: ExperimentConfig, batch: PredictionBatch
                    ) -> tuple[MetricsReport, ReliabilityBins]:
     ece, bins = expected_calibration_error(batch, config.analysis.bin_width)
+    # a one-class split leaves the AUC undefined, not the run (as in referral_curve)
+    has_both = len(np.unique(batch.labels)) > 1
     report = MetricsReport(
         method=config.train.method,
         noise_rate=config.train.noise_rate,
         estimator=config.estimator.kind,
-        roc_auc=roc_auc(batch.probs[:, 1], batch.labels),
+        roc_auc=roc_auc(batch.probs[:, 1], batch.labels) if has_both else None,
         ece=ece,
         brier=brier_score(batch),
         nll=negative_log_likelihood_binary(batch),

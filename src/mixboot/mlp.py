@@ -130,6 +130,13 @@ def _dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
     return r
 
 
+def dropout_draws(model: MlpModel, n_rows: int) -> int:
+    """Uniform draws one active-dropout forward of an ``n_rows`` batch
+    takes from its rng: one per hidden unit and row, none at rate 0."""
+    _, h1, h2, _ = model.dims
+    return n_rows * (h1 + h2) if model.dropout > 0.0 else 0
+
+
 def forward(
     model: MlpModel,
     inputs: np.ndarray,

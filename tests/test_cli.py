@@ -110,6 +110,55 @@ class TestRunVerb:
         assert code == EXIT_DIVERGED
         assert "diverged" in capsys.readouterr().err
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_divergence_in_an_mc_dropout_worker_exit_code(self, workdir, capsys,
+                                                          monkeypatch, cpus, deadline):
+        import numpy as np
+
+        import mixboot.experiment as experiment
+
+        real_train = experiment.train
+
+        def poisoned(config, dataset):
+            model, log = real_train(config, dataset)
+            model.b3[0] = np.nan
+            return model, log
+
+        monkeypatch.setattr(experiment, "train", poisoned)
+        forked = cpus(2)
+        # 4 passes over 8192 rows: enough work for the passes to fork
+        config = write_config(workdir, FAST_BLOBS + "n_val = 8192\n"
+                                                    "estimator.kind = mc_dropout\n"
+                                                    "estimator.passes = 4\noutput.dir = mc\n")
+        assert main(["run", "--config", config]) == EXIT_DIVERGED
+        assert len(forked) == 2  # one training here, then the passes in two workers
+        assert "diverged: non-finite" in capsys.readouterr().err
+
+    def test_one_class_split_records_undefined_auc(self, workdir, capsys):
+        # n_val = 2 draws both validation rows from one class here
+        config = write_config(workdir, FAST_BLOBS + "n_val = 2\noutput.dir = one\n"
+                                                    "output.formats = csv,json\n")
+        assert main(["run", "--config", config]) == EXIT_OK
+        run = workdir / "one"
+        labels = {line.split(",")[1] for line in
+                  (run / "predictions.csv").read_text().splitlines()[1:]}
+        assert len(labels) == 1
+        assert json.loads((run / "metrics.json").read_text())["roc_auc"] is None
+        row = (run / "metrics.csv").read_text().splitlines()[-1].split(",")
+        assert row[3] == "nan"
+        capsys.readouterr()
+        assert main(["report", "--run", str(run)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "roc_auc = None" in out
+        assert "matches stored metrics.json: yes" in out
+        assert "matches stored metrics.csv: yes" in out
+
+        sweep = main(["sweep", "--config", config, "--out", "one_sweep",
+                      "--axis", "noise_rates", "--values", "0.0"])
+        assert sweep == EXIT_OK
+        row = (workdir / "one_sweep" / "sweep.csv").read_text().splitlines()[-1].split(",")
+        assert row[2] == "ok" and row[6] == "nan"
+
 
 class TestSweepVerb:
     def test_sweep_writes_table(self, workdir, capsys):

@@ -1,16 +1,20 @@
 """Uncertainty estimators: single pass, ensembles, MC dropout and TTA."""
 
+import os
+
 import numpy as np
 import pytest
 
 from mixboot.augment import PerturbationPolicy
-from mixboot.errors import InvalidInputError
+from mixboot.errors import InvalidInputError, TrainingDivergenceError
 from mixboot.estimators import (
+    MC_FORK_MIN_ROW_PASSES,
     ensemble_predict,
     mc_dropout_predict,
     single_forward,
     tta_predict,
 )
+from mixboot.losses import softmax
 from mixboot.mlp import kaiming_init
 from mixboot.prob_metrics import predictive_entropy
 
@@ -141,7 +145,8 @@ class TestEnsemble:
 
 
 class TestMcDropout:
-    def test_alternating_passes_oracle(self):
+    def test_alternating_passes_oracle(self, cpus):
+        cpus(1)  # the stand-in scripts and counts its calls in this process
         model = FixedLogitsModel([[500.0, 0.0], [0.0, 500.0]])
         out = mc_dropout_predict(
             model, example_inputs(3, 9), passes=4, rng=np.random.default_rng(0)
@@ -187,6 +192,88 @@ class TestMcDropout:
             model, example_inputs(20, 13), passes=20, rng=np.random.default_rng(1)
         )
         assert (out.variance >= -1e-12).all()
+
+
+def serial_mc_dropout(model, inputs, passes, tau_inv, rng):
+    """The pass loop as it ran before passes could fork: each pass draws
+    its masks where the pass before it stopped."""
+    total = np.zeros((len(inputs), model.dims[3]))
+    total_sq = np.zeros_like(total)
+    for _ in range(passes):
+        probs = softmax(model.predict_logits(inputs, dropout_active=True, rng=rng))
+        total += probs
+        total_sq += probs * probs
+    mean = total / passes
+    return mean, predictive_entropy(mean), tau_inv + total_sq / passes - mean * mean
+
+
+def rng_for(seed):
+    return None if seed is None else np.random.default_rng([seed, 201])
+
+
+def forking_rows(passes):
+    """The fewest rows with which ``passes`` MC-dropout passes fork."""
+    return -(-MC_FORK_MIN_ROW_PASSES // passes)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestMcDropoutPasses:
+    @pytest.mark.parametrize("passes, rows, forks", [
+        (1, forking_rows(7), 0),
+        (7, forking_rows(7) - 1, 0),
+        (7, forking_rows(7), 2),
+    ])
+    @pytest.mark.parametrize("dropout, seed", [(0.3, 42), (0.0, None)])
+    def test_passes_match_the_serial_stream_on_any_cpu_count(self, cpus, passes, rows,
+                                                             forks, dropout, seed):
+        model = kaiming_init((2, 16, 8, 2), seed=30, dropout=dropout)
+        x = example_inputs(rows, 14)
+        runs = {}
+        for n_cpus in (1, 2):
+            forked = cpus(n_cpus)
+            rng = rng_for(seed)
+            out = mc_dropout_predict(model, x, passes, tau_inv=0.25, rng=rng)
+            runs[n_cpus] = ([a.tobytes() for a in (out.mean_probs, out.uncertainty,
+                                                    out.variance)],
+                            rng and rng.bit_generator.state)
+        assert len(forked) == forks
+        assert runs[2] == runs[1]
+        rng = rng_for(seed)
+        oracle = serial_mc_dropout(model, x, passes, 0.25, rng)
+        assert runs[1] == ([a.tobytes() for a in oracle], rng and rng.bit_generator.state)
+
+    def test_rng_keeps_its_buffered_half(self, cpus):
+        # a 32-bit draw leaves half a 64-bit output buffered; float draws
+        # never touch it, so the passes must hand it back unchanged
+        model = kaiming_init((2, 8, 8, 2), seed=31, dropout=0.5)
+        x = example_inputs(forking_rows(3), 15)
+        ends = []
+        for run in (lambda rng: mc_dropout_predict(model, x, 3, rng=rng),
+                    lambda rng: serial_mc_dropout(model, x, 3, 0.0, rng)):
+            forked = cpus(2)
+            rng = np.random.default_rng(5)
+            rng.integers(10, dtype=np.uint32)
+            run(rng)
+            ends.append(rng.bit_generator.state)
+        assert len(forked) == 2
+        assert ends[0]["has_uint32"] == 1
+        assert ends[0] == ends[1]
+
+    def test_non_finite_pass_in_a_worker_is_divergence(self, cpus, deadline):
+        model = kaiming_init((2, 8, 8, 2), seed=32, dropout=0.2)
+        model.b3[0] = np.nan
+        forked = cpus(2)
+        with pytest.raises(TrainingDivergenceError, match="non-finite"):
+            mc_dropout_predict(model, example_inputs(forking_rows(4)), passes=4,
+                               rng=np.random.default_rng(0))
+        assert len(forked) == 2
+
+    @pytest.mark.parametrize("bits", [np.random.MT19937, np.random.Philox])
+    def test_rejects_a_generator_that_is_not_pcg64(self, bits):
+        model = kaiming_init((2, 8, 8, 2), seed=33, dropout=0.2)
+        with pytest.raises(InvalidInputError, match="PCG64"):
+            mc_dropout_predict(model, example_inputs(), passes=2,
+                               rng=np.random.Generator(bits(0)))
 
 
 class TestTta:

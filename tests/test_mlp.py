@@ -22,6 +22,7 @@ from mixboot.mlp import (
     adam_step,
     backward,
     backward_step,
+    dropout_draws,
     forward,
     kaiming_init,
     load_model,
@@ -171,6 +172,17 @@ class TestForward:
         a = model.predict_logits(x, dropout_active=True, rng=rng)
         b = model.predict_logits(x, dropout_active=True, rng=rng)
         assert not (a == b).all()
+
+    @pytest.mark.parametrize("dropout, draws", [(0.0, 0), (0.4, 11 * (7 + 5))])
+    def test_dropout_forward_takes_dropout_draws_steps(self, dropout, draws):
+        # MC-dropout passes jump to their place in the stream by this count
+        model = kaiming_init((3, 7, 5, 2), seed=9, dropout=dropout)
+        x = np.random.default_rng(6).normal(size=(11, 3))
+        rng, expected = np.random.default_rng(8), np.random.default_rng(8)
+        forward(model, x, dropout_active=True, rng=rng)
+        assert dropout_draws(model, 11) == draws
+        expected.bit_generator.advance(draws)
+        assert rng.bit_generator.state == expected.bit_generator.state
 
     def test_nonfinite_input_raises(self):
         model = kaiming_init((2, 8, 8, 2), seed=8)
