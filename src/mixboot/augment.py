@@ -60,25 +60,19 @@ def mixup_batch(
     inputs: np.ndarray,
     alpha: float,
     rng: np.random.Generator,
-    fixed_gamma: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mix each row with a permutation partner under its own coefficient.
 
     Returns ``(mixed, partners, gammas)`` with
     ``mixed[i] = gammas[i] * inputs[i] + (1 - gammas[i]) * inputs[partners[i]]``.
     The permutation is drawn first, then one ``sample_gammas`` batch.
-    ``fixed_gamma`` pins the coefficient for every row (test hook); the
-    partner permutation is still drawn so the pairing stays comparable.
     """
     x = np.asarray(inputs, dtype=np.float64)
     n = x.shape[0]
     if n < 2:
         raise InvalidInputError("mixup needs at least 2 samples")
     partners = rng.permutation(n)
-    if fixed_gamma is None:
-        gammas = sample_gammas(alpha, n, rng)
-    else:
-        gammas = np.full(n, float(fixed_gamma))
+    gammas = sample_gammas(alpha, n, rng)
     g = gammas.reshape((n,) + (1,) * (x.ndim - 1))
     return g * x + (1.0 - g) * x[partners], partners, gammas
 

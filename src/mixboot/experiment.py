@@ -32,7 +32,6 @@ from .estimators import (
     EstimatorOutput,
     ensemble_predict,
     mc_dropout_predict,
-    single_forward,
     tta_predict,
 )
 from .jobs import run_jobs
@@ -148,20 +147,16 @@ def estimate(config: ExperimentConfig, models: list[MlpModel],
              inputs: np.ndarray) -> EstimatorOutput:
     kind = config.estimator.kind
     seed = config.train.seed
-    if kind == "single":
-        return single_forward(models[0], inputs)
-    if kind == "ensemble":
+    if kind in ("single", "ensemble"):
         return ensemble_predict(models, inputs)
     if kind == "mc_dropout":
-        rng = np.random.default_rng([seed, _MC_RNG_KEY])
         return mc_dropout_predict(models[0], inputs, config.estimator.passes,
-                                  config.estimator.tau_inv, rng)
+                                  [seed, _MC_RNG_KEY], config.estimator.tau_inv)
     if kind == "tta":
         policy = PerturbationPolicy(config.estimator.policy_noise_sigma,
                                     config.estimator.policy_scale_jitter)
-        rng = np.random.default_rng([seed, _TTA_RNG_KEY])
-        return tta_predict(models[0], inputs, policy,
-                           config.estimator.repeats, rng)
+        return tta_predict(models[0], inputs, policy, config.estimator.repeats,
+                           [seed, _TTA_RNG_KEY])
     raise InvalidInputError(f"unknown estimator kind {kind!r}")
 
 
@@ -228,17 +223,16 @@ def metrics_csv(report: MetricsReport) -> str:
 
 
 def read_predictions(path) -> PredictionBatch:
-    """Rebuild the exact PredictionBatch persisted by run_experiment."""
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln and not ln.startswith("#")]
-    header = lines[0].split(",")
-    k = len(header) - 2
-    labels, probs = [], []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        labels.append(int(parts[1]))
-        probs.append([float(p) for p in parts[2:2 + k]])
-    return PredictionBatch(np.array(probs), np.array(labels))
+    """Rebuild the exact PredictionBatch persisted by run_experiment; a
+    malformed file raises ``InvalidInputError`` naming it."""
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
+    if data.shape[1] < 3 or (data[:, 1] != np.round(data[:, 1])).any():
+        raise InvalidInputError(f"{path}: rows must hold a sample index, an "
+                                "integer label and class probabilities")
+    return PredictionBatch(data[:, 2:], data[:, 1])
 
 
 def _safe_distance_summary(distances: np.ndarray, uncertainties: np.ndarray) -> dict:

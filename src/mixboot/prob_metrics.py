@@ -18,6 +18,16 @@ ROW_SUM_TOL = 1e-6
 LOG_EPS = 1e-12
 
 
+def _check_rows(p: np.ndarray) -> None:
+    """Reject anything but an N x K float array of probability rows."""
+    if p.ndim != 2:
+        raise InvalidInputError(f"probs must be N x K, got shape {p.shape}")
+    if np.any(p < 0.0) or np.any(p > 1.0):
+        raise InvalidInputError("probabilities must lie in [0, 1]")
+    if np.any(np.abs(p.sum(axis=1) - 1.0) > ROW_SUM_TOL):
+        raise InvalidInputError("every probability row must sum to 1 within 1e-6")
+
+
 @dataclass
 class PredictionBatch:
     """N rows of K class probabilities plus N integer labels.
@@ -32,18 +42,12 @@ class PredictionBatch:
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.probs.ndim != 2:
-            raise InvalidInputError(f"probs must be N x K, got shape {self.probs.shape}")
+        _check_rows(self.probs)
         n, k = self.probs.shape
         if self.labels.shape != (n,):
             raise InvalidInputError(
                 f"labels must have length {n}, got shape {self.labels.shape}"
             )
-        if np.any(self.probs < 0.0) or np.any(self.probs > 1.0):
-            raise InvalidInputError("probabilities must lie in [0, 1]")
-        row_sums = self.probs.sum(axis=1)
-        if np.any(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
-            raise InvalidInputError("every probability row must sum to 1 within 1e-6")
         if n > 0 and (self.labels.min() < 0 or self.labels.max() >= k):
             raise InvalidInputError(f"labels must lie in 0..{k - 1}")
 
@@ -94,12 +98,7 @@ def predictive_entropy(probs: np.ndarray) -> np.ndarray:
     """Shannon entropy of every row of an N x K probability batch, in nats,
     with 0*ln(0) = 0."""
     p = np.asarray(probs, dtype=np.float64)
-    if p.ndim != 2:
-        raise InvalidInputError(f"probs must be N x K, got shape {p.shape}")
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        raise InvalidInputError("probabilities must lie in [0, 1]")
-    if np.any(np.abs(p.sum(axis=1) - 1.0) > ROW_SUM_TOL):
-        raise InvalidInputError("probability row must sum to 1 within 1e-6")
+    _check_rows(p)
     with np.errstate(divide="ignore", invalid="ignore"):
         return -np.where(p > 0.0, p * np.log(p), 0.0).sum(axis=1)
 

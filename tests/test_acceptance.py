@@ -12,14 +12,14 @@ from mixboot.analysis import min_cosine_distances, referral_curve, spearman
 from mixboot.augment import PerturbationPolicy, sample_gammas
 from mixboot.config import parse_config
 from mixboot.estimators import (
+    EstimatorOutput,
     ensemble_predict,
     mc_dropout_predict,
-    single_forward,
     tta_predict,
 )
 from mixboot.experiment import _models_and_logs, _train_all, run_experiment, run_sweep
 from mixboot._kernels import loss_from_targets
-from mixboot.losses import batch_bsm_targets, batch_mixup_targets, batch_onehot
+from mixboot.losses import batch_bsm_targets, batch_mixup_targets, batch_onehot, softmax
 from mixboot.mlp import kaiming_init
 from mixboot.noise_model import beta_pdf, fit_bmm, normalize_losses
 from mixboot.prob_metrics import (
@@ -58,6 +58,12 @@ def fleet():
             jobs.append((config, datasets[seed]))
     models, logs = _models_and_logs(_train_all(jobs))
     return dict(zip(keys, models)), dict(zip(keys, logs)), datasets
+
+
+def single_forward(model, inputs):
+    """The single-pass estimator written out: one softmax pass, dropout off."""
+    probs = softmax(model.predict_logits(inputs))
+    return EstimatorOutput(probs, predictive_entropy(probs))
 
 
 def val_predictions(model, ds):
@@ -220,10 +226,10 @@ def test_criterion_4_reduction_identities():
     ens = ensemble_predict([model], x)
     ok &= (ens.mean_probs == single.mean_probs).all()
     ok &= (ens.uncertainty == single.uncertainty).all()
-    tta = tta_predict(model, x, PerturbationPolicy(0.1, 0.1), repeats=0)
+    tta = tta_predict(model, x, PerturbationPolicy(0.1, 0.1), repeats=0, seed=0)
     ok &= (tta.mean_probs == single.mean_probs).all()
     ok &= (tta.uncertainty == single.uncertainty).all()
-    mc = mc_dropout_predict(model, x, passes=7, tau_inv=0.37)
+    mc = mc_dropout_predict(model, x, passes=7, seed=0, tau_inv=0.37)
     ok &= bool(np.max(np.abs(mc.variance - 0.37)) <= 1e-12)
     check(4, "bs(w=0)=ce, bsm(0,0)=mixup, mixup(g=1)=ce, ensemble(1)=single, "
              "tta(0)=single, identical-pass mc variance = tau_inv", ok)
@@ -295,10 +301,8 @@ def test_criterion_8_distance_and_domain_shift(fleet):
         rho_wins += rho < 0.0 and p < 0.05
 
         shift = 3.0 * np.vstack([ds.train_inputs, ds.val_inputs]).std(axis=0)
-        in_dom = mc_dropout_predict(model, ds.val_inputs, 20,
-                                    rng=np.random.default_rng([seed, 900]))
-        out_dom = mc_dropout_predict(model, ds.val_inputs + shift, 20,
-                                     rng=np.random.default_rng([seed, 900]))
+        in_dom = mc_dropout_predict(model, ds.val_inputs, 20, seed=[seed, 900])
+        out_dom = mc_dropout_predict(model, ds.val_inputs + shift, 20, seed=[seed, 900])
         shift_wins += out_dom.uncertainty.mean() > in_dom.uncertainty.mean()
     check(8, f"similarity-uncertainty rho negative with p<0.05 in "
              f"{rho_wins}/10 seeds; shifted inputs more uncertain in "

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from mixboot import augment
 from mixboot.augment import (
     GAMMA_EPS,
     PerturbationPolicy,
@@ -56,6 +57,17 @@ class TestSampleGamma:
         assert draw_gammas(0.3, 50, 5).tolist() == draw_gammas(0.3, 50, 5).tolist()
 
 
+@pytest.fixture
+def pin_gammas(monkeypatch):
+    """``pin(value)`` makes mixup_batch take every coefficient as ``value``,
+    the endpoints 0 and 1 included, which sampling never returns; the
+    partner permutation is still drawn."""
+    def pin(value):
+        monkeypatch.setattr(augment, "sample_gammas",
+                            lambda alpha, n, rng: np.full(n, float(value)))
+    return pin
+
+
 def loop_mixup(inputs, alpha, rng, fixed_gamma=None):
     """The per-pair loop that mixup_batch replaced, kept as its reference."""
     x = np.asarray(inputs, dtype=np.float64)
@@ -79,10 +91,11 @@ def loop_mixup(inputs, alpha, rng, fixed_gamma=None):
 
 
 class TestMixupBatch:
-    def test_fixed_gamma_one_returns_inputs(self):
+    def test_fixed_gamma_one_returns_inputs(self, pin_gammas):
+        pin_gammas(1.0)
         rng = np.random.default_rng(0)
         x = rng.normal(size=(6, 2))
-        mixed, _, gammas = mixup_batch(x, 0.3, rng, fixed_gamma=1.0)
+        mixed, _, gammas = mixup_batch(x, 0.3, rng)
         assert (mixed == x).all()
         assert (gammas == 1.0).all()
 
@@ -93,10 +106,11 @@ class TestMixupBatch:
         for row in mixed:
             np.testing.assert_allclose(row, [1.5, -2.0], atol=1e-15)
 
-    def test_convex_combination_hand_case(self):
+    def test_convex_combination_hand_case(self, pin_gammas):
+        pin_gammas(0.25)
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
         rng = np.random.default_rng(2)
-        mixed, partners, _ = mixup_batch(x, 0.3, rng, fixed_gamma=0.25)
+        mixed, partners, _ = mixup_batch(x, 0.3, rng)
         for i, j in enumerate(partners):
             np.testing.assert_allclose(
                 mixed[i], 0.25 * x[i] + 0.75 * x[j], atol=1e-15
@@ -130,7 +144,8 @@ class TestMixupMatchesLoop:
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 123])
     @pytest.mark.parametrize("fixed_gamma", [0.0, 0.25, 1.0])
-    def test_fixed_gamma(self, seed, fixed_gamma):
+    def test_fixed_gamma(self, pin_gammas, seed, fixed_gamma):
+        pin_gammas(fixed_gamma)
         self.check(seed, 0.3, (32, 2), fixed_gamma)
 
     def test_underflowing_gamma_sum_gets_half(self):
@@ -143,7 +158,7 @@ class TestMixupMatchesLoop:
     def check(seed, alpha, shape, fixed_gamma):
         x = np.random.default_rng(1000 + seed).normal(size=shape)
         rng_batch, rng_loop = np.random.default_rng(seed), np.random.default_rng(seed)
-        mixed, partners, gammas = mixup_batch(x, alpha, rng_batch, fixed_gamma)
+        mixed, partners, gammas = mixup_batch(x, alpha, rng_batch)
         ref_mixed, ref_partners, ref_gammas = loop_mixup(x, alpha, rng_loop, fixed_gamma)
         assert mixed.shape == ref_mixed.shape
         assert (mixed == ref_mixed).all()

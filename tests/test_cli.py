@@ -262,6 +262,20 @@ class TestReportVerb:
         assert "matches stored metrics.json: yes" in out
         assert "matches stored metrics.csv: NO" in out
 
+    @pytest.mark.parametrize("rows", [
+        "0,1,abc,0.5\n",  # a cell that is no number
+        "0,1.5,0.5,0.5\n",  # a label that is no class index
+        "0,1,0.5,0.5\n1,0,0.5\n",  # a short row
+        "",  # no rows
+    ])
+    def test_malformed_predictions_are_input_errors(self, workdir, capsys, rows):
+        write_config(workdir, FAST_BLOBS)
+        (workdir / "predictions.csv").write_text("sample_index,label,prob_0,prob_1\n" + rows)
+        capsys.readouterr()
+        assert main(["report", "--run", str(workdir)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "predictions.csv" in err
+
     def test_non_run_directory_rejected(self, workdir, capsys):
         code = main(["report", "--run", str(workdir)])
         assert code == EXIT_CONFIG

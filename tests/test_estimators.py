@@ -5,13 +5,13 @@ import os
 import numpy as np
 import pytest
 
-from mixboot.augment import PerturbationPolicy
+from mixboot.augment import PerturbationPolicy, perturb
 from mixboot.errors import InvalidInputError, TrainingDivergenceError
 from mixboot.estimators import (
     MC_FORK_MIN_ROW_PASSES,
+    EstimatorOutput,
     ensemble_predict,
     mc_dropout_predict,
-    single_forward,
     tta_predict,
 )
 from mixboot.losses import softmax
@@ -42,39 +42,52 @@ def example_inputs(n=5, seed=0):
     return np.random.default_rng(seed).normal(size=(n, 2))
 
 
+def single_forward(model, inputs):
+    """The single-pass estimator written out: one softmax pass, dropout off."""
+    probs = softmax(model.predict_logits(inputs))
+    return EstimatorOutput(probs, predictive_entropy(probs))
+
+
+def output_bytes(out):
+    return [None if a is None else a.tobytes()
+            for a in (out.mean_probs, out.uncertainty, out.variance)]
+
+
 class TestSingleForward:
+    """The ``single`` estimator: a one-member ensemble."""
+
     def test_deterministic(self):
         model = kaiming_init((2, 16, 16, 2), seed=0)
         x = example_inputs()
-        a, b = single_forward(model, x), single_forward(model, x)
+        a, b = ensemble_predict([model], x), ensemble_predict([model], x)
         assert (a.mean_probs == b.mean_probs).all()
         assert (a.uncertainty == b.uncertainty).all()
 
     def test_zero_logits_give_ln2(self):
         model = kaiming_init((2, 16, 16, 2), seed=1)  # zero biases
-        out = single_forward(model, np.zeros((3, 2)))
+        out = ensemble_predict([model], np.zeros((3, 2)))
         np.testing.assert_allclose(out.uncertainty, np.log(2.0), atol=1e-15)
 
     def test_entropy_bounds(self):
         model = kaiming_init((2, 16, 16, 3), seed=2)
-        out = single_forward(model, example_inputs(50, 3))
+        out = ensemble_predict([model], example_inputs(50, 3))
         assert (out.uncertainty >= 0.0).all()
         assert (out.uncertainty <= np.log(3.0) + 1e-12).all()
 
     def test_uncertainty_matches_scalar_entropy(self):
         model = kaiming_init((2, 8, 8, 2), seed=3)
-        out = single_forward(model, example_inputs(10, 4))
+        out = ensemble_predict([model], example_inputs(10, 4))
         for row, h in zip(out.mean_probs, out.uncertainty):
             assert predictive_entropy(row[None])[0] == h
 
     def test_single_row_input(self):
         model = kaiming_init((2, 8, 8, 2), seed=4)
-        out = single_forward(model, np.array([[0.1, -0.2]]))
+        out = ensemble_predict([model], np.array([[0.1, -0.2]]))
         assert out.mean_probs.shape == (1, 2)
 
     def test_no_variance_reported(self):
         model = kaiming_init((2, 8, 8, 2), seed=5)
-        assert single_forward(model, example_inputs()).variance is None
+        assert ensemble_predict([model], example_inputs()).variance is None
 
 
 class TestEntropyRows:
@@ -106,10 +119,18 @@ class TestEnsemble:
     def test_single_member_identical_to_single_forward(self):
         model = kaiming_init((2, 16, 16, 2), seed=6)
         x = example_inputs(8, 5)
-        a = ensemble_predict([model], x)
-        b = single_forward(model, x)
-        assert (a.mean_probs == b.mean_probs).all()
-        assert (a.uncertainty == b.uncertainty).all()
+        assert output_bytes(ensemble_predict([model], x)) == output_bytes(
+            single_forward(model, x))
+
+    def test_members_fold_like_a_serial_loop(self):
+        models = [kaiming_init((2, 16, 8, 3), seed=s) for s in range(40, 45)]
+        x = example_inputs(30, 9)
+        total = np.zeros((30, 3))
+        for m in models:
+            total += softmax(m.predict_logits(x))
+        mean = total / len(models)
+        assert output_bytes(ensemble_predict(models, x)) == output_bytes(
+            EstimatorOutput(mean, predictive_entropy(mean)))
 
     def test_identical_members_collapse(self):
         model = kaiming_init((2, 16, 16, 2), seed=7)
@@ -148,9 +169,7 @@ class TestMcDropout:
     def test_alternating_passes_oracle(self, cpus):
         cpus(1)  # the stand-in scripts and counts its calls in this process
         model = FixedLogitsModel([[500.0, 0.0], [0.0, 500.0]])
-        out = mc_dropout_predict(
-            model, example_inputs(3, 9), passes=4, rng=np.random.default_rng(0)
-        )
+        out = mc_dropout_predict(model, example_inputs(3, 9), passes=4, seed=0)
         np.testing.assert_allclose(out.mean_probs, 0.5, atol=1e-12)
         np.testing.assert_allclose(out.variance, 0.25, atol=1e-12)
         assert model.calls == 4
@@ -158,45 +177,39 @@ class TestMcDropout:
     def test_identical_passes_variance_is_tau_inv(self):
         model = kaiming_init((2, 16, 16, 2), seed=16, dropout=0.0)
         x = example_inputs(5, 10)
-        out = mc_dropout_predict(model, x, passes=6, tau_inv=0.37)
+        out = mc_dropout_predict(model, x, passes=6, seed=0, tau_inv=0.37)
         np.testing.assert_allclose(out.variance, 0.37, atol=1e-12)
 
     def test_identical_passes_zero_tau_inv(self):
         model = kaiming_init((2, 16, 16, 2), seed=17, dropout=0.0)
-        out = mc_dropout_predict(model, example_inputs(5, 11), passes=3)
+        out = mc_dropout_predict(model, example_inputs(5, 11), passes=3, seed=0)
         np.testing.assert_allclose(out.variance, 0.0, atol=1e-12)
 
     def test_seeded_reproducibility(self):
         model = kaiming_init((2, 32, 32, 2), seed=18, dropout=0.3)
         x = example_inputs(6, 12)
-        a = mc_dropout_predict(model, x, passes=10, rng=np.random.default_rng(42))
-        b = mc_dropout_predict(model, x, passes=10, rng=np.random.default_rng(42))
+        a = mc_dropout_predict(model, x, passes=10, seed=42)
+        b = mc_dropout_predict(model, x, passes=10, seed=42)
         assert (a.mean_probs == b.mean_probs).all()
         assert (a.variance == b.variance).all()
-
-    def test_requires_rng_when_dropout_positive(self):
-        model = kaiming_init((2, 8, 8, 2), seed=19, dropout=0.2)
-        with pytest.raises(InvalidInputError):
-            mc_dropout_predict(model, example_inputs(), passes=2)
 
     def test_validates_arguments(self):
         model = kaiming_init((2, 8, 8, 2), seed=20, dropout=0.0)
         with pytest.raises(InvalidInputError):
-            mc_dropout_predict(model, example_inputs(), passes=0)
+            mc_dropout_predict(model, example_inputs(), passes=0, seed=0)
         with pytest.raises(InvalidInputError):
-            mc_dropout_predict(model, example_inputs(), passes=2, tau_inv=-1.0)
+            mc_dropout_predict(model, example_inputs(), passes=2, seed=0, tau_inv=-1.0)
 
     def test_variance_nonnegative(self):
         model = kaiming_init((2, 32, 32, 2), seed=21, dropout=0.5)
-        out = mc_dropout_predict(
-            model, example_inputs(20, 13), passes=20, rng=np.random.default_rng(1)
-        )
+        out = mc_dropout_predict(model, example_inputs(20, 13), passes=20, seed=1)
         assert (out.variance >= -1e-12).all()
 
 
-def serial_mc_dropout(model, inputs, passes, tau_inv, rng):
+def serial_mc_dropout(model, inputs, passes, tau_inv, seed):
     """The pass loop as it ran before passes could fork: each pass draws
     its masks where the pass before it stopped."""
+    rng = np.random.default_rng(seed)
     total = np.zeros((len(inputs), model.dims[3]))
     total_sq = np.zeros_like(total)
     for _ in range(passes):
@@ -207,8 +220,9 @@ def serial_mc_dropout(model, inputs, passes, tau_inv, rng):
     return mean, predictive_entropy(mean), tau_inv + total_sq / passes - mean * mean
 
 
-def rng_for(seed):
-    return None if seed is None else np.random.default_rng([seed, 201])
+def seed_for(seed):
+    # None: no seed at all, which a rate of 0 never draws from
+    return None if seed is None else [seed, 201]
 
 
 def forking_rows(passes):
@@ -231,49 +245,20 @@ class TestMcDropoutPasses:
         runs = {}
         for n_cpus in (1, 2):
             forked = cpus(n_cpus)
-            rng = rng_for(seed)
-            out = mc_dropout_predict(model, x, passes, tau_inv=0.25, rng=rng)
-            runs[n_cpus] = ([a.tobytes() for a in (out.mean_probs, out.uncertainty,
-                                                    out.variance)],
-                            rng and rng.bit_generator.state)
+            out = mc_dropout_predict(model, x, passes, seed_for(seed), tau_inv=0.25)
+            runs[n_cpus] = output_bytes(out)
         assert len(forked) == forks
         assert runs[2] == runs[1]
-        rng = rng_for(seed)
-        oracle = serial_mc_dropout(model, x, passes, 0.25, rng)
-        assert runs[1] == ([a.tobytes() for a in oracle], rng and rng.bit_generator.state)
-
-    def test_rng_keeps_its_buffered_half(self, cpus):
-        # a 32-bit draw leaves half a 64-bit output buffered; float draws
-        # never touch it, so the passes must hand it back unchanged
-        model = kaiming_init((2, 8, 8, 2), seed=31, dropout=0.5)
-        x = example_inputs(forking_rows(3), 15)
-        ends = []
-        for run in (lambda rng: mc_dropout_predict(model, x, 3, rng=rng),
-                    lambda rng: serial_mc_dropout(model, x, 3, 0.0, rng)):
-            forked = cpus(2)
-            rng = np.random.default_rng(5)
-            rng.integers(10, dtype=np.uint32)
-            run(rng)
-            ends.append(rng.bit_generator.state)
-        assert len(forked) == 2
-        assert ends[0]["has_uint32"] == 1
-        assert ends[0] == ends[1]
+        oracle = serial_mc_dropout(model, x, passes, 0.25, seed_for(seed))
+        assert runs[1] == [a.tobytes() for a in oracle]
 
     def test_non_finite_pass_in_a_worker_is_divergence(self, cpus, deadline):
         model = kaiming_init((2, 8, 8, 2), seed=32, dropout=0.2)
         model.b3[0] = np.nan
         forked = cpus(2)
         with pytest.raises(TrainingDivergenceError, match="non-finite"):
-            mc_dropout_predict(model, example_inputs(forking_rows(4)), passes=4,
-                               rng=np.random.default_rng(0))
+            mc_dropout_predict(model, example_inputs(forking_rows(4)), passes=4, seed=0)
         assert len(forked) == 2
-
-    @pytest.mark.parametrize("bits", [np.random.MT19937, np.random.Philox])
-    def test_rejects_a_generator_that_is_not_pcg64(self, bits):
-        model = kaiming_init((2, 8, 8, 2), seed=33, dropout=0.2)
-        with pytest.raises(InvalidInputError, match="PCG64"):
-            mc_dropout_predict(model, example_inputs(), passes=2,
-                               rng=np.random.Generator(bits(0)))
 
 
 class TestTta:
@@ -281,15 +266,13 @@ class TestTta:
         model = kaiming_init((2, 16, 16, 2), seed=22)
         x = example_inputs(7, 14)
         policy = PerturbationPolicy(noise_sigma=0.1)
-        a = tta_predict(model, x, policy, repeats=0, rng=np.random.default_rng(0))
-        b = single_forward(model, x)
-        assert (a.mean_probs == b.mean_probs).all()
-        assert (a.uncertainty == b.uncertainty).all()
+        a = tta_predict(model, x, policy, repeats=0, seed=0)
+        assert output_bytes(a) == output_bytes(single_forward(model, x))
 
     def test_identity_policy_any_repeats(self):
         model = kaiming_init((2, 16, 16, 2), seed=23)
         x = example_inputs(7, 15)
-        out = tta_predict(model, x, PerturbationPolicy(), repeats=5)
+        out = tta_predict(model, x, PerturbationPolicy(), repeats=5, seed=0)
         ref = single_forward(model, x)
         np.testing.assert_allclose(out.mean_probs, ref.mean_probs, atol=1e-15)
 
@@ -297,25 +280,32 @@ class TestTta:
         model = kaiming_init((2, 16, 16, 2), seed=24)
         x = example_inputs(6, 16)
         policy = PerturbationPolicy(noise_sigma=0.2, scale_jitter=0.1)
-        a = tta_predict(model, x, policy, repeats=8, rng=np.random.default_rng(7))
-        b = tta_predict(model, x, policy, repeats=8, rng=np.random.default_rng(7))
+        a = tta_predict(model, x, policy, repeats=8, seed=7)
+        b = tta_predict(model, x, policy, repeats=8, seed=7)
         assert (a.mean_probs == b.mean_probs).all()
 
-    def test_noise_policy_requires_rng(self):
-        model = kaiming_init((2, 8, 8, 2), seed=25)
-        with pytest.raises(InvalidInputError):
-            tta_predict(model, example_inputs(), PerturbationPolicy(0.1), repeats=2)
+    @pytest.mark.parametrize("repeats", [1, 5])
+    def test_repeats_fold_like_a_serial_loop(self, repeats):
+        model = kaiming_init((2, 16, 8, 2), seed=28)
+        x = example_inputs(40, 18)
+        policy = PerturbationPolicy(noise_sigma=0.2, scale_jitter=0.1)
+        rng = np.random.default_rng([3, 202])
+        total = np.zeros((40, 2))
+        for _ in range(repeats):
+            total += softmax(model.predict_logits(perturb(x, policy, rng)))
+        mean = total / repeats
+        out = tta_predict(model, x, policy, repeats, seed=[3, 202])
+        assert output_bytes(out) == output_bytes(
+            EstimatorOutput(mean, predictive_entropy(mean)))
 
     def test_negative_repeats_rejected(self):
         model = kaiming_init((2, 8, 8, 2), seed=26)
         with pytest.raises(InvalidInputError):
-            tta_predict(model, example_inputs(), PerturbationPolicy(), repeats=-1)
+            tta_predict(model, example_inputs(), PerturbationPolicy(), repeats=-1, seed=0)
 
     def test_rows_remain_distributions(self):
         model = kaiming_init((2, 16, 16, 3), seed=27)
         policy = PerturbationPolicy(noise_sigma=0.3)
-        out = tta_predict(
-            model, example_inputs(10, 17), policy, repeats=4, rng=np.random.default_rng(3)
-        )
+        out = tta_predict(model, example_inputs(10, 17), policy, repeats=4, seed=3)
         np.testing.assert_allclose(out.mean_probs.sum(axis=1), 1.0, atol=1e-12)
         assert (out.mean_probs >= 0.0).all()

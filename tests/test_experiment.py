@@ -202,6 +202,14 @@ class TestEstimatorPaths:
         assert report_tta.ece == report_single.ece
         assert report_tta.accuracy == report_single.accuracy
 
+    def test_one_member_ensemble_writes_single_predictions(self, out_root):
+        _, single_dir = run_experiment(parse_config(FAST_MOONS + "output.dir = s1\n"))
+        _, ensemble_dir = run_experiment(parse_config(
+            FAST_MOONS + "output.dir = s2\nestimator.kind = ensemble\n"
+            "estimator.ensemble_size = 1\n"))
+        assert ((ensemble_dir / "predictions.csv").read_bytes()
+                == (single_dir / "predictions.csv").read_bytes())
+
 
 class TestRunSweep:
     def test_rows_ordered_and_ok(self, out_root):
