@@ -127,8 +127,9 @@ def min_cosine_distances(queries: np.ndarray, bank: np.ndarray) -> np.ndarray:
     queries = np.ascontiguousarray(queries, dtype=np.float64)
     bn = bank / np.linalg.norm(bank, axis=1, keepdims=True)
     best = np.empty(queries.shape[0])
-    for i, q in enumerate(queries):
-        best[i] = (bn @ q).max() / math.sqrt(q @ q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i, q in enumerate(queries):
+            best[i] = (bn @ q).max() / math.sqrt(q @ q)
     return 1.0 - best
 
 

@@ -96,16 +96,6 @@ def threshold_curve(
     return out
 
 
-def _nonzero_bank(bank: np.ndarray) -> np.ndarray:
-    b = np.asarray(bank, dtype=np.float64)
-    if b.ndim != 2 or b.shape[0] == 0:
-        raise InvalidInputError("bank must be a nonempty M x H array")
-    keep = np.sqrt((b * b).sum(axis=1)) > 0.0
-    if not keep.any():
-        raise InvalidInputError("bank has no nonzero row")
-    return b[keep]
-
-
 def min_cosine_distances(queries: np.ndarray, train_bank: np.ndarray) -> np.ndarray:
     """1 - max cosine similarity of each query row to any nonzero bank row.
 
@@ -115,13 +105,13 @@ def min_cosine_distances(queries: np.ndarray, train_bank: np.ndarray) -> np.ndar
     q = np.asarray(queries, dtype=np.float64)
     if q.ndim != 2:
         raise InvalidInputError("queries must be an N x H array")
-    bank = _nonzero_bank(train_bank)
-    norms = np.sqrt((q * q).sum(axis=1))
-    out = np.full(q.shape[0], np.nan)
-    ok = norms > 0.0
-    if ok.any():
-        out[ok] = _kernels.min_cosine_distances(q[ok], bank)
-    return out
+    bank = np.asarray(train_bank, dtype=np.float64)
+    if bank.ndim != 2 or bank.shape[0] == 0:
+        raise InvalidInputError("bank must be a nonempty M x H array")
+    bank = bank[np.sqrt((bank * bank).sum(axis=1)) > 0.0]
+    if bank.shape[0] == 0:
+        raise InvalidInputError("bank has no nonzero row")
+    return _kernels.min_cosine_distances(q, bank)
 
 
 def distance_records(

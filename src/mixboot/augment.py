@@ -65,12 +65,14 @@ def mixup_batch(
 
     Returns ``(mixed, partners, gammas)`` with
     ``mixed[i] = gammas[i] * inputs[i] + (1 - gammas[i]) * inputs[partners[i]]``.
-    The permutation is drawn first, then one ``sample_gammas`` batch.
+    The permutation is drawn first, then one ``sample_gammas`` batch.  A
+    lone row has no partner: it comes back unmixed, paired with itself at
+    gamma 1, and nothing is drawn.
     """
     x = np.asarray(inputs, dtype=np.float64)
     n = x.shape[0]
-    if n < 2:
-        raise InvalidInputError("mixup needs at least 2 samples")
+    if n == 1:
+        return x, np.zeros(1, dtype=np.intp), np.ones(1)
     partners = rng.permutation(n)
     gammas = sample_gammas(alpha, n, rng)
     g = gammas.reshape((n,) + (1,) * (x.ndim - 1))

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -13,6 +12,7 @@ from .experiment import (
     SWEEP_AXES,
     compute_report,
     metrics_csv,
+    metrics_json,
     read_predictions,
     run_experiment,
     run_sweep,
@@ -95,15 +95,12 @@ def _cmd_report(args) -> int:
     batch = read_predictions(predictions)
     report, _ = compute_report(config, batch)
     _print_metrics(report)
-    checks = (
-        ("metrics.json", lambda text: json.loads(text) == report.to_dict()),
-        ("metrics.csv", lambda text: text == metrics_csv(report)),
-    )
+    checks = (("metrics.json", metrics_json), ("metrics.csv", metrics_csv))
     code = EXIT_OK
-    for name, matches in checks:
+    for name, render in checks:
         stored = run_dir / name
         if stored.is_file():
-            same = matches(stored.read_text())
+            same = stored.read_bytes() == render(report).encode()
             print(f"matches stored {name}: {'yes' if same else 'NO'}")
             if not same:
                 code = EXIT_MISMATCH

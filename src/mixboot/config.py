@@ -200,8 +200,13 @@ def parse_config(text: str, overrides: list[str] | None = None) -> ExperimentCon
 
 
 def load_config(path, overrides: list[str] | None = None) -> ExperimentConfig:
-    with open(path) as fh:
-        return parse_config(fh.read(), overrides)
+    """Parse the UTF-8 config file at ``path`` plus ``overrides``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_config(text, overrides)
 
 
 def _serialize_value(value) -> str:

@@ -183,7 +183,7 @@ def compute_report(config: ExperimentConfig, batch: PredictionBatch
 
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
@@ -214,6 +214,11 @@ def _table(header, rows, provenance: tuple[str, int, str] | None = None) -> str:
     lines.append(",".join(header))
     lines.extend(",".join(map(_cell, row)) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def metrics_json(report: MetricsReport) -> str:
+    """Text of metrics.json for ``report``."""
+    return _json_text(report.to_dict())
 
 
 def metrics_csv(report: MetricsReport) -> str:
@@ -282,7 +287,7 @@ def _evaluate_and_write(config: ExperimentConfig, dataset: Dataset, models: list
     _remove_stale_artifacts(out, config, len(models))
     _write(out / "config.txt", canonical_text(config))
     if "json" in config.formats:
-        _write(out / "metrics.json", _json_text(report.to_dict()))
+        _write(out / "metrics.json", metrics_json(report))
     if "csv" in config.formats:
         _write(out / "metrics.csv", metrics_csv(report))
     _write(out / "reliability_bins.csv", _table(

@@ -10,8 +10,9 @@ which is ``_kernels.loss_from_targets(logits, targets)``.  The builders
 here produce those rows for a whole batch:
 
 * cross-entropy: ``batch_onehot(labels, k)``
-* mixup cross-entropy: ``batch_mixup_targets``
 * bootstrapped mixup: ``batch_bsm_targets``
+* mixup cross-entropy: ``batch_bsm_targets`` with w = 0, whose rows are
+  exactly gamma * onehot(y_i) + (1 - gamma) * onehot(y_j)
 * bootstrapped cross-entropy: ``batch_bsm_targets`` with each row paired
   with itself at gamma 1
 
@@ -36,14 +37,6 @@ def batch_onehot(labels: np.ndarray, k: int) -> np.ndarray:
     t = np.zeros((len(labels), k))
     t[np.arange(len(labels)), labels] = 1.0
     return t
-
-
-def batch_mixup_targets(
-    labels_i: np.ndarray, labels_j: np.ndarray, gammas: np.ndarray, k: int
-) -> np.ndarray:
-    """Row-wise mixup targets: gamma * onehot(y_i) + (1 - gamma) * onehot(y_j)."""
-    g = np.asarray(gammas, dtype=np.float64)[:, None]
-    return g * batch_onehot(labels_i, k) + (1.0 - g) * batch_onehot(labels_j, k)
 
 
 def batch_bsm_targets(

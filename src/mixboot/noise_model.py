@@ -70,19 +70,6 @@ def normalize_losses(raw: np.ndarray) -> np.ndarray:
     return np.clip(scaled, NORM_EPS, 1.0 - NORM_EPS)
 
 
-def beta_pdf(x, alpha: float, beta: float):
-    """Beta density evaluated in log space.  x may be a scalar or array."""
-    if alpha <= 0.0 or beta <= 0.0:
-        raise InvalidInputError("Beta shape parameters must be positive")
-    arr = np.asarray(x, dtype=np.float64)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise InvalidInputError("beta_pdf is defined on the open interval (0, 1)")
-    log_norm = _kernels.log_beta(alpha, beta)
-    log_pdf = (alpha - 1.0) * np.log(arr) + (beta - 1.0) * np.log1p(-arr) - log_norm
-    out = np.exp(log_pdf)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
-
-
 def _moment_match(x: np.ndarray, resp: np.ndarray) -> tuple[float, float]:
     """Weighted-moment Beta shape estimates, clamped to a stable range.
 
@@ -138,15 +125,6 @@ def fit_bmm(
         a1, b1, a2, b2 = a2, b2, a1, b1
         pi = 1.0 - pi
     return BetaMixtureModel(a1, b1, a2, b2, pi)
-
-
-def bmm_log_likelihood(model: BetaMixtureModel, normalized_losses: np.ndarray) -> float:
-    """Observed-data log-likelihood of the losses under the mixture."""
-    x = np.asarray(normalized_losses, dtype=np.float64)
-    _, loglik = _kernels.bmm_e_step(
-        x, model.alpha_1, model.beta_1, model.alpha_2, model.beta_2, model.pi
-    )
-    return loglik
 
 
 def noisy_posterior(model: BetaMixtureModel, normalized_losses: np.ndarray) -> np.ndarray:

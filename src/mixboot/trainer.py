@@ -5,7 +5,7 @@ Regimes: plain cross-entropy (ce), cross-entropy on perturbed inputs
 For bsm, a two-component beta mixture is refit after every epoch on that
 epoch's per-sample cross-entropy losses (unmixed inputs, dropout off),
 and the resulting noisy-posterior weights drive the next epoch; the first
-``warmup_epochs`` epochs use w = 0.
+``warmup_epochs`` epochs use w = 0.  mixup_ce is bsm with w = 0 throughout.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from . import _kernels
 from .augment import PerturbationPolicy, mixup_batch, perturb
 from .data import GENERATORS, N_CLASSES, Dataset, build_dataset
 from .errors import ConfigError, TrainingDivergenceError
-from .losses import batch_bsm_targets, batch_mixup_targets, batch_onehot
+from .losses import batch_bsm_targets, batch_onehot
 from .mlp import MlpModel, adam_init, backward_step, forward, kaiming_init
 from .noise_model import fit_bmm, noisy_posterior, normalize_losses
 
@@ -149,6 +149,8 @@ def train(config: TrainConfig, dataset: Dataset) -> tuple[MlpModel, TrainLog]:
     mixup_rng = np.random.default_rng([config.seed, _MIXUP_KEY])
     augment_rng = np.random.default_rng([config.seed, _AUGMENT_KEY])
     policy = PerturbationPolicy(config.aug_noise_sigma, config.aug_scale_jitter)
+    # mixup_ce never refits the mixture, so it trains as bsm with w = 0
+    mixes = config.method in ("mixup_ce", "bsm")
 
     log = TrainLog(method=config.method, seed=config.seed)
     current_w = np.zeros(n_train)
@@ -165,12 +167,8 @@ def train(config: TrainConfig, dataset: Dataset) -> tuple[MlpModel, TrainLog]:
             idx = order[start:start + config.batch_size]
             x, y = x_train[idx], y_train[idx]
 
-            if config.method in ("mixup_ce", "bsm"):
-                if len(idx) >= 2:
-                    xb, partners, gammas = mixup_batch(x, config.alpha, mixup_rng)
-                else:
-                    # a 1-row leftover batch pairs the row with itself at gamma 1
-                    xb, partners, gammas = x, np.zeros(1, dtype=np.intp), np.ones(1)
+            if mixes:
+                xb, partners, gammas = mixup_batch(x, config.alpha, mixup_rng)
             elif config.method == "ce_aug":
                 xb = perturb(x, policy, augment_rng)
             else:
@@ -178,13 +176,11 @@ def train(config: TrainConfig, dataset: Dataset) -> tuple[MlpModel, TrainLog]:
 
             logits, _, cache = forward(model, xb, dropout_active=True,
                                        rng=dropout_rng)
-            if config.method == "bsm":
+            if mixes:
                 targets = batch_bsm_targets(
                     logits, y, y[partners], gammas,
                     w_used[idx], w_used[idx[partners]], config.soft_bootstrap,
                 )
-            elif config.method == "mixup_ce":
-                targets = batch_mixup_targets(y, y[partners], gammas, k)
             else:
                 targets = batch_onehot(y, k)
 

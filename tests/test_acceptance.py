@@ -18,10 +18,10 @@ from mixboot.estimators import (
     tta_predict,
 )
 from mixboot.experiment import _models_and_logs, _train_all, run_experiment, run_sweep
-from mixboot._kernels import loss_from_targets
-from mixboot.losses import batch_bsm_targets, batch_mixup_targets, batch_onehot, softmax
+from mixboot._kernels import log_beta, loss_from_targets
+from mixboot.losses import batch_bsm_targets, batch_onehot, softmax
 from mixboot.mlp import kaiming_init
-from mixboot.noise_model import beta_pdf, fit_bmm, normalize_losses
+from mixboot.noise_model import fit_bmm, normalize_losses
 from mixboot.prob_metrics import (
     PredictionBatch,
     brier_score,
@@ -34,6 +34,12 @@ from mixboot.trainer import TrainConfig, dataset_from_config
 
 N_SEEDS = 10
 WARMUP_EPOCHS = 1  # TrainConfig default; epochs >= this are post-warm-up
+
+
+def mixup_row(y_i, y_j, gamma, k):
+    """Hand 1-row mixup target gamma * onehot(y_i) + (1 - gamma) * onehot(y_j)."""
+    eye = np.eye(k)
+    return gamma * eye[[y_i]] + (1.0 - gamma) * eye[[y_j]]
 
 
 def check(number, description, ok):
@@ -84,7 +90,7 @@ def test_criterion_1_metric_oracles():
         PredictionBatch(np.array([[0.1, 0.9], [0.6, 0.4]]), np.array([1, 0]))
     )
     # 1-row logits batches; bootstrapped CE is bsm with the row paired with
-    # itself at gamma 1
+    # itself at gamma 1, and mixup-CE is bsm with w = 0
     z_23 = np.log([[2 / 3, 1 / 3]])
     z_64, z_37 = np.log([[0.6, 0.4]]), np.log([[0.3, 0.7]])
     ce_23 = loss_from_targets(z_23, batch_onehot([1], 2))[0][0]
@@ -92,7 +98,8 @@ def test_criterion_1_metric_oracles():
         z_64, batch_bsm_targets(z_64, [0], [0], [1.0], [0.5], [0.5]))[0][0]
     bs_37 = loss_from_targets(
         z_37, batch_bsm_targets(z_37, [0], [0], [1.0], [0.4], [0.4]))[0][0]
-    mixup_64 = loss_from_targets(z_64, batch_mixup_targets([0], [1], [0.5], 2))[0][0]
+    mixup_64 = loss_from_targets(
+        z_64, batch_bsm_targets(z_64, [0], [1], [0.5], [0.0], [0.0]))[0][0]
     bsm_37 = loss_from_targets(
         z_37, batch_bsm_targets(z_37, [0], [1], [0.5], [0.4], [0.0]))[0][0]
     cases = [
@@ -113,7 +120,7 @@ def test_criterion_1_metric_oracles():
         ("bsm composed", bsm_37, 0.6108643020548935, 1e-9),
         ("normalized loss midpoint",
          normalize_losses(np.array([0.0, 1.0, 2.0]))[1], 0.5, 1e-9),
-        ("beta pdf (2,2) at 0.5", beta_pdf(0.5, 2.0, 2.0), 1.5, 1e-9),
+        ("log beta (2,2) = -ln 6", log_beta(2.0, 2.0), -1.791759469228055, 1e-9),
         ("spearman tied ranks",
          spearman(np.array([1.0, 2.0, 2.0, 4.0]), np.array([1.0, 3.0, 2.0, 4.0]))[0],
          0.9486832980505138, 1e-9),
@@ -160,14 +167,16 @@ def test_criterion_2_gradients_match_finite_differences():
             w_i = float(rng.uniform(0.05, 0.95))
             w_j = float(rng.uniform(0.05, 0.95))
             gamma = float(rng.uniform(0.05, 0.95))
-            # q is a 1-row logits batch; bs pairs the row with itself at gamma 1
+            # q is a 1-row logits batch; bs pairs the row with itself at
+            # gamma 1 and mixup is bsm with w = 0
             if name == "ce":
                 targets = lambda q: batch_onehot([y_i], k)
             elif name == "bs":
                 targets = lambda q: batch_bsm_targets(
                     q, [y_i], [y_i], [1.0], [w_i], [w_i])
             elif name == "mixup":
-                targets = lambda q: batch_mixup_targets([y_i], [y_j], [gamma], k)
+                targets = lambda q: batch_bsm_targets(
+                    q, [y_i], [y_j], [gamma], [0.0], [0.0])
             else:
                 targets = lambda q: batch_bsm_targets(
                     q, [y_i], [y_j], [gamma], [w_i], [w_j])
@@ -211,11 +220,11 @@ def test_criterion_4_reduction_identities():
         y_j = int(rng.integers(k))
         gamma = float(rng.uniform(0.0, 1.0))
         ce = batch_onehot([y_i], k)
-        mixup = batch_mixup_targets([y_i], [y_j], [gamma], k)
+        mixup = mixup_row(y_i, y_j, gamma, k)
         for lhs, rhs in (
             (batch_bsm_targets(z, [y_i], [y_i], [1.0], [0.0], [0.0]), ce),
             (batch_bsm_targets(z, [y_i], [y_j], [gamma], [0.0], [0.0]), mixup),
-            (batch_mixup_targets([y_i], [y_j], [1.0], k), ce),
+            (batch_bsm_targets(z, [y_i], [y_j], [1.0], [0.0], [0.0]), ce),
         ):
             (va, ga), (vb, gb) = loss_from_targets(z, lhs), loss_from_targets(z, rhs)
             ok &= bool((va == vb).all() and (ga == gb).all())

@@ -163,8 +163,8 @@ class TestMinCosineDistance:
             assert batch[i] == min_cosine_distances(queries[i : i + 1], bank)[0]
 
     def test_zero_row_padding_leaves_value_unchanged(self):
-        # zero-norm rows are dropped before the kernel; the remaining row's
-        # value must not depend on how many rows the kernel then sees
+        # a zero-norm row goes through the kernel like any other and comes
+        # back NaN; the other row's value must not depend on it
         rng = np.random.default_rng(3)
         bank = rng.normal(size=(15, 4))
         queries = rng.normal(size=(6, 4))
@@ -176,7 +176,8 @@ class TestMinCosineDistance:
 
     def test_batch_zero_query_gives_nan(self):
         queries = np.array([[1.0, 0.0], [0.0, 0.0]])
-        out = min_cosine_distances(queries, np.ones((2, 2)))
+        with np.errstate(all="raise"):
+            out = min_cosine_distances(queries, np.ones((2, 2)))
         assert np.isfinite(out[0])
         assert np.isnan(out[1])
 

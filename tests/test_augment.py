@@ -128,9 +128,15 @@ class TestMixupBatch:
         _, partners, _ = mixup_batch(np.zeros((8, 2)), 0.3, rng)
         assert sorted(partners.tolist()) == list(range(8))
 
-    def test_needs_two_samples(self):
-        with pytest.raises(InvalidInputError):
-            mixup_batch(np.zeros((1, 2)), 0.3, np.random.default_rng(0))
+    def test_lone_row_passes_unmixed(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        x = np.array([[1.5, -2.0]])
+        mixed, partners, gammas = mixup_batch(x, 0.3, rng)
+        assert (mixed == x).all()
+        assert partners.tolist() == [0]
+        assert gammas.tolist() == [1.0]
+        assert rng.bit_generator.state == state
 
 
 class TestMixupMatchesLoop:

@@ -97,6 +97,14 @@ class TestRunVerb:
         assert message in capsys.readouterr().err
         assert not (workdir / "neg").exists()
 
+    def test_non_utf8_config_is_config_error(self, workdir, capsys):
+        path = workdir / "config.txt"
+        path.write_bytes(FAST_BLOBS.encode() + b"# \xff\n")
+        code = main(["run", "--config", str(path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not UTF-8 text")
+
     def test_divergence_exit_code(self, workdir, capsys):
         import numpy as np
 
@@ -261,6 +269,29 @@ class TestReportVerb:
         assert code == EXIT_MISMATCH
         assert "matches stored metrics.json: yes" in out
         assert "matches stored metrics.csv: NO" in out
+
+    @pytest.mark.parametrize("name,stored", [
+        ("metrics.json", b"{not json"),
+        ("metrics.csv", b"\xff\xfe"),
+    ])
+    def test_unparseable_stored_metrics_flagged(self, workdir, capsys, name, stored):
+        # the stored file is compared by bytes, never parsed
+        run_dir = self.run_once(workdir)
+        (run_dir / name).write_bytes(stored)
+        capsys.readouterr()
+        code = main(["report", "--run", str(run_dir)])
+        out = capsys.readouterr().out
+        assert code == EXIT_MISMATCH
+        assert f"matches stored {name}: NO" in out
+
+    def test_non_utf8_stored_config_is_config_error(self, workdir, capsys):
+        run_dir = self.run_once(workdir)
+        with open(run_dir / "config.txt", "ab") as fh:
+            fh.write(b"# \xff\n")
+        capsys.readouterr()
+        assert main(["report", "--run", str(run_dir)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "config.txt: not UTF-8 text" in err
 
     @pytest.mark.parametrize("rows", [
         "0,1,abc,0.5\n",  # a cell that is no number

@@ -4,10 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import special, stats
 
 from mixboot import _kernels
-from mixboot.noise_model import beta_pdf
 
 
 def random_logits_targets(seed, n=200, k=4):
@@ -52,8 +51,8 @@ class TestEStepReference:
         x = random_losses(2)
         a1, b1, a2, b2, pi = 2.0, 8.0, 8.0, 2.0, 0.4
         r1, loglik = _kernels.bmm_e_step(x, a1, b1, a2, b2, pi)
-        f1 = beta_pdf(x, a1, b1)
-        f2 = beta_pdf(x, a2, b2)
+        f1 = stats.beta.pdf(x, a1, b1)
+        f2 = stats.beta.pdf(x, a2, b2)
         expected_r1 = pi * f1 / (pi * f1 + (1.0 - pi) * f2)
         np.testing.assert_allclose(r1, expected_r1, atol=1e-12)
         expected_ll = float(np.log(pi * f1 + (1.0 - pi) * f2).sum())

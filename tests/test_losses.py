@@ -9,12 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mixboot._kernels import loss_from_targets
-from mixboot.losses import (
-    batch_bsm_targets,
-    batch_mixup_targets,
-    batch_onehot,
-    softmax,
-)
+from mixboot.losses import batch_bsm_targets, batch_onehot, softmax
 
 # frozen hand-oracle values
 CE_LN2_LABEL1 = 1.0986122886681098          # -ln(1/3)
@@ -33,6 +28,19 @@ def bs_targets(logits, labels, w, soft=False):
     """Bootstrapped-CE targets: each row paired with itself at gamma 1."""
     ones = np.ones(len(labels))
     return batch_bsm_targets(logits, labels, labels, ones, w, w, soft)
+
+
+def mixup_targets(logits, labels_i, labels_j, gammas, soft=False):
+    """Mixup-CE targets as the trainer builds them: bsm with w = 0."""
+    zeros = np.zeros(len(labels_i))
+    return batch_bsm_targets(logits, labels_i, labels_j, gammas, zeros, zeros, soft)
+
+
+def mixup_rows(labels_i, labels_j, gammas, k):
+    """Hand mixup rows gamma * onehot(y_i) + (1 - gamma) * onehot(y_j)."""
+    g = np.asarray(gammas, dtype=np.float64)[:, None]
+    eye = np.eye(k)
+    return g * eye[np.asarray(labels_i)] + (1.0 - g) * eye[np.asarray(labels_j)]
 
 
 def assert_same_bits(a, b):
@@ -118,7 +126,7 @@ class TestMixupCeLoss:
         z = rng.normal(size=(20, 4)) * 2
         li, lj = rng.integers(0, 4, size=20), rng.integers(0, 4, size=20)
         assert_same_bits(
-            loss_from_targets(z, batch_mixup_targets(li, lj, np.ones(20), 4)),
+            loss_from_targets(z, mixup_targets(z, li, lj, np.ones(20))),
             loss_from_targets(z, batch_onehot(li, 4)),
         )
 
@@ -126,20 +134,20 @@ class TestMixupCeLoss:
         gammas = np.array([0.0, 0.25, 0.5, 0.75, 1.0])  # dyadic: exact arithmetic
         z = np.tile([0.3, -1.2, 0.8], (5, 1))
         labels = np.full(5, 2)
-        a, _ = loss_from_targets(z, batch_mixup_targets(labels, labels, gammas, 3))
+        a, _ = loss_from_targets(z, mixup_targets(z, labels, labels, gammas))
         b, _ = loss_from_targets(z, batch_onehot(labels, 3))
         assert (a == b).all()
 
     def test_hand_oracle(self):
-        values, _ = loss_from_targets(
-            logits_for([0.6, 0.4]), batch_mixup_targets([0], [1], [0.5], 2))
+        z = logits_for([0.6, 0.4])
+        values, _ = loss_from_targets(z, mixup_targets(z, [0], [1], [0.5]))
         assert abs(values[0] - MIXUP_06_HALF) <= 1e-9
 
     def test_convexity_in_gamma(self):
         gammas = np.array([0.0, 1.0, 0.2, 0.5, 0.8])
         z = np.repeat(logits_for([0.6, 0.4]), 5, axis=0)
         v, _ = loss_from_targets(
-            z, batch_mixup_targets(np.zeros(5, int), np.ones(5, int), gammas, 2))
+            z, mixup_targets(z, np.zeros(5, int), np.ones(5, int), gammas))
         for gamma, value in zip(gammas[2:], v[2:]):
             assert abs(value - (gamma * v[1] + (1 - gamma) * v[0])) <= 1e-12
 
@@ -152,7 +160,7 @@ class TestBsmLoss:
         gammas, zeros = rng.random(20), np.zeros(20)
         assert_same_bits(
             loss_from_targets(z, batch_bsm_targets(z, li, lj, gammas, zeros, zeros)),
-            loss_from_targets(z, batch_mixup_targets(li, lj, gammas, 3)),
+            loss_from_targets(z, mixup_rows(li, lj, gammas, 3)),
         )
 
     def test_gamma_one_reduces_to_bs_bitwise(self):
@@ -206,10 +214,10 @@ class TestBatchBuilders:
         li = rng.integers(0, 3, size=8)
         lj = rng.integers(0, 3, size=8)
         g = rng.random(8)
-        values, grads = loss_from_targets(z, batch_mixup_targets(li, lj, g, 3))
+        values, grads = loss_from_targets(z, mixup_targets(z, li, lj, g))
         for r in range(8):
             s = slice(r, r + 1)
-            one = loss_from_targets(z[s], batch_mixup_targets(li[s], lj[s], g[s], 3))
+            one = loss_from_targets(z[s], mixup_targets(z[s], li[s], lj[s], g[s]))
             assert_same_bits(one, (values[s], grads[s]))
 
     def test_batch_bsm_matches_scalar_loss(self):
@@ -298,10 +306,9 @@ class TestOneCeCore:
         n, k = z.shape
         ones, zeros = np.ones(n), np.zeros(n)
         ce = batch_onehot(li, k)
-        mix = batch_mixup_targets(li, lj, g, k)
         assert (bs_targets(z, li, zeros, soft) == ce).all()
-        assert (batch_bsm_targets(z, li, lj, g, zeros, zeros, soft) == mix).all()
-        assert (batch_mixup_targets(li, lj, ones, k) == ce).all()
+        assert (mixup_targets(z, li, lj, g, soft) == mixup_rows(li, lj, g, k)).all()
+        assert (mixup_targets(z, li, lj, ones, soft) == ce).all()
 
     @settings(deadline=None)
     @given(loss_batches())
@@ -325,7 +332,7 @@ class TestOneCeCore:
         k = z.shape[1]
         for t in (
             batch_onehot(li, k),
-            batch_mixup_targets(li, lj, g, k),
+            mixup_targets(z, li, lj, g, b["soft"]),
             batch_bsm_targets(z, li, lj, g, b["w_i"], b["w_j"], b["soft"]),
         ):
             np.testing.assert_allclose(t.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)

@@ -160,8 +160,9 @@ class TestMethods:
 class TestLeftoverBatch:
     """n_train = 100 with batch_size = 33 leaves a 1-row batch every epoch.
 
-    That row is paired with itself at gamma 1: it trains unmixed and its
-    target comes from the same builder as every other batch.
+    ``mixup_batch`` pairs that row with itself at gamma 1: it trains
+    unmixed and its target comes from ``batch_bsm_targets`` like every other
+    batch's.
     """
 
     @pytest.mark.parametrize("method,soft", [
@@ -209,6 +210,44 @@ class TestLeftoverBatch:
                 epoch = step["epoch"]
                 w = posteriors[epoch - 1][i:i + 1] if epoch >= 1 else np.zeros(1)
                 expected = batch_bsm_targets(step["logits"], y, y, [1.0], w, w, soft)
+            assert (step["targets"] == expected).all()
+
+
+class TestMixupCeTargets:
+    @pytest.mark.parametrize("soft", [False, True])
+    def test_targets_are_hand_mixup_rows(self, monkeypatch, soft):
+        # mixup_ce trains through batch_bsm_targets with w = 0; each batch's
+        # targets must still be gamma * onehot(y_i) + (1 - gamma) * onehot(y_j)
+        config = moons_config(method="mixup_ce", soft_bootstrap=soft, n_train=100,
+                              batch_size=33, max_epochs=3)
+        ds = dataset_from_config(config)
+        steps = []
+        mixup_batch = trainer_module.mixup_batch
+        loss_from_targets = trainer_module._kernels.loss_from_targets
+
+        def spy_mixup(x, alpha, rng):
+            xb, partners, gammas = mixup_batch(x, alpha, rng)
+            steps.append({"x": x.copy(), "partners": partners, "gammas": gammas})
+            return xb, partners, gammas
+
+        def spy_loss(logits, targets):
+            # the epoch-end per-sample CE comes after its epoch's last step
+            if steps and "targets" not in steps[-1]:
+                steps[-1]["targets"] = targets.copy()
+            return loss_from_targets(logits, targets)
+
+        monkeypatch.setattr(trainer_module, "mixup_batch", spy_mixup)
+        monkeypatch.setattr(trainer_module._kernels, "loss_from_targets", spy_loss)
+        train(config, ds)
+
+        assert len(steps) == 4 * config.max_epochs
+        eye = np.eye(2)
+        for step in steps:
+            rows = [np.flatnonzero((ds.train_inputs == r).all(axis=1))[0]
+                    for r in step["x"]]
+            y = ds.train_labels[rows]
+            g = step["gammas"][:, None]
+            expected = g * eye[y] + (1.0 - g) * eye[y[step["partners"]]]
             assert (step["targets"] == expected).all()
 
 
