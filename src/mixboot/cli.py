@@ -11,6 +11,7 @@ from .errors import ConfigError, MixbootError, TrainingDivergenceError
 from .experiment import (
     SWEEP_AXES,
     compute_report,
+    is_run_dir,
     metrics_csv,
     metrics_json,
     read_predictions,
@@ -85,14 +86,12 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_report(args) -> int:
     run_dir = Path(args.run)
-    predictions = run_dir / "predictions.csv"
-    config_file = run_dir / "config.txt"
-    if not predictions.is_file() or not config_file.is_file():
+    if not is_run_dir(run_dir):
         raise MixbootError(
             f"{run_dir} is not a run directory (needs predictions.csv and config.txt)"
         )
-    config = load_config(config_file)
-    batch = read_predictions(predictions)
+    config = load_config(run_dir / "config.txt")
+    batch = read_predictions(run_dir / "predictions.csv")
     report, _ = compute_report(config, batch)
     _print_metrics(report)
     checks = (("metrics.json", metrics_json), ("metrics.csv", metrics_csv))

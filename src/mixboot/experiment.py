@@ -10,6 +10,9 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import tempfile
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -24,8 +27,7 @@ from .analysis import (
     threshold_curve,
 )
 from .augment import PerturbationPolicy
-from .config import (REPORT_FORMATS, ExperimentConfig, canonical_text, config_hash,
-                     parse_config)
+from .config import ExperimentConfig, canonical_text, config_hash, parse_config
 from .data import Dataset
 from .errors import InvalidInputError, MixbootError, UndefinedMetricError
 from .estimators import (
@@ -182,7 +184,6 @@ def compute_report(config: ExperimentConfig, batch: PredictionBatch
 
 
 def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
@@ -231,7 +232,11 @@ def read_predictions(path) -> PredictionBatch:
     """Rebuild the exact PredictionBatch persisted by run_experiment; a
     malformed file raises ``InvalidInputError`` naming it."""
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", "loadtxt: input contained no data")
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except UserWarning:
+        raise InvalidInputError(f"{path}: no data rows") from None
     except ValueError as exc:
         raise InvalidInputError(f"{path}: {exc}") from None
     if data.shape[1] < 3 or (data[:, 1] != np.round(data[:, 1])).any():
@@ -248,26 +253,60 @@ def _safe_distance_summary(distances: np.ndarray, uncertainties: np.ndarray) -> 
         return {"n": len(distances), "degenerate": str(exc)}
 
 
-def _remove_stale_artifacts(out: Path, config: ExperimentConfig, n_models: int) -> None:
-    """Delete what an earlier run left in ``out`` that this run won't rewrite."""
-    for fmt in REPORT_FORMATS:
-        if fmt not in config.formats:
-            (out / f"metrics.{fmt}").unlink(missing_ok=True)
-    for path in (out / "models").glob("model_*.txt"):
-        index = path.stem[len("model_"):]
-        if index.isdigit() and int(index) >= n_models:
-            path.unlink()
+def is_run_dir(path: Path) -> bool:
+    """Whether ``path`` holds a run: its config.txt and predictions.csv."""
+    return (path / "config.txt").is_file() and (path / "predictions.csv").is_file()
+
+
+@contextmanager
+def _publishing(out: Path):
+    """Yield a new empty directory to build ``out`` in.  When the block
+    ends without an exception, the new directory replaces ``out`` whole;
+    on any exception it is removed and ``out`` stays as it was.
+
+    Only an empty directory, a run directory or a sweep directory (one
+    holding sweep.csv) is replaced: any other existing ``out`` raises
+    ``InvalidInputError`` before the block runs.  The work happens in a
+    hidden ``.<name>.*`` sibling of ``out``, which a killed process may
+    leave behind; it is safe to delete.
+    """
+    target = out.resolve()
+    if target.exists() and not (target.is_dir() and (
+            is_run_dir(target) or (target / "sweep.csv").is_file()
+            or not any(target.iterdir()))):
+        raise InvalidInputError(f"{out} exists and is not a run or sweep "
+                                "directory; refusing to replace it")
+    target.parent.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(dir=target.parent, prefix=f".{target.name}."))
+    built, old = stage / "new", stage / "old"
+    try:
+        built.mkdir()  # the umask's mode, where mkdtemp's is 0700
+        yield built
+        if target.exists():  # os.replace onto a non-empty directory fails
+            os.replace(target, old)
+        try:
+            os.replace(built, target)
+        except BaseException:
+            if old.exists():
+                os.replace(old, target)
+            raise
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[MetricsReport, Path]:
-    """Train, evaluate on the validation split, and write all artifacts."""
-    return _evaluate_and_write(config, *train_models(config))
-
-
-def _evaluate_and_write(config: ExperimentConfig, dataset: Dataset, models: list[MlpModel],
-                        logs: list[TrainLog]) -> tuple[MetricsReport, Path]:
-    """Everything a run does after training: estimate, analyse, write."""
+    """Train, evaluate on the validation split, and publish all artifacts
+    as the output directory (see ``_publishing``)."""
     out = resolve_output_dir(config)
+    with _publishing(out) as built:
+        report = _evaluate_and_write(config, built, *train_models(config))
+    return report, out
+
+
+def _evaluate_and_write(config: ExperimentConfig, out: Path, dataset: Dataset,
+                        models: list[MlpModel], logs: list[TrainLog]) -> MetricsReport:
+    """Everything a run does after training: estimate, analyse, and write
+    every artifact into the existing, empty directory ``out``."""
     output = estimate(config, models, dataset.val_inputs)
     batch = PredictionBatch(output.mean_probs, dataset.val_labels)
     report, bins = compute_report(config, batch)
@@ -284,7 +323,6 @@ def _evaluate_and_write(config: ExperimentConfig, dataset: Dataset, models: list
     summary = _safe_distance_summary(distances, output.uncertainty)
     provenance = (report.config_hash, report.seed, report.version)
 
-    _remove_stale_artifacts(out, config, len(models))
     _write(out / "config.txt", canonical_text(config))
     if "json" in config.formats:
         _write(out / "metrics.json", metrics_json(report))
@@ -310,10 +348,10 @@ def _evaluate_and_write(config: ExperimentConfig, dataset: Dataset, models: list
         ("sample_index", "label", *(f"prob_{j}" for j in range(batch.k))),
         zip(range(batch.n), batch.labels.tolist(), *batch.probs.T.tolist())))
     models_dir = out / "models"
-    models_dir.mkdir(parents=True, exist_ok=True)
+    models_dir.mkdir()
     for m, model in enumerate(models):
         save_model(model, models_dir / f"model_{m}.txt")
-    return report, out
+    return report
 
 
 def _sweep_member_config(base: ExperimentConfig, axis: str, value,
@@ -338,8 +376,14 @@ def run_sweep(base: ExperimentConfig, axis: str, values: list) -> tuple[str, Pat
     member failing with a mixboot error or an OSError (its first, in
     config, training, then evaluation order) becomes a status=error row,
     whose status field is ``error: <Type>: <message>``, instead of
-    aborting; any other exception propagates.  Member directories an
-    earlier, longer sweep left behind are deleted.
+    aborting; any other exception propagates.  Each ok member is written
+    to ``member_<ordinal>/``, and an errored one has no directory.
+
+    The whole sweep is published as the output directory: it then holds
+    exactly the files of the last sweep that returned, a sweep that
+    raised leaves the previous contents in place, and an existing
+    directory that is not a run or sweep directory is refused (see
+    ``_publishing``).
     """
     if axis not in SWEEP_AXES:
         raise InvalidInputError(f"unknown sweep axis {axis!r}; "
@@ -347,36 +391,36 @@ def run_sweep(base: ExperimentConfig, axis: str, values: list) -> tuple[str, Pat
     if not values:
         raise InvalidInputError("sweep needs at least one value")
     out = resolve_output_dir(base)
-    members, jobs = [], []  # per member: its config error, or what it trains
-    for ordinal, value in enumerate(values):
-        try:
-            member = _sweep_member_config(base, axis, value, ordinal)
-            dataset, member_jobs = _training_jobs(member)
-        except (MixbootError, OSError) as exc:
-            members.append(exc)
-            continue
-        members.append((member, dataset, slice(len(jobs), len(jobs) + len(member_jobs))))
-        jobs.extend(member_jobs)
-    results = _train_all(jobs)
-    rows = []
-    for value, member in zip(values, members):
-        try:
-            if isinstance(member, Exception):
-                raise member
-            config, dataset, span = member
-            report, _ = _evaluate_and_write(config, dataset,
-                                            *_models_and_logs(results[span]))
-            rows.append((axis, value, "ok", *report.row()))
-        except (MixbootError, OSError) as exc:  # member failure must not kill the sweep
-            # one quoted field on one line: the message may hold commas
-            message = " ".join(str(exc).split()).replace('"', '""')
-            rows.append((axis, value, f'"error: {type(exc).__name__}: {message}"',
-                         *[""] * len(METRICS_CSV_COLUMNS)))
-    for path in out.glob("member_*"):
-        index = path.name[len("member_"):]
-        if index.isdigit() and int(index) >= len(values) and path.is_dir():
-            shutil.rmtree(path)
-    text = _table(("axis", "value", "status", *METRICS_CSV_COLUMNS), rows,
-                  (config_hash(base), base.train.seed, __version__))
-    _write(out / "sweep.csv", text)
+    with _publishing(out) as built:
+        members, jobs = [], []  # per member: its config error, or what it trains
+        for ordinal, value in enumerate(values):
+            try:
+                member = _sweep_member_config(base, axis, value, ordinal)
+                dataset, member_jobs = _training_jobs(member)
+            except (MixbootError, OSError) as exc:
+                members.append(exc)
+                continue
+            members.append((member, dataset,
+                            slice(len(jobs), len(jobs) + len(member_jobs))))
+            jobs.extend(member_jobs)
+        results = _train_all(jobs)
+        rows = []
+        for ordinal, (value, member) in enumerate(zip(values, members)):
+            try:
+                if isinstance(member, Exception):
+                    raise member
+                config, dataset, span = member
+                # a member that fails partway leaves no directory behind
+                with _publishing(built / f"member_{ordinal}") as member_dir:
+                    report = _evaluate_and_write(config, member_dir, dataset,
+                                                 *_models_and_logs(results[span]))
+                rows.append((axis, value, "ok", *report.row()))
+            except (MixbootError, OSError) as exc:  # member failure must not kill the sweep
+                # one quoted field on one line: the message may hold commas
+                message = " ".join(str(exc).split()).replace('"', '""')
+                rows.append((axis, value, f'"error: {type(exc).__name__}: {message}"',
+                             *[""] * len(METRICS_CSV_COLUMNS)))
+        text = _table(("axis", "value", "status", *METRICS_CSV_COLUMNS), rows,
+                      (config_hash(base), base.train.seed, __version__))
+        _write(built / "sweep.csv", text)
     return text, out

@@ -167,6 +167,50 @@ class TestRunVerb:
         row = (workdir / "one_sweep" / "sweep.csv").read_text().splitlines()[-1].split(",")
         assert row[2] == "ok" and row[6] == "nan"
 
+    def test_failed_write_is_io_error_and_keeps_previous_run(self, workdir, capsys,
+                                                              monkeypatch):
+        import mixboot.experiment as experiment
+
+        config = write_config(workdir, FAST_BLOBS + "output.dir = kept\n")
+        assert main(["run", "--config", config]) == EXIT_OK
+        run = workdir / "kept"
+
+        def tree():
+            return {str(p.relative_to(run)): p.read_bytes() for p in run.rglob("*")
+                    if p.is_file()}
+
+        first = tree()
+
+        def full_disk(model, path):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(experiment, "save_model", full_disk)
+        capsys.readouterr()
+        code = main(["run", "--config", config, "--set", "seed = 1"])
+        assert code == EXIT_CONFIG
+        assert "No space left on device" in capsys.readouterr().err
+        assert tree() == first
+        assert sorted(p.name for p in workdir.iterdir()) == ["config.txt", "kept"]
+
+    @pytest.mark.parametrize("verb", [
+        ["run"], ["sweep", "--axis", "alphas", "--values", "0.1"]], ids=["run", "sweep"])
+    def test_out_onto_foreign_directory_refused(self, workdir, capsys, monkeypatch,
+                                                verb):
+        import mixboot.experiment as experiment
+
+        mine = workdir / "mine"
+        mine.mkdir()
+        (mine / "notes.txt").write_text("keep me")
+        trained = []
+        monkeypatch.setattr(experiment, "train", lambda *job: trained.append(job))
+        config = write_config(workdir, FAST_BLOBS)
+        code = main([verb[0], "--config", config, "--out", "mine", *verb[1:]])
+        assert code == EXIT_CONFIG
+        assert "mine exists and is not a run or sweep directory" in capsys.readouterr().err
+        assert trained == []
+        assert [p.name for p in mine.iterdir()] == ["notes.txt"]
+        assert (mine / "notes.txt").read_text() == "keep me"
+
 
 class TestSweepVerb:
     def test_sweep_writes_table(self, workdir, capsys):
@@ -299,6 +343,7 @@ class TestReportVerb:
         "0,1,0.5,0.5\n1,0,0.5\n",  # a short row
         "",  # no rows
     ])
+    @pytest.mark.filterwarnings("error")  # the error: line is all the user sees
     def test_malformed_predictions_are_input_errors(self, workdir, capsys, rows):
         write_config(workdir, FAST_BLOBS)
         (workdir / "predictions.csv").write_text("sample_index,label,prob_0,prob_1\n" + rows)

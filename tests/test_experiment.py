@@ -155,6 +155,66 @@ class TestRunExperiment:
         assert "degenerate" in summary or "rho_distance" in summary
 
 
+def hidden_siblings(out_dir):
+    """What a publish left next to ``out_dir`` while building it."""
+    return sorted(p.name for p in out_dir.parent.iterdir()
+                  if p.name.startswith(f".{out_dir.name}."))
+
+
+class TestPublishing:
+    """A run or sweep directory holds exactly what the last successful
+    run or sweep into it wrote; a failed one leaves it as it was."""
+
+    def test_rerun_leaves_only_the_new_run(self, out_root, monkeypatch):
+        _, out_dir = run_experiment(parse_config(
+            FAST_BLOBS + "output.dir = pub\nestimator.kind = ensemble\n"
+            "estimator.ensemble_size = 3\n"))
+        assert (out_dir / "models" / "model_2.txt").is_file()
+        single = parse_config(FAST_BLOBS + "output.dir = pub\noutput.formats = csv\n")
+        run_experiment(single)
+        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(out_root / "fresh"))
+        _, fresh_dir = run_experiment(single)
+        assert read_tree(out_dir) == read_tree(fresh_dir)
+        assert "metrics.json" not in read_tree(out_dir)
+        assert hidden_siblings(out_dir) == []
+
+    @pytest.mark.parametrize("error", [OSError("disk full"), KeyboardInterrupt()],
+                             ids=["OSError", "KeyboardInterrupt"])
+    def test_failed_run_keeps_previous_run(self, out_root, monkeypatch, error):
+        _, out_dir = run_experiment(parse_config(FAST_MOONS + "output.dir = kept\n"))
+        first = read_tree(out_dir)
+
+        def failing(model, path):
+            raise error
+
+        monkeypatch.setattr(experiment, "save_model", failing)
+        # another seed, so that any file it overwrote would differ
+        with pytest.raises(type(error)):
+            run_experiment(parse_config(FAST_MOONS + "output.dir = kept\nseed = 1\n"))
+        assert read_tree(out_dir) == first
+        assert hidden_siblings(out_dir) == []
+
+    def test_failed_sweep_keeps_previous_sweep(self, out_root, monkeypatch):
+        config = parse_config(FAST_BLOBS + "output.dir = kept_sweep\nmax_epochs = 2\n")
+        _, out_dir = run_sweep(config, "noise_rates", [0.1, 0.2])
+        first = read_tree(out_dir)
+
+        def broken(config, out, dataset, models, logs):
+            (out / "partial.txt").write_text("half a member")
+            raise RuntimeError("a bug, not a member failure")
+
+        monkeypatch.setattr(experiment, "_evaluate_and_write", broken)
+        with pytest.raises(RuntimeError, match="a bug"):
+            run_sweep(config, "noise_rates", [0.3])
+        assert read_tree(out_dir) == first
+        assert hidden_siblings(out_dir) == []
+
+    def test_empty_directory_is_replaced(self, out_root):
+        (out_root / "empty").mkdir()
+        _, out_dir = run_experiment(parse_config(FAST_BLOBS + "output.dir = empty\n"))
+        assert (out_dir / "predictions.csv").is_file()
+
+
 class TestEstimatorPaths:
     def test_ensemble_members_and_logs(self, out_root):
         config = parse_config(
@@ -242,7 +302,7 @@ class TestRunSweep:
         assert rows[2][3:] == [""] * (len(rows[0]) - 3)
 
     def test_error_message_is_one_quoted_field(self, out_root, monkeypatch):
-        def failing(config, dataset, models, logs):
+        def failing(config, out, dataset, models, logs):
             raise InvalidInputError('bad "value", see\n  next line')
 
         monkeypatch.setattr(experiment, "_evaluate_and_write", failing)
@@ -255,7 +315,7 @@ class TestRunSweep:
         assert row[2] == 'error: InvalidInputError: bad "value", see next line'
 
     def test_programming_error_propagates(self, out_root, monkeypatch):
-        def broken(config, dataset, models, logs):
+        def broken(config, out, dataset, models, logs):
             raise RuntimeError("a bug, not a member failure")
 
         monkeypatch.setattr(experiment, "_evaluate_and_write", broken)
@@ -283,15 +343,44 @@ class TestRunSweep:
         report, _ = run_experiment(run_cfg)
         assert member_csv == metrics_csv(report)
 
-    def test_shorter_rerun_removes_stale_members(self, out_root):
+    def test_shorter_rerun_removes_stale_members(self, out_root, monkeypatch):
         config = parse_config(FAST_BLOBS + "output.dir = v\nmax_epochs = 2\n")
         _, out_dir = run_sweep(config, "noise_rates", [0.1, 0.2, 0.3])
         (out_dir / "member_notes").mkdir()
+        (out_dir / "member_notes" / "notes.txt").write_text("not a member")
         run_sweep(config, "noise_rates", [0.1])
         assert (out_dir / "member_0" / "metrics.csv").is_file()
+        # the rerun's tree is exactly a fresh sweep's: nothing else survives
+        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(out_root / "fresh"))
+        _, fresh_dir = run_sweep(config, "noise_rates", [0.1])
+        assert read_tree(out_dir) == read_tree(fresh_dir)
+
+    def test_errored_member_leaves_no_directory(self, out_root, monkeypatch):
+        config = parse_config(FAST_BLOBS + "output.dir = x\nmax_epochs = 2\n")
+        _, out_dir = run_sweep(config, "noise_rates", [0.1, 0.2])
+        assert (out_dir / "member_1" / "metrics.csv").is_file()
+        text, _ = run_sweep(config, "noise_rates", [0.1, 1.5])
+        assert '"error: ConfigError: noise_rate must lie in [0, 1]"' in text
         assert not (out_dir / "member_1").exists()
-        assert not (out_dir / "member_2").exists()
-        assert (out_dir / "member_notes").is_dir()
+        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(out_root / "fresh"))
+        _, fresh_dir = run_sweep(config, "noise_rates", [0.1, 1.5])
+        assert read_tree(out_dir) == read_tree(fresh_dir)
+
+    def test_member_failing_partway_leaves_no_directory(self, out_root, monkeypatch):
+        saved = []
+
+        def save_once(model, path):  # member_1 fails after its other files
+            if saved:
+                raise OSError("disk full")
+            saved.append(path)
+            real_save(model, path)
+
+        real_save = experiment.save_model
+        monkeypatch.setattr(experiment, "save_model", save_once)
+        config = parse_config(FAST_BLOBS + "output.dir = y\nmax_epochs = 2\n")
+        text, out_dir = run_sweep(config, "noise_rates", [0.1, 0.2])
+        assert '"error: OSError: disk full"' in text
+        assert sorted(p.name for p in out_dir.iterdir()) == ["member_0", "sweep.csv"]
 
     def test_unknown_axis_rejected(self, out_root):
         config = parse_config(FAST_BLOBS + "output.dir = t\n")
@@ -429,7 +518,7 @@ class TestTableFormat:
 
     def test_sweep_header_and_ok_row(self, out_root, monkeypatch):
         monkeypatch.setattr(experiment, "_evaluate_and_write",
-                            lambda config, dataset, models, logs: (self.REPORT, None))
+                            lambda config, out, dataset, models, logs: self.REPORT)
         config = parse_config(FAST_BLOBS + "output.dir = v\nseed = 3\n")
         text, _ = run_sweep(config, "alphas", [0.3])
         assert text == (
