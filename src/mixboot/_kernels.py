@@ -114,22 +114,41 @@ def bmm_e_step(x, a1, b1, a2, b2, pi):
 # kernel 3: min cosine distance of each query row to a feature bank
 # ---------------------------------------------------------------------------
 
+# rows of queries, and of bank, per matrix product
+BLOCK = 128
+
+
 def min_cosine_distances(queries: np.ndarray, bank: np.ndarray) -> np.ndarray:
     """1 - max cosine similarity of each query row to any bank row.
 
-    Each row's value equals the 1-row result for that row bit for bit,
-    whatever other rows share its batch, zero-norm rows included (a
-    zero-norm row itself gives NaN): every row goes through the same
-    calls, one ``bn @ q_i`` matrix-vector product and its own norm.  A
-    single ``qn @ bn.T`` would not hold this, since BLAS sums a 1-row
-    product (GEMV) and a many-row product (GEMM) in different orders.
+    A row's value is the bits of its 1-row result, whatever rows share
+    its batch and at 1 or 2 BLAS threads; a zero-norm row gives NaN.  The
+    queries go through in ``BLOCK``-row blocks copied into one buffer,
+    zero-padded past the last row, so every matrix product (GEMM) and
+    norm sees the same shapes whatever the batch.  Each product takes
+    ``BLOCK`` bank rows against the buffer, ``bn[b:b + BLOCK] @ buf.T``,
+    so its output stays ``BLOCK`` x ``BLOCK``.  The queries sit on the
+    product's column side: one ``buf @ bn.T`` against a whole bank of,
+    say, 500 rows summed the last few bank columns differently by the
+    query's row and by the thread count.
     """
-    queries = np.ascontiguousarray(queries, dtype=np.float64)
+    queries = np.asarray(queries, dtype=np.float64)
     bn = bank / np.linalg.norm(bank, axis=1, keepdims=True)
-    best = np.empty(queries.shape[0])
+    n, m = queries.shape[0], bn.shape[0]
+    buf = np.zeros((BLOCK, queries.shape[1]))
+    sims = np.empty((BLOCK, BLOCK))
+    top = np.empty(BLOCK)
+    best = np.empty(n)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i, q in enumerate(queries):
-            best[i] = (bn @ q).max() / math.sqrt(q @ q)
+        for start in range(0, n, BLOCK):
+            rows = min(BLOCK, n - start)
+            buf[:rows] = queries[start:start + rows]
+            buf[rows:] = 0.0
+            top.fill(-np.inf)
+            for b in range(0, m, BLOCK):
+                tile = sims[:min(BLOCK, m - b)]
+                np.matmul(bn[b:b + BLOCK], buf.T, out=tile)
+                np.maximum(top, tile.max(axis=0), out=top)
+            norms = np.sqrt(np.einsum("ij,ij->i", buf, buf))
+            best[start:start + rows] = top[:rows] / norms[:rows]
     return 1.0 - best
-
-

@@ -4,7 +4,6 @@ rank correlation between similarity and uncertainty."""
 from __future__ import annotations
 
 import math
-import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -16,17 +15,20 @@ from .prob_metrics import rank_average, roc_auc
 
 class ReferralPoint(NamedTuple):
     """Retained-set accuracy and AUC after rejecting the most-uncertain
-    fraction; auc is None where only one class remains."""
+    fraction; auc is None where fewer than two classes remain, and
+    accuracy too where no sample does."""
 
     rejected_fraction: float
-    accuracy: float
+    accuracy: float | None
     auc: float | None
     n_retained: int
 
 
 class ThresholdPoint(NamedTuple):
+    """Accuracy of the samples retained at a threshold; None where none is."""
+
     threshold: float
-    accuracy: float
+    accuracy: float | None
     n_retained: int
 
 
@@ -50,7 +52,8 @@ def referral_curve(
 
     Ties in uncertainty are broken by sample index.  ``scores`` are binary
     positive-class probabilities used with ``labels`` for the retained-set
-    ROC-AUC.
+    ROC-AUC.  A fraction that rejects every sample keeps its point, with
+    ``n_retained`` 0.
     """
     u = np.asarray(uncertainties, dtype=np.float64)
     c = np.asarray(correctness, dtype=np.float64)
@@ -66,10 +69,7 @@ def referral_curve(
     for f in fracs:
         n_reject = int(math.ceil(f * n))
         retained = np.sort(order[n_reject:])
-        if retained.size == 0:
-            warnings.warn(f"fraction {f} rejects every sample; point excluded")
-            continue
-        acc = float(c[retained].mean())
+        acc = float(c[retained].mean()) if retained.size else None
         if len(np.unique(y[retained])) < 2:
             auc = None
         else:
@@ -81,7 +81,9 @@ def referral_curve(
 def threshold_curve(
     uncertainties: np.ndarray, correctness: np.ndarray, thresholds
 ) -> list[ThresholdPoint]:
-    """Retain samples with uncertainty <= t for each threshold t."""
+    """Retain samples with uncertainty <= t for each threshold t; a
+    threshold below every uncertainty keeps its point, with ``n_retained``
+    0."""
     u = np.asarray(uncertainties, dtype=np.float64)
     c = np.asarray(correctness, dtype=np.float64)
     if len(u) != len(c) or len(u) == 0:
@@ -89,10 +91,8 @@ def threshold_curve(
     out = []
     for t in np.unique(np.asarray(thresholds, dtype=np.float64)):
         keep = u <= t
-        if not keep.any():
-            warnings.warn(f"threshold {t} retains no samples; point excluded")
-            continue
-        out.append(ThresholdPoint(float(t), float(c[keep].mean()), int(keep.sum())))
+        acc = float(c[keep].mean()) if keep.any() else None
+        out.append(ThresholdPoint(float(t), acc, int(keep.sum())))
     return out
 
 
@@ -217,7 +217,10 @@ def spearman(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 def distance_perception_summary(
     distances: np.ndarray, uncertainties: np.ndarray
 ) -> dict:
-    """Spearman of uncertainty vs. similarity (1 - distance) and vs. distance.
+    """Spearman of uncertainty vs. similarity (1 - distance).
+
+    The correlation with the distance itself is this rho negated, with the
+    same p, so it is not reported twice.
 
     Samples with a NaN distance (zero-norm features) are dropped first;
     fewer than 3 left leave the correlation undefined.
@@ -230,12 +233,9 @@ def distance_perception_summary(
         raise UndefinedMetricError(
             f"correlation needs at least 3 finite distances, got {len(d)}")
     rho_sim, p_sim = spearman(1.0 - d, u)
-    rho_dist, p_dist = spearman(d, u)
     return {
         "n": int(ok.sum()),
         "n_dropped": int((~ok).sum()),
         "rho_similarity": rho_sim,
         "p_similarity": p_sim,
-        "rho_distance": rho_dist,
-        "p_distance": p_dist,
     }

@@ -68,13 +68,14 @@ class TestReferralCurve:
         assert point.n_retained == 3
         assert point.accuracy == 1.0
 
-    def test_full_rejection_warns_and_excludes(self):
+    def test_full_rejection_keeps_an_empty_point(self):
+        # the point is kept, with nothing retained and nothing defined
         u = np.array([0.9, 0.1])
         c = np.array([1.0, 1.0])
         s = np.array([0.9, 0.8])
-        with pytest.warns(UserWarning):
-            curve = referral_curve(u, c, s, [0.0, 0.9], np.ones(2, dtype=int))
-        assert len(curve) == 1
+        curve = referral_curve(u, c, s, [0.0, 0.9], np.ones(2, dtype=int))
+        assert len(curve) == 2
+        assert curve[1] == (0.9, None, None, 0)
 
     def test_auc_none_when_one_class_left(self):
         u = np.array([0.9, 0.2, 0.1])
@@ -104,11 +105,10 @@ class TestThresholdCurve:
         assert points[0].n_retained == 3
         assert abs(points[0].accuracy - 1 / 3) <= 1e-12
 
-    def test_threshold_below_min_excluded(self):
-        with pytest.warns(UserWarning):
-            points = threshold_curve(np.array([0.5, 0.9]), np.ones(2), [0.1, 1.0])
-        assert len(points) == 1
-        assert points[0].threshold == 1.0
+    def test_threshold_below_min_keeps_an_empty_point(self):
+        # the point is kept, with nothing retained and no accuracy
+        points = threshold_curve(np.array([0.5, 0.9]), np.ones(2), [0.1, 1.0])
+        assert points == [(0.1, None, 0), (1.0, 1.0, 2)]
 
     def test_thresholds_sorted_and_deduplicated(self):
         u = np.array([0.1, 0.2, 0.3])
@@ -311,9 +311,9 @@ class TestDistanceRecordsAndSummary:
         summary = distance_perception_summary(d, u)
         assert summary["n"] == 25
         assert summary["n_dropped"] == 0
-        assert summary["rho_distance"] > 0.5
-        assert abs(summary["rho_similarity"] + summary["rho_distance"]) <= 1e-12
-        assert abs(summary["p_similarity"] - summary["p_distance"]) <= 1e-12
+        assert summary["rho_similarity"] < -0.5
+        assert summary["p_similarity"] < 1e-3
+        assert set(summary) == {"n", "n_dropped", "rho_similarity", "p_similarity"}
 
     def test_summary_drops_nan_records(self):
         bank = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])

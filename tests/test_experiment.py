@@ -152,7 +152,7 @@ class TestRunExperiment:
         config = parse_config(FAST_BLOBS + "output.dir = i\n")
         _, out_dir = run_experiment(config)
         summary = json.loads((out_dir / "distance_summary.json").read_text())
-        assert "degenerate" in summary or "rho_distance" in summary
+        assert "degenerate" in summary or "rho_similarity" in summary
 
 
 def hidden_siblings(out_dir):

@@ -1,6 +1,10 @@
 """Numeric kernels: agreement with references written out in the tests."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,6 +86,63 @@ class TestDistanceKernelReference:
         bn = np.linalg.norm(bank, axis=1)
         sims = (queries @ bank.T) / np.outer(qn, bn)
         np.testing.assert_allclose(out, 1.0 - sims.max(axis=1), atol=1e-12)
+
+
+# prints the bytes of one kernel result; OPENBLAS_NUM_THREADS, read when
+# numpy loads, sets how many threads each matrix product may use
+BLOCKS_BYTES = ("import sys\n"
+                "import numpy as np\n"
+                "from mixboot import _kernels\n"
+                "rng = np.random.default_rng(5)\n"
+                "queries, bank = rng.normal(size=(1000, 32)), rng.normal(size=(500, 32))\n"
+                "sys.stdout.buffer.write(_kernels.min_cosine_distances(queries, bank).tobytes())\n")
+
+
+class TestDistanceKernelBlocks:
+    """A row's bits do not depend on where its batch puts it relative to
+    the fixed query blocks, nor on how many BLAS threads run."""
+
+    def test_slices_across_a_block_boundary_match(self):
+        # each query lies near one of the bank's last rows, which one
+        # product with the whole bank on its column side sums by the
+        # query's position in the block
+        rng = np.random.default_rng(6)
+        bank = rng.normal(size=(500, 16))
+        queries = bank[-4:][np.arange(300) % 4] + 0.1 * rng.normal(size=(300, 16))
+        full = _kernels.min_cosine_distances(queries, bank)
+        block = _kernels.BLOCK
+        assert len(queries) > 2 * block
+        for offset in (1, block - 1, block, block + 1):
+            assert (_kernels.min_cosine_distances(queries[offset:], bank)
+                    == full[offset:]).all()
+
+    def test_zero_row_ends_a_partial_block(self):
+        rng = np.random.default_rng(7)
+        queries = rng.normal(size=(_kernels.BLOCK + 72, 8))
+        bank = rng.normal(size=(500, 8))
+        with_zero = queries.copy()
+        with_zero[-1] = 0.0
+        out = _kernels.min_cosine_distances(with_zero, bank)
+        assert np.isnan(out[-1])
+        assert (out[:-1] == _kernels.min_cosine_distances(queries, bank)[:-1]).all()
+
+    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                        reason="OpenBLAS runs at most one thread per usable CPU")
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        outputs = [
+            subprocess.run([sys.executable, "-c", BLOCKS_BYTES],
+                           env=dict(os.environ, PYTHONPATH=str(src),
+                                    OPENBLAS_NUM_THREADS=threads),
+                           check=True, capture_output=True, timeout=120).stdout
+            for threads in ("1", "2")
+        ]
+        assert len(outputs[0]) == 1000 * 8
+        assert outputs[0] == outputs[1]
+
+    def test_no_query_rows(self):
+        out = _kernels.min_cosine_distances(np.empty((0, 4)), np.ones((3, 4)))
+        assert out.shape == (0,)
 
 
 class TestGammalnPort:
