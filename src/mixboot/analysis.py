@@ -222,20 +222,22 @@ def distance_perception_summary(
     The correlation with the distance itself is this rho negated, with the
     same p, so it is not reported twice.
 
-    Samples with a NaN distance (zero-norm features) are dropped first;
-    fewer than 3 left leave the correlation undefined.
+    Samples with a NaN distance (zero-norm features) are dropped first:
+    ``n`` counts the finite distances and ``n_dropped`` the others.  Where
+    the correlation is undefined (fewer than 3 finite distances, or a
+    constant vector), a ``degenerate`` reason stands in for
+    ``rho_similarity`` and ``p_similarity``.
     """
     d = np.asarray(distances, dtype=np.float64)
     u = np.asarray(uncertainties, dtype=np.float64)
     ok = np.isfinite(d)
     d, u = d[ok], u[ok]
+    summary = {"n": len(d), "n_dropped": int((~ok).sum())}
     if len(d) < 3:
-        raise UndefinedMetricError(
-            f"correlation needs at least 3 finite distances, got {len(d)}")
-    rho_sim, p_sim = spearman(1.0 - d, u)
-    return {
-        "n": int(ok.sum()),
-        "n_dropped": int((~ok).sum()),
-        "rho_similarity": rho_sim,
-        "p_similarity": p_sim,
-    }
+        return {**summary, "degenerate":
+                f"correlation needs at least 3 finite distances, got {len(d)}"}
+    try:
+        rho_sim, p_sim = spearman(1.0 - d, u)
+    except UndefinedMetricError as exc:
+        return {**summary, "degenerate": str(exc)}
+    return {**summary, "rho_similarity": rho_sim, "p_similarity": p_sim}

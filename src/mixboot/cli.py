@@ -12,12 +12,13 @@ from .experiment import (
     SWEEP_AXES,
     compute_report,
     is_run_dir,
-    metrics_csv,
-    metrics_json,
+    read_distances,
     read_predictions,
+    render_artifacts,
     run_experiment,
     run_sweep,
 )
+from .prob_metrics import predictive_entropy
 
 EXIT_OK = 0
 EXIT_MISMATCH = 4
@@ -45,7 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated axis values")
 
     report_p = sub.add_parser(
-        "report", help="recompute metrics from a run's persisted predictions")
+        "report", help="recompute a run's metrics and derived files from its "
+                       "persisted predictions and distances")
     report_p.add_argument("--run", required=True,
                           help="run directory containing predictions.csv")
     return parser
@@ -92,14 +94,17 @@ def _cmd_report(args) -> int:
         )
     config = load_config(run_dir / "config.txt")
     batch = read_predictions(run_dir / "predictions.csv")
-    report, _ = compute_report(config, batch)
+    distances = read_distances(run_dir / "distance_records.csv", batch.n)
+    report, bins = compute_report(config, batch)
     _print_metrics(report)
-    checks = (("metrics.json", metrics_json), ("metrics.csv", metrics_csv))
+    # the stored probabilities are repr-exact, so this is the estimator's entropy
+    texts = render_artifacts(config, batch, report, bins,
+                             predictive_entropy(batch.probs), distances)
     code = EXIT_OK
-    for name, render in checks:
+    for name, text in texts.items():
         stored = run_dir / name
         if stored.is_file():
-            same = stored.read_bytes() == render(report).encode()
+            same = stored.read_bytes() == text.encode()
             print(f"matches stored {name}: {'yes' if same else 'NO'}")
             if not same:
                 code = EXIT_MISMATCH

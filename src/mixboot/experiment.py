@@ -29,7 +29,7 @@ from .analysis import (
 from .augment import PerturbationPolicy
 from .config import ExperimentConfig, canonical_text, config_hash, parse_config
 from .data import Dataset
-from .errors import InvalidInputError, MixbootError, UndefinedMetricError
+from .errors import InvalidInputError, MixbootError
 from .estimators import (
     EstimatorOutput,
     ensemble_predict,
@@ -104,6 +104,11 @@ class MetricsReport:
     def row(self) -> tuple:
         """The metrics.csv data row, in METRICS_CSV_COLUMNS order."""
         return tuple(getattr(self, c) for c in METRICS_CSV_COLUMNS)
+
+    @property
+    def provenance(self) -> tuple[str, int, str]:
+        """The ``# config_hash``, ``# seed`` and ``# version`` of its run's tables."""
+        return self.config_hash, self.seed, self.version
 
 
 def resolve_output_dir(config: ExperimentConfig) -> Path:
@@ -217,40 +222,76 @@ def _table(header, rows, provenance: tuple[str, int, str] | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def metrics_json(report: MetricsReport) -> str:
-    """Text of metrics.json for ``report``."""
-    return _json_text(report.to_dict())
+def render_artifacts(config: ExperimentConfig, batch: PredictionBatch,
+                     report: MetricsReport, bins: ReliabilityBins,
+                     uncertainty: np.ndarray, distances: np.ndarray) -> dict[str, str]:
+    """Text of every artifact that follows from the config, the validation
+    predictions, their ``compute_report`` result, the per-row uncertainty
+    and the min cosine distances, by file name: config.txt, the metrics
+    files ``config.formats`` names, reliability_bins.csv,
+    referral_curve.csv, threshold_curve.csv and distance_summary.json.
+
+    A run writes these texts and ``report`` renders them again from the
+    stored predictions.csv and distance column to compare bytes.
+    """
+    correctness = batch.correctness()
+    curve = referral_curve(uncertainty, correctness, batch.probs[:, 1],
+                           config.analysis.fractions, labels=batch.labels)
+    thresholds = threshold_curve(uncertainty, correctness, config.analysis.thresholds)
+    texts = {"config.txt": canonical_text(config)}
+    if "json" in config.formats:
+        texts["metrics.json"] = _json_text(report.to_dict())
+    if "csv" in config.formats:
+        texts["metrics.csv"] = _table(METRICS_CSV_COLUMNS, [report.row()],
+                                      report.provenance)
+    texts["reliability_bins.csv"] = _table(
+        ("bin_lo", "bin_hi", "count", "conf_mean", "acc", "gap"),
+        zip(bins.edges[:-1], bins.edges[1:], bins.counts, bins.conf_mean,
+            bins.acc, bins.gaps()),
+        report.provenance)
+    texts["referral_curve.csv"] = _table(ReferralPoint._fields, curve, report.provenance)
+    texts["threshold_curve.csv"] = _table(ThresholdPoint._fields, thresholds,
+                                          report.provenance)
+    texts["distance_summary.json"] = _json_text(
+        distance_perception_summary(distances, uncertainty))
+    return texts
 
 
-def metrics_csv(report: MetricsReport) -> str:
-    """Text of metrics.csv for ``report``."""
-    return _table(METRICS_CSV_COLUMNS, [report.row()],
-                  (report.config_hash, report.seed, report.version))
+def _load_rows(path, skiprows: int, **kwargs) -> np.ndarray:
+    """``np.loadtxt`` of the comma-separated rows after the first
+    ``skiprows`` lines; a missing, empty or malformed file raises
+    ``InvalidInputError`` naming it."""
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", "loadtxt: input contained no data")
+            return np.loadtxt(path, delimiter=",", skiprows=skiprows, **kwargs)
+    except FileNotFoundError:
+        raise InvalidInputError(f"{path}: no such file") from None
+    except UserWarning:
+        raise InvalidInputError(f"{path}: no data rows") from None
+    except ValueError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
 
 
 def read_predictions(path) -> PredictionBatch:
     """Rebuild the exact PredictionBatch persisted by run_experiment; a
     malformed file raises ``InvalidInputError`` naming it."""
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("error", "loadtxt: input contained no data")
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except UserWarning:
-        raise InvalidInputError(f"{path}: no data rows") from None
-    except ValueError as exc:
-        raise InvalidInputError(f"{path}: {exc}") from None
+    data = _load_rows(path, 1, ndmin=2)
     if data.shape[1] < 3 or (data[:, 1] != np.round(data[:, 1])).any():
         raise InvalidInputError(f"{path}: rows must hold a sample index, an "
                                 "integer label and class probabilities")
     return PredictionBatch(data[:, 2:], data[:, 1])
 
 
-def _safe_distance_summary(distances: np.ndarray, uncertainties: np.ndarray) -> dict:
-    # degenerate geometry (constant distances) leaves the correlation undefined
-    try:
-        return distance_perception_summary(distances, uncertainties)
-    except UndefinedMetricError as exc:
-        return {"n": len(distances), "degenerate": str(exc)}
+def read_distances(path, n: int) -> np.ndarray:
+    """The exact min_cosine_distance column of a run's distance_records.csv,
+    which must hold ``n`` rows; a malformed file raises
+    ``InvalidInputError`` naming it."""
+    # three provenance lines, then the header
+    distances = _load_rows(path, 4, usecols=1, ndmin=1)
+    if len(distances) != n:
+        raise InvalidInputError(f"{path}: {len(distances)} rows, expected {n}")
+    return distances
 
 
 def is_run_dir(path: Path) -> bool:
@@ -306,44 +347,27 @@ def run_experiment(config: ExperimentConfig) -> tuple[MetricsReport, Path]:
 def _evaluate_and_write(config: ExperimentConfig, out: Path, dataset: Dataset,
                         models: list[MlpModel], logs: list[TrainLog]) -> MetricsReport:
     """Everything a run does after training: estimate, analyse, and write
-    every artifact into the existing, empty directory ``out``."""
+    every artifact into the existing, empty directory ``out``: the
+    ``render_artifacts`` texts, then train_log.json, the two row tables
+    (each freed before the next is built) and the models."""
     output = estimate(config, models, dataset.val_inputs)
     batch = PredictionBatch(output.mean_probs, dataset.val_labels)
     report, bins = compute_report(config, batch)
-
     correctness = batch.correctness()
-    scores = batch.probs[:, 1]
-    curve = referral_curve(output.uncertainty, correctness, scores,
-                           config.analysis.fractions, labels=batch.labels)
-    thresholds = threshold_curve(output.uncertainty, correctness,
-                                 config.analysis.thresholds)
     bank = models[0].features(dataset.train_inputs)
     queries = models[0].features(dataset.val_inputs)
     distances = distance_records(queries, bank, output.uncertainty, correctness)
-    summary = _safe_distance_summary(distances, output.uncertainty)
-    provenance = (report.config_hash, report.seed, report.version)
 
-    _write(out / "config.txt", canonical_text(config))
-    if "json" in config.formats:
-        _write(out / "metrics.json", metrics_json(report))
-    if "csv" in config.formats:
-        _write(out / "metrics.csv", metrics_csv(report))
-    _write(out / "reliability_bins.csv", _table(
-        ("bin_lo", "bin_hi", "count", "conf_mean", "acc", "gap"),
-        zip(bins.edges[:-1], bins.edges[1:], bins.counts, bins.conf_mean,
-            bins.acc, bins.gaps()),
-        provenance))
-    _write(out / "referral_curve.csv", _table(ReferralPoint._fields, curve, provenance))
-    _write(out / "threshold_curve.csv",
-           _table(ThresholdPoint._fields, thresholds, provenance))
+    for name, text in render_artifacts(config, batch, report, bins,
+                                       output.uncertainty, distances).items():
+        _write(out / name, text)
+    _write(out / "train_log.json",
+           _json_text({"models": [log.to_dict() for log in logs]}))
     _write(out / "distance_records.csv", _table(
         ("sample_index", "min_cosine_distance", "uncertainty", "correct"),
         zip(range(batch.n), distances.tolist(), output.uncertainty.tolist(),
             correctness.astype(bool).tolist()),
-        provenance))
-    _write(out / "distance_summary.json", _json_text(summary))
-    _write(out / "train_log.json",
-           _json_text({"models": [log.to_dict() for log in logs]}))
+        report.provenance))
     _write(out / "predictions.csv", _table(
         ("sample_index", "label", *(f"prob_{j}" for j in range(batch.k))),
         zip(range(batch.n), batch.labels.tolist(), *batch.probs.T.tolist())))

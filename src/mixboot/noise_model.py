@@ -20,6 +20,7 @@ SHAPE_MIN = 0.01
 SHAPE_MAX = 100.0
 VAR_FLOOR = 1e-6
 DEFAULT_EM_ITERATIONS = 10
+MIN_FIT_VALUES = 10
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,8 @@ def fit_bmm(
     so the fit is deterministic.
     """
     x = np.asarray(normalized_losses, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] < 10:
-        raise InvalidInputError("fit_bmm needs at least 10 loss values")
+    if x.ndim != 1 or x.shape[0] < MIN_FIT_VALUES:
+        raise InvalidInputError(f"fit_bmm needs at least {MIN_FIT_VALUES} loss values")
     if np.any(x <= 0.0) or np.any(x >= 1.0):
         raise InvalidInputError("normalized losses must lie strictly inside (0, 1)")
     if iterations < 1:

@@ -21,7 +21,7 @@ from .data import GENERATORS, N_CLASSES, Dataset, build_dataset
 from .errors import ConfigError, TrainingDivergenceError
 from .losses import batch_bsm_targets, batch_onehot
 from .mlp import MlpModel, adam_init, backward_step, forward, kaiming_init
-from .noise_model import fit_bmm, noisy_posterior, normalize_losses
+from .noise_model import MIN_FIT_VALUES, fit_bmm, noisy_posterior, normalize_losses
 
 METHODS = ("ce", "ce_aug", "mixup_ce", "bsm")
 
@@ -75,6 +75,9 @@ class TrainConfig:
             (self.generator in GENERATORS, f"generator must be one of {GENERATORS}"),
             (self.generator_noise >= 0.0, "generator_noise must be nonnegative"),
             (self.n_train >= 2, "n_train must be >= 2"),
+            # the Beta-mixture fit takes one loss per training row
+            (self.method != "bsm" or self.n_train >= MIN_FIT_VALUES,
+             f"method = bsm needs n_train >= {MIN_FIT_VALUES}"),
             (self.n_val >= 2, "n_val must be >= 2"),
             ((self.n_train + self.n_val) % 2 == 0, "n_train + n_val must be even"),
             (self.hidden_1 >= 1 and self.hidden_2 >= 1, "hidden sizes must be >= 1"),

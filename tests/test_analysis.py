@@ -328,5 +328,14 @@ class TestDistanceRecordsAndSummary:
         # spearman's own n < 3 input error would fail the whole run
         d = np.array([np.nan, 0.2, np.nan, 0.5, np.nan])
         u = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
-        with pytest.raises(UndefinedMetricError, match="at least 3 finite"):
-            distance_perception_summary(d, u)
+        assert distance_perception_summary(d, u) == {
+            "n": 2, "n_dropped": 3,
+            "degenerate": "correlation needs at least 3 finite distances, got 2"}
+
+    def test_summary_undefined_for_constant_finite_distances(self):
+        # n counts the finite distances here too, beside the dropped NaN rows
+        d = np.array([0.2, np.nan, 0.2, 0.2, np.nan])
+        u = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+        assert distance_perception_summary(d, u) == {
+            "n": 3, "n_dropped": 2,
+            "degenerate": "correlation undefined for a constant vector"}

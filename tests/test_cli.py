@@ -53,7 +53,8 @@ class TestRunVerb:
         assert main(["run", "--config", config]) == EXIT_OK
         summary = json.loads((workdir / "tiny" / "distance_summary.json").read_text())
         assert summary == {
-            "degenerate": "correlation needs at least 3 finite distances, got 2", "n": 2}
+            "degenerate": "correlation needs at least 3 finite distances, got 2",
+            "n": 2, "n_dropped": 0}
 
     def test_out_flag_overrides_directory(self, workdir):
         config = write_config(workdir, FAST_BLOBS + "output.dir = ignored\n")
@@ -96,6 +97,22 @@ class TestRunVerb:
         assert code == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not (workdir / "neg").exists()
+
+    def test_bsm_with_too_few_training_rows_is_config_error(self, workdir, capsys,
+                                                            monkeypatch):
+        # once trained an epoch, then failed in the Beta-mixture fit with a
+        # message naming no config key
+        import mixboot.experiment as experiment
+
+        trained = []
+        monkeypatch.setattr(experiment, "train", lambda *job: trained.append(job))
+        config = write_config(workdir, FAST_BLOBS + "output.dir = few\n")
+        code = main(["run", "--config", config, "--set", "method=bsm",
+                     "--set", "n_train=8"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: method = bsm needs n_train >= 10\n"
+        assert trained == []
+        assert not (workdir / "few").exists()
 
     def test_non_utf8_config_is_config_error(self, workdir, capsys):
         path = workdir / "config.txt"
@@ -246,11 +263,28 @@ class TestSweepVerb:
             main(["sweep", "--config", config, "--axis", "bogus", "--values", "1"])
 
 
+# every file report re-renders, in the order it checks them
+DERIVED = ("config.txt", "metrics.json", "metrics.csv", "reliability_bins.csv",
+           "referral_curve.csv", "threshold_curve.csv", "distance_summary.json")
+
+
+def bump_last_digit(text):
+    i = max(i for i, ch in enumerate(text) if ch.isdigit())
+    return text[:i] + str((int(text[i]) + 1) % 10) + text[i + 1:]
+
+
 class TestReportVerb:
     def run_once(self, workdir, extra=""):
         config = write_config(workdir, FAST_BLOBS + "output.dir = rep\n" + extra)
         assert main(["run", "--config", config]) == EXIT_OK
         return workdir / "rep"
+
+    def report(self, run_dir, capsys):
+        """report's exit code and its ``matches stored`` lines."""
+        capsys.readouterr()
+        code = main(["report", "--run", str(run_dir)])
+        out = capsys.readouterr().out
+        return code, [line for line in out.splitlines() if line.startswith("matches")]
 
     def test_recomputation_matches(self, workdir, capsys):
         run_dir = self.run_once(workdir)
@@ -259,6 +293,47 @@ class TestReportVerb:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert "matches stored metrics.json: yes" in out
+        assert out.splitlines()[-len(DERIVED):] == [
+            f"matches stored {name}: yes" for name in DERIVED]
+
+    @pytest.mark.parametrize("extra", [
+        "estimator.kind = single\n",
+        "estimator.kind = ensemble\nestimator.ensemble_size = 2\n",
+        "estimator.kind = mc_dropout\nestimator.passes = 3\n",
+        "estimator.kind = tta\nestimator.repeats = 2\n",
+        "method = ce_aug\nestimator.kind = tta\nestimator.repeats = 0\n",
+        "generator = two_moons\nmethod = bsm\nnoise_rate = 0.2\n",
+    ], ids=["single", "ensemble", "mc_dropout", "tta", "ce_aug_tta0", "bsm"])
+    def test_every_derived_file_matches(self, workdir, capsys, extra):
+        run_dir = self.run_once(workdir, extra)
+        assert self.report(run_dir, capsys) == (
+            EXIT_OK, [f"matches stored {name}: yes" for name in DERIVED])
+
+    def test_degenerate_distance_run_matches(self, workdir, capsys):
+        run_dir = self.run_once(workdir)
+        summary = json.loads((run_dir / "distance_summary.json").read_text())
+        assert "degenerate" in summary and summary["n"] == 20
+        assert self.report(run_dir, capsys) == (
+            EXIT_OK, [f"matches stored {name}: yes" for name in DERIVED])
+
+    def test_one_class_split_matches(self, workdir, capsys):
+        run_dir = self.run_once(workdir, "n_val = 2\n")
+        assert json.loads((run_dir / "metrics.json").read_text())["roc_auc"] is None
+        assert self.report(run_dir, capsys) == (
+            EXIT_OK, [f"matches stored {name}: yes" for name in DERIVED])
+
+    @pytest.mark.parametrize("name", DERIVED)
+    def test_tampered_file_flagged(self, workdir, capsys, name):
+        run_dir = self.run_once(workdir)
+        stored = run_dir / name
+        text = stored.read_text()
+        # config.txt is parsed, so an edited value would render back as
+        # written; a comment keeps the config and changes only the bytes
+        stored.write_text(text + "# edited\n" if name == "config.txt"
+                          else bump_last_digit(text))
+        assert self.report(run_dir, capsys) == (EXIT_MISMATCH, [
+            f"matches stored {other}: {'NO' if other == name else 'yes'}"
+            for other in DERIVED])
 
     def test_tampered_metrics_flagged(self, workdir, capsys):
         run_dir = self.run_once(workdir)
@@ -317,16 +392,19 @@ class TestReportVerb:
     @pytest.mark.parametrize("name,stored", [
         ("metrics.json", b"{not json"),
         ("metrics.csv", b"\xff\xfe"),
+        ("reliability_bins.csv", b"\xff\xfe"),
+        ("referral_curve.csv", b"\xff\xfe"),
+        ("threshold_curve.csv", b"\xff\xfe"),
+        ("distance_summary.json", b"{not json"),
     ])
     def test_unparseable_stored_metrics_flagged(self, workdir, capsys, name, stored):
-        # the stored file is compared by bytes, never parsed
+        # the stored file is compared by bytes, never parsed (config.txt is
+        # parsed: see test_non_utf8_stored_config_is_config_error)
         run_dir = self.run_once(workdir)
         (run_dir / name).write_bytes(stored)
-        capsys.readouterr()
-        code = main(["report", "--run", str(run_dir)])
-        out = capsys.readouterr().out
-        assert code == EXIT_MISMATCH
-        assert f"matches stored {name}: NO" in out
+        assert self.report(run_dir, capsys) == (EXIT_MISMATCH, [
+            f"matches stored {other}: {'NO' if other == name else 'yes'}"
+            for other in DERIVED])
 
     def test_non_utf8_stored_config_is_config_error(self, workdir, capsys):
         run_dir = self.run_once(workdir)
@@ -352,12 +430,35 @@ class TestReportVerb:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "predictions.csv" in err
 
+    @pytest.mark.parametrize("edit", ["missing", "short", "one_column", "non_number"])
+    @pytest.mark.filterwarnings("error")  # the error: line is all the user sees
+    def test_bad_distance_records_are_input_errors(self, workdir, capsys, edit):
+        run_dir = self.run_once(workdir)
+        records = run_dir / "distance_records.csv"
+        lines = records.read_text().splitlines(keepends=True)
+        if edit == "missing":
+            records.unlink()
+        elif edit == "short":  # one row fewer than predictions.csv
+            records.write_text("".join(lines[:-1]))
+        elif edit == "one_column":
+            records.write_text("".join(lines[:-1]) + "19\n")
+        else:
+            cells = lines[-1].split(",")
+            cells[1] = "abc"
+            records.write_text("".join(lines[:-1]) + ",".join(cells))
+        capsys.readouterr()
+        assert main(["report", "--run", str(run_dir)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {records}: ")
+        assert captured.out == ""
+
     def test_non_run_directory_rejected(self, workdir, capsys):
         code = main(["report", "--run", str(workdir)])
         assert code == EXIT_CONFIG
         assert "not a run directory" in capsys.readouterr().err
 
     def test_report_without_stored_metrics_still_prints(self, workdir, capsys):
+        # a rendered file that is absent is not checked
         run_dir = self.run_once(workdir, extra="output.formats = csv\n")
         assert not (run_dir / "metrics.json").exists()
         (run_dir / "metrics.csv").unlink()
@@ -366,7 +467,9 @@ class TestReportVerb:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert "accuracy = " in out
-        assert "matches stored" not in out
+        assert [line for line in out.splitlines() if line.startswith("matches")] == [
+            f"matches stored {name}: yes" for name in DERIVED
+            if not name.startswith("metrics.")]
 
 
 class TestImportGraph:

@@ -37,9 +37,10 @@ def experiment_configs(draw):
     ExperimentConfig rejects are discarded.
     """
     positive, nonneg = floats(0.0, exclude_min=True), floats(0.0)
-    n_train = draw(st.integers(2))
+    method = draw(st.sampled_from(METHODS))
+    n_train = draw(st.integers(10 if method == "bsm" else 2))
     train = TrainConfig(
-        method=draw(st.sampled_from(METHODS)),
+        method=method,
         alpha=draw(positive),
         noise_rate=draw(floats(0.0, 1.0)),
         learning_rate=draw(positive),

@@ -20,13 +20,15 @@ from mixboot.experiment import (
     OUTPUT_ROOT_ENV,
     MetricsReport,
     compute_report,
-    metrics_csv,
+    read_distances,
     read_predictions,
+    render_artifacts,
     resolve_output_dir,
     run_experiment,
     run_sweep,
 )
 from mixboot.mlp import load_model
+from mixboot.prob_metrics import PredictionBatch, predictive_entropy
 from mixboot.version import __version__
 
 FAST_BLOBS = (
@@ -125,6 +127,43 @@ class TestRunExperiment:
         again, _ = compute_report(config, batch)
         assert again.to_dict() == report.to_dict()
 
+    @pytest.mark.parametrize("estimator,n_models", [
+        ("kind = ensemble\nestimator.ensemble_size = 2", 2),
+        ("kind = mc_dropout", 1),
+        ("kind = tta", 1),
+    ], ids=["ensemble", "mc_dropout", "tta"])
+    def test_files_are_the_rendered_texts(self, out_root, monkeypatch, estimator,
+                                          n_models):
+        # the run writes exactly render_artifacts' texts, and the stored
+        # predictions and distance column render them again
+        rendered = []
+        real_render = experiment.render_artifacts
+
+        def capture(*args):
+            rendered.append((args, real_render(*args)))
+            return rendered[-1][1]
+
+        monkeypatch.setattr(experiment, "render_artifacts", capture)
+        config = parse_config(FAST_MOONS + f"output.dir = j\nestimator.{estimator}\n")
+        _, out_dir = run_experiment(config)
+        [(args, texts)] = rendered
+        tree = read_tree(out_dir)
+        assert {name: tree[name] for name in texts} == {
+            name: text.encode() for name, text in texts.items()}
+        assert set(tree) - set(texts) == {
+            "distance_records.csv", "predictions.csv", "train_log.json",
+            *(f"models/model_{m}.txt" for m in range(n_models))}
+
+        batch = read_predictions(out_dir / "predictions.csv")
+        distances = read_distances(out_dir / "distance_records.csv", batch.n)
+        uncertainty = predictive_entropy(batch.probs)
+        np.testing.assert_array_equal(batch.probs, args[1].probs)
+        np.testing.assert_array_equal(uncertainty, args[4])
+        np.testing.assert_array_equal(distances, args[5])
+        again = render_artifacts(config, batch, *compute_report(config, batch),
+                                 uncertainty, distances)
+        assert again == texts
+
     def test_metrics_json_matches_report(self, out_root):
         config = parse_config(FAST_MOONS + "output.dir = f\n")
         report, out_dir = run_experiment(config)
@@ -153,6 +192,7 @@ class TestRunExperiment:
         _, out_dir = run_experiment(config)
         summary = json.loads((out_dir / "distance_summary.json").read_text())
         assert "degenerate" in summary or "rho_similarity" in summary
+        assert summary["n"] + summary["n_dropped"] == 20
 
 
 def hidden_siblings(out_dir):
@@ -338,10 +378,10 @@ class TestRunSweep:
     def test_single_value_sweep_matches_run(self, out_root):
         sweep_cfg = parse_config(FAST_BLOBS + "output.dir = s\n")
         text, out_dir = run_sweep(sweep_cfg, "methods", ["ce"])
-        member_csv = (out_dir / "member_0" / "metrics.csv").read_text()
+        member = read_tree(out_dir / "member_0")
         run_cfg = parse_config(FAST_BLOBS + "output.dir = s/member_0\n")
-        report, _ = run_experiment(run_cfg)
-        assert member_csv == metrics_csv(report)
+        _, run_dir = run_experiment(run_cfg)
+        assert read_tree(run_dir) == member
 
     def test_shorter_rerun_removes_stale_members(self, out_root, monkeypatch):
         config = parse_config(FAST_BLOBS + "output.dir = v\nmax_epochs = 2\n")
@@ -509,7 +549,13 @@ class TestTableFormat:
         )
 
     def test_metrics_csv_provenance_and_row(self):
-        assert metrics_csv(self.REPORT) == (
+        batch = PredictionBatch(np.array([[0.25, 0.75], [0.5, 0.5], [0.9, 0.1]]),
+                                np.array([1, 0, 0]))
+        config = parse_config(FAST_BLOBS)
+        _, bins = compute_report(config, batch)
+        texts = render_artifacts(config, batch, self.REPORT, bins,
+                                 predictive_entropy(batch.probs), np.array([0.1, 0.2, 0.3]))
+        assert texts["metrics.csv"] == (
             "# config_hash=0123456789ab\n"
             "# seed=5\n"
             "# version=0.1.0\n"

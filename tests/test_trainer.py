@@ -57,6 +57,13 @@ class TestTrainConfig:
     def test_defaults_valid(self):
         TrainConfig()
 
+    def test_bsm_needs_ten_training_rows(self):
+        # the Beta-mixture fit needs at least 10 per-sample losses
+        with pytest.raises(ConfigError, match="^method = bsm needs n_train >= 10$"):
+            TrainConfig(method="bsm", n_train=8, n_val=2)
+        TrainConfig(method="bsm", n_train=10, n_val=2)
+        TrainConfig(method="mixup_ce", n_train=8, n_val=2)
+
 
 class TestSeparableFixture:
     def test_reaches_perfect_validation(self):
