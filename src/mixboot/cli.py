@@ -100,14 +100,18 @@ def _cmd_report(args) -> int:
     # the stored probabilities are repr-exact, so this is the estimator's entropy
     texts = render_artifacts(config, batch, report, bins,
                              predictive_entropy(batch.probs), distances)
+    # every rendered file belongs in the run: the metrics files that
+    # output.formats leaves out are not rendered
     code = EXIT_OK
     for name, text in texts.items():
         stored = run_dir / name
-        if stored.is_file():
-            same = stored.read_bytes() == text.encode()
-            print(f"matches stored {name}: {'yes' if same else 'NO'}")
-            if not same:
-                code = EXIT_MISMATCH
+        if not stored.is_file():
+            verdict = "MISSING"
+        else:
+            verdict = "yes" if stored.read_bytes() == text.encode() else "NO"
+        print(f"matches stored {name}: {verdict}")
+        if verdict != "yes":
+            code = EXIT_MISMATCH
     return code
 
 

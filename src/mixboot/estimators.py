@@ -18,13 +18,14 @@ from .augment import PerturbationPolicy, perturb
 from .errors import InvalidInputError
 from .losses import softmax
 from .jobs import run_jobs
-from .mlp import MlpModel, dropout_draws
+from .mlp import MlpModel, dropout_draws, dropout_pass, hidden1
 from .prob_metrics import predictive_entropy
 
 
 # MC-dropout passes fork only from this many rows times passes: a 500-row,
-# 20-pass estimate ran 7 ms slower in two workers than here (2-vCPU VM),
-# while 1000 rows x 50 passes ran 15 ms faster
+# 20-pass estimate ran 2-18 ms slower in two workers than here (2-vCPU VM,
+# one BLAS thread), while 1000 rows x 50 passes ran 20 ms faster; the two
+# broke even near 20000-24000 row-passes
 MC_FORK_MIN_ROW_PASSES = 32768
 
 
@@ -82,7 +83,9 @@ def mc_dropout_predict(
 
     ``Generator.random`` takes one PCG64 step per float, so pass p draws
     its masks from ``PCG64(seed)`` advanced by p times a forward's
-    ``dropout_draws``: the stream one pass after another would use.  From
+    ``dropout_draws``: the stream one pass after another would use.  The
+    layer-1 activations are computed once; every pass starts from them
+    and reuses the same two buffers (``mlp.dropout_pass``).  From
     ``MC_FORK_MIN_ROW_PASSES`` rows times passes the passes run through
     ``run_jobs`` (in forked workers when CPUs allow).
     """
@@ -90,16 +93,20 @@ def mc_dropout_predict(
         raise InvalidInputError("mc_dropout needs passes >= 1")
     if tau_inv < 0.0:
         raise InvalidInputError("tau_inv must be nonnegative")
-    draws = dropout_draws(model, len(inputs))
+    x = np.asarray(inputs, dtype=np.float64)
+    _, h1, h2, k = model.dims
+    hidden = hidden1(model, x)
+    # allocated before any fork: a worker faults them in once for all its passes
+    a1, a2 = np.empty((len(x), h1)), np.empty((len(x), h2))
+    draws = dropout_draws(model, len(x))
 
     def one_pass(p: int) -> np.ndarray:
         bits = np.random.PCG64(seed)
         bits.advance(p * draws)
-        rng = np.random.Generator(bits)
-        return softmax(model.predict_logits(inputs, dropout_active=True, rng=rng))
+        return softmax(dropout_pass(model, hidden, np.random.Generator(bits), a1, a2))
 
-    run = map if passes * len(inputs) < MC_FORK_MIN_ROW_PASSES else run_jobs
-    mean, mean_sq = _fold(run(one_pass, range(passes)), (len(inputs), model.dims[3]))
+    run = map if passes * len(x) < MC_FORK_MIN_ROW_PASSES else run_jobs
+    mean, mean_sq = _fold(run(one_pass, range(passes)), (len(x), k))
     return _output(mean, tau_inv + mean_sq - mean * mean)
 
 

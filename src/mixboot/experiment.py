@@ -209,16 +209,30 @@ def _cell(value) -> str:
     return value
 
 
-def _table(header, rows, provenance: tuple[str, int, str] | None = None) -> str:
+def _column_cells(column) -> map:
+    """The ``_cell`` text of every value in one column (an array's values
+    are taken as Python scalars).  A column of Python floats only, or of
+    ints and bools only, takes its type's repr directly: the same text."""
+    values = column.tolist() if isinstance(column, np.ndarray) else list(column)
+    types = set(map(type, values))
+    if types <= {float}:
+        return map(float.__repr__, values)
+    if types <= {int, bool}:
+        return map(int.__repr__, values)
+    return map(_cell, values)
+
+
+def _table(header, columns, provenance: tuple[str, int, str] | None = None) -> str:
     """Text of one artifact table: ``# config_hash=``, ``# seed=`` and
     ``# version=`` lines from ``provenance`` when given, the CSV header,
-    then one line of ``_cell`` values per row."""
+    then one line of ``_cell`` values per row.  ``columns`` holds one
+    sequence per header field, all of one length."""
     lines = [] if provenance is None else [
         f"# {key}={value}"
         for key, value in zip(("config_hash", "seed", "version"), provenance)
     ]
     lines.append(",".join(header))
-    lines.extend(",".join(map(_cell, row)) for row in rows)
+    lines.extend(map(",".join, zip(*map(_column_cells, columns))))
     return "\n".join(lines) + "\n"
 
 
@@ -242,15 +256,17 @@ def render_artifacts(config: ExperimentConfig, batch: PredictionBatch,
     if "json" in config.formats:
         texts["metrics.json"] = _json_text(report.to_dict())
     if "csv" in config.formats:
-        texts["metrics.csv"] = _table(METRICS_CSV_COLUMNS, [report.row()],
+        texts["metrics.csv"] = _table(METRICS_CSV_COLUMNS,
+                                      [[cell] for cell in report.row()],
                                       report.provenance)
     texts["reliability_bins.csv"] = _table(
         ("bin_lo", "bin_hi", "count", "conf_mean", "acc", "gap"),
-        zip(bins.edges[:-1], bins.edges[1:], bins.counts, bins.conf_mean,
-            bins.acc, bins.gaps()),
+        (bins.edges[:-1], bins.edges[1:], bins.counts, bins.conf_mean,
+         bins.acc, bins.gaps()),
         report.provenance)
-    texts["referral_curve.csv"] = _table(ReferralPoint._fields, curve, report.provenance)
-    texts["threshold_curve.csv"] = _table(ThresholdPoint._fields, thresholds,
+    texts["referral_curve.csv"] = _table(ReferralPoint._fields, zip(*curve),
+                                         report.provenance)
+    texts["threshold_curve.csv"] = _table(ThresholdPoint._fields, zip(*thresholds),
                                           report.provenance)
     texts["distance_summary.json"] = _json_text(
         distance_perception_summary(distances, uncertainty))
@@ -365,12 +381,11 @@ def _evaluate_and_write(config: ExperimentConfig, out: Path, dataset: Dataset,
            _json_text({"models": [log.to_dict() for log in logs]}))
     _write(out / "distance_records.csv", _table(
         ("sample_index", "min_cosine_distance", "uncertainty", "correct"),
-        zip(range(batch.n), distances.tolist(), output.uncertainty.tolist(),
-            correctness.astype(bool).tolist()),
+        (range(batch.n), distances, output.uncertainty, correctness.astype(bool)),
         report.provenance))
     _write(out / "predictions.csv", _table(
         ("sample_index", "label", *(f"prob_{j}" for j in range(batch.k))),
-        zip(range(batch.n), batch.labels.tolist(), *batch.probs.T.tolist())))
+        (range(batch.n), batch.labels, *batch.probs.T)))
     models_dir = out / "models"
     models_dir.mkdir()
     for m, model in enumerate(models):
@@ -444,7 +459,7 @@ def run_sweep(base: ExperimentConfig, axis: str, values: list) -> tuple[str, Pat
                 message = " ".join(str(exc).split()).replace('"', '""')
                 rows.append((axis, value, f'"error: {type(exc).__name__}: {message}"',
                              *[""] * len(METRICS_CSV_COLUMNS)))
-        text = _table(("axis", "value", "status", *METRICS_CSV_COLUMNS), rows,
+        text = _table(("axis", "value", "status", *METRICS_CSV_COLUMNS), zip(*rows),
                       (config_hash(base), base.train.seed, __version__))
         _write(built / "sweep.csv", text)
     return text, out

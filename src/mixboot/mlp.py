@@ -18,6 +18,10 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# rows per block of dropout_pass's elementwise steps: a 512 x 64 float64
+# block is 256 KiB, so it stays in cache from one step to the next
+PASS_ROW_BLOCK = 512
+
 MODEL_FORMAT_HEADER = "mixboot-mlp v1"
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 
@@ -76,13 +80,9 @@ class MlpModel:
         return MlpModel(self.flat.copy(), self.dims, dropout=self.dropout)
 
     # estimator-facing surface
-    def predict_logits(
-        self,
-        inputs: np.ndarray,
-        dropout_active: bool = False,
-        rng: np.random.Generator | None = None,
-    ) -> np.ndarray:
-        logits, _, _ = forward(self, inputs, dropout_active=dropout_active, rng=rng)
+    def predict_logits(self, inputs: np.ndarray) -> np.ndarray:
+        """Logits with dropout inactive."""
+        logits, _, _ = forward(self, inputs)
         return logits
 
     def features(self, inputs: np.ndarray) -> np.ndarray:
@@ -121,13 +121,13 @@ def kaiming_init(
     return model
 
 
-def _dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
+def _dropout_mask(out: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:
     # inverted dropout: surviving units are scaled by 1/(1-rate); the mask
-    # is built in the buffer of the uniform draw
-    r = rng.random(shape)
-    np.greater_equal(r, rate, out=r)
-    r /= 1.0 - rate
-    return r
+    # is built in ``out``, which first holds the uniform draw
+    rng.random(out=out)
+    np.greater_equal(out, rate, out=out)
+    out /= 1.0 - rate
+    return out
 
 
 def dropout_draws(model: MlpModel, n_rows: int) -> int:
@@ -135,6 +135,23 @@ def dropout_draws(model: MlpModel, n_rows: int) -> int:
     takes from its rng: one per hidden unit and row, none at rate 0."""
     _, h1, h2, _ = model.dims
     return n_rows * (h1 + h2) if model.dropout > 0.0 else 0
+
+
+def hidden1(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """Layer-1 activations ``ReLU(x @ w1 + b1)`` of an N x D float64 batch,
+    before any dropout: one new N x H1 array."""
+    a1 = x @ model.w1
+    a1 += model.b1
+    np.maximum(a1, 0.0, out=a1)
+    return a1
+
+
+def _output_layer(model: MlpModel, a2: np.ndarray) -> np.ndarray:
+    logits = a2 @ model.w3
+    logits += model.b3
+    if not np.isfinite(logits).all():
+        raise TrainingDivergenceError("non-finite activations in forward pass")
+    return logits
 
 
 def forward(
@@ -155,26 +172,56 @@ def forward(
     if use_dropout and rng is None:
         raise InvalidInputError("active dropout requires an rng")
 
-    a1 = x @ model.w1
-    a1 += model.b1
-    np.maximum(a1, 0.0, out=a1)
+    a1 = hidden1(model, x)
     mask1 = None
     if use_dropout:
-        mask1 = _dropout_mask(a1.shape, model.dropout, rng)
+        mask1 = _dropout_mask(np.empty_like(a1), model.dropout, rng)
         a1 *= mask1
     a2 = a1 @ model.w2
     a2 += model.b2
     np.maximum(a2, 0.0, out=a2)
     mask2 = None
     if use_dropout:
-        mask2 = _dropout_mask(a2.shape, model.dropout, rng)
+        mask2 = _dropout_mask(np.empty_like(a2), model.dropout, rng)
         a2 *= mask2
-    logits = a2 @ model.w3
-    logits += model.b3
-    if not np.isfinite(logits).all():
-        raise TrainingDivergenceError("non-finite activations in forward pass")
+    return _output_layer(model, a2), a2, ForwardCache(x, a1, a2, mask1, mask2)
 
-    return logits, a2, ForwardCache(x, a1, a2, mask1, mask2)
+
+def dropout_pass(model: MlpModel, hidden: np.ndarray, rng: np.random.Generator,
+                 a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
+    """Logits of one active-dropout forward from its layer-1 activations
+    ``hidden = hidden1(model, x)``: the bits of
+    ``forward(model, x, dropout_active=True, rng=rng)[0]``, with ``rng``
+    left at the same stream position.
+
+    ``a1`` and ``a2`` are N x H1 and N x H2 float64 buffers it overwrites,
+    so passes over one batch can share them and ``hidden``.  The masks and
+    the elementwise steps run over ``PASS_ROW_BLOCK`` rows at a time, so
+    each block stays in cache; every step is row-independent, and the
+    blocks draw the masks in forward's order (all of layer 1, then all of
+    layer 2).  The GEMMs keep forward's full shapes: a GEMM's bits may
+    depend on its row count.
+    """
+    rate = model.dropout
+    n, width = len(hidden), max(model.dims[1:3])
+    blocks = [slice(s, s + PASS_ROW_BLOCK) for s in range(0, n, PASS_ROW_BLOCK)]
+    if rate > 0.0:
+        scratch = np.empty(min(n, PASS_ROW_BLOCK) * width)
+
+        def mask(block: np.ndarray) -> np.ndarray:
+            return _dropout_mask(scratch[:block.size].reshape(block.shape), rate, rng)
+
+        for rows in blocks:
+            np.multiply(hidden[rows], mask(a1[rows]), out=a1[rows])
+        hidden = a1
+    np.matmul(hidden, model.w2, out=a2)
+    for rows in blocks:
+        block = a2[rows]
+        block += model.b2
+        np.maximum(block, 0.0, out=block)
+        if rate > 0.0:
+            block *= mask(block)
+    return _output_layer(model, a2)
 
 
 def backward(

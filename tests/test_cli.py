@@ -458,18 +458,19 @@ class TestReportVerb:
         assert "not a run directory" in capsys.readouterr().err
 
     def test_report_without_stored_metrics_still_prints(self, workdir, capsys):
-        # a rendered file that is absent is not checked
+        # metrics.json is not rendered for a csv-only run; a rendered file
+        # that is absent is a mismatch
         run_dir = self.run_once(workdir, extra="output.formats = csv\n")
         assert not (run_dir / "metrics.json").exists()
         (run_dir / "metrics.csv").unlink()
         capsys.readouterr()
         code = main(["report", "--run", str(run_dir)])
         out = capsys.readouterr().out
-        assert code == EXIT_OK
+        assert code == EXIT_MISMATCH
         assert "accuracy = " in out
         assert [line for line in out.splitlines() if line.startswith("matches")] == [
-            f"matches stored {name}: yes" for name in DERIVED
-            if not name.startswith("metrics.")]
+            f"matches stored {name}: {'MISSING' if name == 'metrics.csv' else 'yes'}"
+            for name in DERIVED if name != "metrics.json"]
 
 
 class TestImportGraph:

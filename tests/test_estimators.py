@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import mixboot.estimators as estimators
 from mixboot.augment import PerturbationPolicy, perturb
 from mixboot.errors import InvalidInputError, TrainingDivergenceError
 from mixboot.estimators import (
@@ -15,27 +16,19 @@ from mixboot.estimators import (
     tta_predict,
 )
 from mixboot.losses import softmax
-from mixboot.mlp import kaiming_init
+from mixboot.mlp import PASS_ROW_BLOCK, forward, kaiming_init
 from mixboot.prob_metrics import predictive_entropy
 
 
 class FixedLogitsModel:
-    """Duck-typed stand-in emitting one constant logits row per call.
+    """Duck-typed ensemble member emitting one constant logits row."""
 
-    rows cycles across calls, so MC-dropout passes can be scripted exactly.
-    """
-
-    dropout = 0.5
-
-    def __init__(self, rows, k=2):
-        self.rows = [np.asarray(r, dtype=np.float64) for r in rows]
+    def __init__(self, row, k=2):
+        self.row = np.asarray(row, dtype=np.float64)
         self.dims = (2, 1, 1, k)
-        self.calls = 0
 
-    def predict_logits(self, inputs, dropout_active=False, rng=None):
-        row = self.rows[self.calls % len(self.rows)]
-        self.calls += 1
-        return np.tile(row, (inputs.shape[0], 1))
+    def predict_logits(self, inputs):
+        return np.tile(self.row, (inputs.shape[0], 1))
 
 
 def example_inputs(n=5, seed=0):
@@ -140,8 +133,8 @@ class TestEnsemble:
         np.testing.assert_allclose(a.mean_probs, b.mean_probs, atol=1e-15)
 
     def test_maximal_disagreement(self):
-        peaked_0 = FixedLogitsModel([[500.0, 0.0]])
-        peaked_1 = FixedLogitsModel([[0.0, 500.0]])
+        peaked_0 = FixedLogitsModel([500.0, 0.0])
+        peaked_1 = FixedLogitsModel([0.0, 500.0])
         out = ensemble_predict([peaked_0, peaked_1], example_inputs(4, 7))
         np.testing.assert_allclose(out.mean_probs, 0.5, atol=1e-12)
         np.testing.assert_allclose(out.uncertainty, np.log(2.0), atol=1e-12)
@@ -166,13 +159,21 @@ class TestEnsemble:
 
 
 class TestMcDropout:
-    def test_alternating_passes_oracle(self, cpus):
-        cpus(1)  # the stand-in scripts and counts its calls in this process
-        model = FixedLogitsModel([[500.0, 0.0], [0.0, 500.0]])
+    def test_alternating_passes_oracle(self, cpus, monkeypatch):
+        cpus(1)  # the scripted pass counts its calls in this process
+        rows = [np.array([500.0, 0.0]), np.array([0.0, 500.0])]
+        calls = []
+
+        def scripted_pass(model, hidden, rng, a1, a2):
+            calls.append(len(hidden))
+            return np.tile(rows[(len(calls) - 1) % 2], (len(hidden), 1))
+
+        monkeypatch.setattr(estimators, "dropout_pass", scripted_pass)
+        model = kaiming_init((2, 4, 4, 2), seed=15, dropout=0.5)
         out = mc_dropout_predict(model, example_inputs(3, 9), passes=4, seed=0)
         np.testing.assert_allclose(out.mean_probs, 0.5, atol=1e-12)
         np.testing.assert_allclose(out.variance, 0.25, atol=1e-12)
-        assert model.calls == 4
+        assert calls == [3] * 4
 
     def test_identical_passes_variance_is_tau_inv(self):
         model = kaiming_init((2, 16, 16, 2), seed=16, dropout=0.0)
@@ -213,7 +214,7 @@ def serial_mc_dropout(model, inputs, passes, tau_inv, seed):
     total = np.zeros((len(inputs), model.dims[3]))
     total_sq = np.zeros_like(total)
     for _ in range(passes):
-        probs = softmax(model.predict_logits(inputs, dropout_active=True, rng=rng))
+        probs = softmax(forward(model, inputs, dropout_active=True, rng=rng)[0])
         total += probs
         total_sq += probs * probs
     mean = total / passes
@@ -230,12 +231,19 @@ def forking_rows(passes):
     return -(-MC_FORK_MIN_ROW_PASSES // passes)
 
 
+def blocks_past_forking(passes):
+    """One row past a whole number of ``PASS_ROW_BLOCK`` blocks, and enough
+    rows for ``passes`` passes to fork."""
+    return PASS_ROW_BLOCK * -(-forking_rows(passes) // PASS_ROW_BLOCK) + 1
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestMcDropoutPasses:
     @pytest.mark.parametrize("passes, rows, forks", [
         (1, forking_rows(7), 0),
         (7, forking_rows(7) - 1, 0),
         (7, forking_rows(7), 2),
+        (4, blocks_past_forking(4), 2),
     ])
     @pytest.mark.parametrize("dropout, seed", [(0.3, 42), (0.0, None)])
     def test_passes_match_the_serial_stream_on_any_cpu_count(self, cpus, passes, rows,

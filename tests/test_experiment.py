@@ -11,6 +11,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import mixboot.experiment as experiment
 from mixboot.config import config_hash, parse_config
@@ -528,6 +531,46 @@ def test_serial_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert trees[0] == trees[1]
 
 
+def row_table(header, rows, provenance=None) -> str:
+    """Reference: the artifact-table text built a row at a time, one
+    ``_cell`` call per value."""
+    lines = [] if provenance is None else [
+        f"# {key}={value}"
+        for key, value in zip(("config_hash", "seed", "version"), provenance)
+    ]
+    lines.append(",".join(header))
+    lines.extend(",".join(map(experiment._cell, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+TABLE_FLOATS = st.one_of(
+    st.floats(), st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324]))
+TABLE_CELLS = st.one_of(
+    TABLE_FLOATS, st.integers(), st.booleans(), st.none(), st.just(""),
+    st.sampled_from(["ce", '"error: X: y"']), TABLE_FLOATS.map(np.float64),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans().map(np.bool_),
+)
+
+
+@st.composite
+def table_cases(draw):
+    """Columns of one length (0 to 12 rows), each of Python floats, of
+    ints and bools, of any cells mixed, or a float64, int64 or bool
+    array; provenance or none."""
+    n = draw(st.integers(0, 12))
+    kinds = [
+        st.lists(TABLE_FLOATS, min_size=n, max_size=n),
+        st.lists(st.one_of(st.integers(), st.booleans()), min_size=n, max_size=n),
+        st.lists(TABLE_CELLS, min_size=n, max_size=n),
+        hnp.arrays(np.float64, n, elements=TABLE_FLOATS),
+        hnp.arrays(np.int64, n),
+        hnp.arrays(np.bool_, n),
+    ]
+    columns = [draw(st.one_of(kinds)) for _ in range(draw(st.integers(1, 5)))]
+    provenance = draw(st.sampled_from([None, ("0123456789ab", 3, "0.1.0")]))
+    return columns, provenance
+
+
 class TestTableFormat:
     """The artifact-table format, pinned to the text the per-file writers
     emitted before they shared one table writer."""
@@ -543,10 +586,18 @@ class TestTableFormat:
     def test_cell_rule(self):
         row = (float("nan"), None, np.bool_(True), np.bool_(False), np.int64(7),
                np.float64(0.1), -0.0, 1e-300, "ce")
-        assert experiment._table(tuple("abcdefghi"), [row]) == (
+        assert experiment._table(tuple("abcdefghi"), [[cell] for cell in row]) == (
             "a,b,c,d,e,f,g,h,i\n"
             "nan,nan,1,0,7,0.1,-0.0,1e-300,ce\n"
         )
+
+    @settings(deadline=None, max_examples=300)
+    @given(table_cases())
+    def test_columns_match_the_per_cell_row_writer(self, case):
+        columns, provenance = case
+        header = [f"c{j}" for j in range(len(columns))]
+        assert experiment._table(header, columns, provenance) == row_table(
+            header, zip(*columns), provenance)
 
     def test_metrics_csv_provenance_and_row(self):
         batch = PredictionBatch(np.array([[0.25, 0.75], [0.5, 0.5], [0.9, 0.1]]),

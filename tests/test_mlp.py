@@ -17,13 +17,16 @@ from mixboot.mlp import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    PASS_ROW_BLOCK,
     MlpModel,
     adam_init,
     adam_step,
     backward,
     backward_step,
     dropout_draws,
+    dropout_pass,
     forward,
+    hidden1,
     kaiming_init,
     load_model,
     param_count,
@@ -152,7 +155,7 @@ class TestForward:
         model = kaiming_init((2, 16, 16, 2), seed=3, dropout=0.0)
         x = np.random.default_rng(1).normal(size=(4, 2))
         inactive = model.predict_logits(x)
-        active = model.predict_logits(x, dropout_active=True, rng=np.random.default_rng(2))
+        active, _, _ = forward(model, x, dropout_active=True, rng=np.random.default_rng(2))
         assert (inactive == active).all()
 
     def test_zero_input_zero_bias_gives_zero_logits(self):
@@ -163,14 +166,14 @@ class TestForward:
     def test_active_dropout_requires_rng(self):
         model = kaiming_init((2, 8, 8, 2), seed=6)
         with pytest.raises(InvalidInputError):
-            model.predict_logits(np.zeros((1, 2)), dropout_active=True)
+            forward(model, np.zeros((1, 2)), dropout_active=True)
 
     def test_dropout_masks_differ_between_calls(self):
         model = kaiming_init((2, 64, 64, 2), seed=7, dropout=0.5)
         x = np.random.default_rng(3).normal(size=(1, 2))
         rng = np.random.default_rng(4)
-        a = model.predict_logits(x, dropout_active=True, rng=rng)
-        b = model.predict_logits(x, dropout_active=True, rng=rng)
+        a, _, _ = forward(model, x, dropout_active=True, rng=rng)
+        b, _, _ = forward(model, x, dropout_active=True, rng=rng)
         assert not (a == b).all()
 
     @pytest.mark.parametrize("dropout, draws", [(0.0, 0), (0.4, 11 * (7 + 5))])
@@ -196,6 +199,29 @@ class TestForward:
         feats = model.features(x)
         assert feats.shape == (6, 8)
         np.testing.assert_allclose(feats @ model.w3 + model.b3, model.predict_logits(x))
+
+
+class TestDropoutPass:
+    """One MC-dropout pass from shared layer-1 activations and reused
+    buffers is an active-dropout forward, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, PASS_ROW_BLOCK - 1, PASS_ROW_BLOCK,
+                                   PASS_ROW_BLOCK + 1, 2 * PASS_ROW_BLOCK + 1])
+    @pytest.mark.parametrize("dropout", [0.0, 0.2, 0.5, 0.9])
+    @pytest.mark.parametrize("dims", [(2, 64, 64, 2), (3, 13, 5, 3), (4, 33, 17, 4),
+                                      (2, 1, 1, 2)])
+    def test_matches_forward_and_its_stream(self, dims, dropout, n):
+        model = kaiming_init(dims, seed=40, dropout=dropout)
+        x = np.random.default_rng(41).normal(size=(n, dims[0]))
+        want_rng, rng = np.random.default_rng(42), np.random.default_rng(42)
+        want, _, _ = forward(model, x, dropout_active=True, rng=want_rng)
+        # stale buffer contents must not leak into the pass
+        a1, a2 = np.full((n, dims[1]), np.nan), np.full((n, dims[2]), np.nan)
+        got = dropout_pass(model, hidden1(model, x), rng, a1, a2)
+        assert_same_bits(got, want)
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+        if dropout == 0.0:  # draws nothing
+            assert rng.bit_generator.state == np.random.default_rng(42).bit_generator.state
 
 
 class TestBackward:
