@@ -27,13 +27,21 @@ import numpy as np
 # ---------------------------------------------------------------------------
 
 def loss_from_targets(logits: np.ndarray, targets: np.ndarray):
-    """value_i = -t_i . log_softmax(logits_i); grad_i = softmax(logits_i) - t_i."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    """value_i = -t_i . log_softmax(logits_i); grad_i = softmax(logits_i) - t_i.
+
+    It calls the ufunc reductions directly (``ndarray.max``/``sum`` reach
+    them through a Python wrapper) and reuses its temporaries in place;
+    the bits are those of the plain expressions.
+    """
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     e = np.exp(shifted)
-    denom = e.sum(axis=1, keepdims=True)
-    logp = shifted - np.log(denom)
-    values = -(targets * logp).sum(axis=1)
-    grads = e / denom - targets
+    denom = np.add.reduce(e, axis=1, keepdims=True)
+    shifted -= np.log(denom)
+    shifted *= targets
+    values = np.add.reduce(shifted, axis=1)
+    np.negative(values, out=values)
+    e /= denom
+    grads = np.subtract(e, targets, out=e)
     return values, grads
 
 

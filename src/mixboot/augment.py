@@ -52,7 +52,10 @@ def sample_gammas(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.gamma(alpha, size=(n, 2))
     total = g[:, 0] + g[:, 1]
     with np.errstate(invalid="ignore"):
-        ratio = np.clip(g[:, 0] / total, GAMMA_EPS, 1.0 - GAMMA_EPS)
+        ratio = g[:, 0] / total
+    # np.clip's ufuncs without its Python wrapper; NaN still propagates
+    np.maximum(ratio, GAMMA_EPS, out=ratio)
+    np.minimum(ratio, 1.0 - GAMMA_EPS, out=ratio)
     return np.where(total == 0.0, 0.5, ratio)
 
 

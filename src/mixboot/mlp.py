@@ -123,10 +123,12 @@ def kaiming_init(
 
 def _dropout_mask(out: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:
     # inverted dropout: surviving units are scaled by 1/(1-rate); the mask
-    # is built in ``out``, which first holds the uniform draw
+    # is built in ``out``, which first holds the uniform draw.  A kept
+    # unit's 1.0 times 1/(1-rate) has the bits of 1.0 / (1-rate), and the
+    # multiply is cheaper than a divide
     rng.random(out=out)
     np.greater_equal(out, rate, out=out)
-    out /= 1.0 - rate
+    out *= 1.0 / (1.0 - rate)
     return out
 
 
@@ -173,16 +175,18 @@ def forward(
         raise InvalidInputError("active dropout requires an rng")
 
     a1 = hidden1(model, x)
-    mask1 = None
+    mask1 = mask2 = None
     if use_dropout:
-        mask1 = _dropout_mask(np.empty_like(a1), model.dropout, rng)
+        # one draw for both masks, in the stream order of layer 1 then 2
+        n, h1 = a1.shape
+        masks = _dropout_mask(np.empty(dropout_draws(model, n)), model.dropout, rng)
+        mask1 = masks[:n * h1].reshape(n, h1)
+        mask2 = masks[n * h1:].reshape(n, model.dims[2])
         a1 *= mask1
     a2 = a1 @ model.w2
     a2 += model.b2
     np.maximum(a2, 0.0, out=a2)
-    mask2 = None
     if use_dropout:
-        mask2 = _dropout_mask(np.empty_like(a2), model.dropout, rng)
         a2 *= mask2
     return _output_layer(model, a2), a2, ForwardCache(x, a1, a2, mask1, mask2)
 
@@ -225,50 +229,58 @@ def dropout_pass(model: MlpModel, hidden: np.ndarray, rng: np.random.Generator,
 
 
 def backward(
-    model: MlpModel, cache: ForwardCache, grad_logits: np.ndarray
+    model: MlpModel,
+    cache: ForwardCache,
+    grad_logits: np.ndarray,
+    out: MlpModel | None = None,
 ) -> np.ndarray:
     """Parameter gradients of the batch-mean loss, laid out like model.flat.
 
     grad_logits rows are per-sample dloss_i/dlogits_i; the mean over the
     batch is folded in here.  Each gradient is computed straight into its
-    slice of the returned buffer.
+    view of ``out``, a model-shaped gradient buffer (a new one if None),
+    whose flat buffer is overwritten and returned.  Every gradient is a
+    sum over the batch, divided by the row count in one pass at the end:
+    ``mean(axis=0)`` is the same sum and the same division.
     """
     g = np.asarray(grad_logits, dtype=np.float64)
-    n = g.shape[0]
-    grads = np.empty_like(model.flat)
-    dw1, db1, dw2, db2, dw3, db3 = split_flat(grads, model.dims)
+    if out is None:
+        out = MlpModel(np.empty_like(model.flat), model.dims)
 
-    np.matmul(cache.a2.T, g, out=dw3)
-    dw3 /= n
-    g.mean(axis=0, out=db3)
-    da2 = g @ model.w3.T
+    np.matmul(cache.a2.T, g, out=out.w3)
+    np.add.reduce(g, axis=0, out=out.b3)
+    dz2 = g @ model.w3.T
     if cache.mask2 is not None:
-        da2 = da2 * cache.mask2
-    dz2 = da2 * (cache.a2 > 0.0)
-    np.matmul(cache.a1.T, dz2, out=dw2)
-    dw2 /= n
-    dz2.mean(axis=0, out=db2)
-    da1 = dz2 @ model.w2.T
+        dz2 *= cache.mask2
+    dz2 *= cache.a2 > 0.0
+    np.matmul(cache.a1.T, dz2, out=out.w2)
+    np.add.reduce(dz2, axis=0, out=out.b2)
+    dz1 = dz2 @ model.w2.T
     if cache.mask1 is not None:
-        da1 = da1 * cache.mask1
-    dz1 = da1 * (cache.a1 > 0.0)
-    np.matmul(cache.x.T, dz1, out=dw1)
-    dw1 /= n
-    dz1.mean(axis=0, out=db1)
-    return grads
+        dz1 *= cache.mask1
+    dz1 *= cache.a1 > 0.0
+    np.matmul(cache.x.T, dz1, out=out.w1)
+    np.add.reduce(dz1, axis=0, out=out.b1)
+    out.flat /= g.shape[0]
+    return out.flat
 
 
 @dataclass
 class AdamState:
-    """First and second moments, flat and laid out like the parameters."""
+    """First and second moments, flat and laid out like the parameters,
+    and the buffers every step reuses: two Adam scratch arrays of the same
+    length and, from backward_step's first call, its gradient buffer."""
 
     m: np.ndarray
     v: np.ndarray
+    scratch: tuple[np.ndarray, np.ndarray]
     t: int = 0
+    grads: MlpModel | None = None
 
 
 def adam_init(params: np.ndarray) -> AdamState:
-    return AdamState(m=np.zeros_like(params), v=np.zeros_like(params))
+    return AdamState(m=np.zeros_like(params), v=np.zeros_like(params),
+                     scratch=(np.empty_like(params), np.empty_like(params)))
 
 
 def adam_step(
@@ -281,19 +293,33 @@ def adam_step(
     """One decoupled-weight-decay Adam update of a flat buffer, in place.
 
     Every operation is elementwise, so one pass over model.flat gives the
-    same bits as one pass per parameter array.
+    same bits as one pass per parameter array.  The update is
+    ``params -= lr * (m / bc1) / (sqrt(v / bc2) + eps)`` step for step,
+    with each temporary written into ``state.scratch``; a product's two
+    factors may swap, since IEEE multiplication commutes.
     """
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.t
     bc2 = 1.0 - ADAM_BETA2 ** state.t
     m, v = state.m, state.v
+    step, denom = state.scratch
     if weight_decay != 0.0:
-        params -= lr * weight_decay * params
+        np.multiply(params, lr * weight_decay, out=step)
+        params -= step
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * grads
+    np.multiply(grads, 1.0 - ADAM_BETA1, out=step)
+    m += step
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * grads * grads
-    params -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    np.multiply(grads, 1.0 - ADAM_BETA2, out=step)
+    step *= grads
+    v += step
+    np.divide(m, bc1, out=step)
+    step *= lr
+    np.divide(v, bc2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    step /= denom
+    params -= step
 
 
 def backward_step(
@@ -305,7 +331,9 @@ def backward_step(
     weight_decay: float = 0.0,
 ) -> None:
     """Backprop the batch gradient and apply one Adam update in place."""
-    grads = backward(model, cache, grad_logits)
+    if adam_state.grads is None:
+        adam_state.grads = MlpModel(np.empty_like(model.flat), model.dims)
+    grads = backward(model, cache, grad_logits, out=adam_state.grads)
     adam_step(model.flat, grads, adam_state, lr, weight_decay)
 
 
@@ -316,32 +344,53 @@ def save_model(model: MlpModel, path) -> None:
     for name, p in zip(PARAM_NAMES, model.params()):
         shape = " ".join(str(s) for s in p.shape)
         lines.append(f"param {name} {shape}")
-        rows = p if p.ndim == 2 else p[None, :]
-        for row in rows:
-            lines.append(" ".join(repr(float(v)) for v in row))
+        rows = p.tolist() if p.ndim == 2 else [p.tolist()]
+        lines.extend(" ".join(map(float.__repr__, row)) for row in rows)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_model(path) -> MlpModel:
+    """Read a ``save_model`` file; any malformed line raises
+    InvalidInputError naming the path and the line."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != MODEL_FORMAT_HEADER:
         raise InvalidInputError(f"unrecognized model file header in {path}")
-    dims = tuple(int(t) for t in lines[1].split()[1:])
-    dropout = float(lines[2].split()[1])
+
+    def malformed(i: int, why: str) -> InvalidInputError:
+        return InvalidInputError(f"malformed model file {path} at line {i + 1}: {why}")
+
+    def numbers(i: int, parse, skip: int = 0) -> list:
+        # the values on line i after its first ``skip`` tokens: at least one
+        if i >= len(lines):
+            raise malformed(i, "unexpected end of file")
+        tokens = lines[i].split()[skip:]
+        if not tokens:
+            raise malformed(i, "no values")
+        try:
+            return [parse(t) for t in tokens]
+        except ValueError as exc:
+            raise malformed(i, str(exc)) from None
+
+    dims = tuple(numbers(1, int, skip=1))
+    dropout = numbers(2, float, skip=1)[0]
     params = {}
     i = 3
     while i < len(lines):
         tokens = lines[i].split()
-        if tokens[0] != "param":
-            raise InvalidInputError(f"malformed model file at line {i + 1}")
+        if len(tokens) < 2 or tokens[0] != "param":
+            raise malformed(i, "expected 'param <name> <shape>'")
         name = tokens[1]
-        shape = tuple(int(t) for t in tokens[2:])
-        n_rows = shape[0] if len(shape) == 2 else 1
-        block = [
-            [float(t) for t in lines[i + 1 + r].split()] for r in range(n_rows)
-        ]
+        shape = tuple(numbers(i, int, skip=2))
+        if len(shape) > 2 or min(shape) < 1:
+            raise malformed(i, f"bad shape {shape}")
+        n_rows, n_cols = shape if len(shape) == 2 else (1, shape[0])
+        block = []
+        for r in range(i + 1, i + 1 + n_rows):
+            block.append(numbers(r, float))
+            if len(block[-1]) != n_cols:
+                raise malformed(r, f"{len(block[-1])} values, expected {n_cols}")
         arr = np.array(block, dtype=np.float64)
         params[name] = arr if len(shape) == 2 else arr[0]
         i += 1 + n_rows

@@ -164,11 +164,13 @@ def train(config: TrainConfig, dataset: Dataset) -> tuple[MlpModel, TrainLog]:
         lr = config.learning_rate * config.lr_decay ** epoch
         w_used = current_w if epoch >= config.warmup_epochs else np.zeros(n_train)
         order = shuffle_rng.permutation(n_train)
+        # gathered once per epoch; each batch is a slice of these
+        x_epoch, y_epoch, w_epoch = x_train[order], y_train[order], w_used[order]
         batch_losses = []
 
         for start in range(0, n_train, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            x, y = x_train[idx], y_train[idx]
+            rows = slice(start, start + config.batch_size)
+            x, y = x_epoch[rows], y_epoch[rows]
 
             if mixes:
                 xb, partners, gammas = mixup_batch(x, config.alpha, mixup_rng)
@@ -180,9 +182,10 @@ def train(config: TrainConfig, dataset: Dataset) -> tuple[MlpModel, TrainLog]:
             logits, _, cache = forward(model, xb, dropout_active=True,
                                        rng=dropout_rng)
             if mixes:
+                w = w_epoch[rows]
                 targets = batch_bsm_targets(
                     logits, y, y[partners], gammas,
-                    w_used[idx], w_used[idx[partners]], config.soft_bootstrap,
+                    w, w[partners], config.soft_bootstrap,
                 )
             else:
                 targets = batch_onehot(y, k)
@@ -192,7 +195,8 @@ def train(config: TrainConfig, dataset: Dataset) -> tuple[MlpModel, TrainLog]:
                 raise TrainingDivergenceError(
                     f"non-finite loss at epoch {epoch}"
                 )
-            batch_losses.append(float(values.mean()))
+            # values.mean(), without ndarray.mean's Python wrapper
+            batch_losses.append(float(np.add.reduce(values) / len(values)))
             backward_step(model, cache, grad_logits, adam_state, lr,
                           config.weight_decay)
 

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,8 @@ from mixboot.mlp import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    MODEL_FORMAT_HEADER,
+    PARAM_NAMES,
     PASS_ROW_BLOCK,
     MlpModel,
     adam_init,
@@ -110,6 +113,17 @@ def loop_backward_step(model, cache, grad_logits, adam_state, lr, weight_decay=0
         split_flat(adam_state.m, model.dims), split_flat(adam_state.v, model.dims),
         adam_state.t, lr, weight_decay,
     )
+
+
+def per_value_model_text(model):
+    """Reference for save_model: one ``repr(float(v))`` per value."""
+    d, h1, h2, k = model.dims
+    lines = [MODEL_FORMAT_HEADER, f"dims {d} {h1} {h2} {k}", f"dropout {model.dropout!r}"]
+    for name, p in zip(PARAM_NAMES, model.params()):
+        lines.append(f"param {name} " + " ".join(str(s) for s in p.shape))
+        for row in (p if p.ndim == 2 else p[None, :]):
+            lines.append(" ".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
 
 
 def assert_views_of_flat(model):
@@ -279,6 +293,20 @@ class TestBackward:
             assert got.shape == want.shape
             assert (got == want).all()
 
+    def test_reused_buffer_keeps_no_stale_slot(self):
+        # two batches of different sizes, dropout on then off, through one
+        # NaN-filled gradient buffer: each result equals the loop reference
+        model = kaiming_init((3, 9, 7, 4), seed=42, dropout=0.3)
+        out = MlpModel(np.full_like(model.flat, np.nan), model.dims)
+        rng = np.random.default_rng(43)
+        for n, active in ((5, True), (2, False)):
+            x = rng.normal(size=(n, 3))
+            logits, _, cache = forward(model, x, dropout_active=active, rng=rng)
+            grad_logits = softmax(logits) - batch_onehot(np.arange(n) % 4, 4)
+            assert backward(model, cache, grad_logits, out=out) is out.flat
+            for got, want in zip(out.params(), loop_backward(model, cache, grad_logits)):
+                assert_same_bits(got, want)
+
 
 def assert_same_bits(got, want):
     assert got.shape == want.shape
@@ -413,7 +441,17 @@ class TestAdam:
                     batch_size=33, max_epochs=4, seed=3),
         TrainConfig(method="ce", noise_rate=0.1, n_train=150, n_val=50,
                     max_epochs=4, weight_decay=0.0, seed=4),
-    ], ids=["bsm", "ce_no_decay"])
+        TrainConfig(method="ce_aug", noise_rate=0.1, n_train=150, n_val=50,
+                    max_epochs=3, aug_scale_jitter=0.1, seed=5),
+        TrainConfig(method="mixup_ce", noise_rate=0.2, n_train=150, n_val=50,
+                    max_epochs=3, seed=6),
+        # rate 0 draws no mask
+        TrainConfig(method="ce", noise_rate=0.1, n_train=150, n_val=50,
+                    max_epochs=3, dropout=0.0, seed=7),
+        # 161 = 5 * 32 + 1: the last batch holds one row
+        TrainConfig(method="ce", noise_rate=0.1, n_train=161, n_val=41,
+                    max_epochs=3, seed=8),
+    ], ids=["bsm", "ce_no_decay", "ce_aug", "mixup_ce", "no_dropout", "ce_last_row"])
     def test_training_matches_loop(self, config, monkeypatch):
         dataset = dataset_from_config(config)
         model, log = train(config, dataset)
@@ -447,6 +485,28 @@ class TestSerialization:
         assert loaded.dropout == model.dropout
         for a, b in zip(model.params(), loaded.params()):
             assert (a == b).all()
+
+    @pytest.mark.parametrize("dims", [(3, 8, 6, 2), (1, 1, 1, 2)])
+    def test_text_matches_per_value_writer(self, dims, tmp_path):
+        model = kaiming_init(dims, seed=44, dropout=0.35)
+        specials = [-0.0, 5e-324, 1e300, -1.5e-7, 0.1, 1.0 / 3.0, 2.0 ** 53, -2.0]
+        model.flat[:len(specials)] = specials[:model.flat.size]
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        assert path.read_text() == per_value_model_text(model)
+
+    @pytest.mark.parametrize("edit,line", [
+        (lambda lines: lines[:1], 2),                           # header only
+        (lambda lines: lines[:6] + [""] + lines[6:], 7),        # blank line before b1
+        (lambda lines: lines[:5] + ["0.5 abc 0.5"] + lines[6:], 6),  # non-numeric value
+    ], ids=["header_only", "blank_line", "non_numeric"])
+    def test_malformed_file_names_path_and_line(self, edit, line, tmp_path):
+        path = tmp_path / "model.txt"
+        save_model(kaiming_init((2, 3, 3, 2), seed=45), path)
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(InvalidInputError,
+                           match=f"{re.escape(str(path))} at line {line}:"):
+            load_model(path)
 
     def test_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.txt"
