@@ -18,7 +18,6 @@ from .experiment import (
     run_experiment,
     run_sweep,
 )
-from .prob_metrics import predictive_entropy
 
 EXIT_OK = 0
 EXIT_MISMATCH = 4
@@ -97,9 +96,7 @@ def _cmd_report(args) -> int:
     distances = read_distances(run_dir / "distance_records.csv", batch.n)
     report, bins = compute_report(config, batch)
     _print_metrics(report)
-    # the stored probabilities are repr-exact, so this is the estimator's entropy
-    texts = render_artifacts(config, batch, report, bins,
-                             predictive_entropy(batch.probs), distances)
+    texts = render_artifacts(config, batch, report, bins, distances)
     # every rendered file belongs in the run: the metrics files that
     # output.formats leaves out are not rendered
     code = EXIT_OK

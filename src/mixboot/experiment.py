@@ -29,7 +29,7 @@ from .analysis import (
 from .augment import PerturbationPolicy
 from .config import ExperimentConfig, canonical_text, config_hash, parse_config
 from .data import Dataset
-from .errors import InvalidInputError, MixbootError
+from .errors import InvalidInputError, MixbootError, UndefinedMetricError
 from .estimators import (
     EstimatorOutput,
     ensemble_predict,
@@ -44,6 +44,7 @@ from .prob_metrics import (
     brier_score,
     expected_calibration_error,
     negative_log_likelihood_binary,
+    predictive_entropy,
     roc_auc,
 )
 from .mlp import MlpModel, save_model
@@ -170,13 +171,15 @@ def estimate(config: ExperimentConfig, models: list[MlpModel],
 def compute_report(config: ExperimentConfig, batch: PredictionBatch
                    ) -> tuple[MetricsReport, ReliabilityBins]:
     ece, bins = expected_calibration_error(batch, config.analysis.bin_width)
-    # a one-class split leaves the AUC undefined, not the run (as in referral_curve)
-    has_both = len(np.unique(batch.labels)) > 1
+    try:
+        auc = roc_auc(batch.probs[:, 1], batch.labels)
+    except UndefinedMetricError:  # a one-class split: no AUC, still a run
+        auc = None
     report = MetricsReport(
         method=config.train.method,
         noise_rate=config.train.noise_rate,
         estimator=config.estimator.kind,
-        roc_auc=roc_auc(batch.probs[:, 1], batch.labels) if has_both else None,
+        roc_auc=auc,
         ece=ece,
         brier=brier_score(batch),
         nll=negative_log_likelihood_binary(batch),
@@ -238,16 +241,19 @@ def _table(header, columns, provenance: tuple[str, int, str] | None = None) -> s
 
 def render_artifacts(config: ExperimentConfig, batch: PredictionBatch,
                      report: MetricsReport, bins: ReliabilityBins,
-                     uncertainty: np.ndarray, distances: np.ndarray) -> dict[str, str]:
+                     distances: np.ndarray) -> dict[str, str]:
     """Text of every artifact that follows from the config, the validation
-    predictions, their ``compute_report`` result, the per-row uncertainty
-    and the min cosine distances, by file name: config.txt, the metrics
-    files ``config.formats`` names, reliability_bins.csv,
-    referral_curve.csv, threshold_curve.csv and distance_summary.json.
+    predictions, their ``compute_report`` result and the min cosine
+    distances, by file name: config.txt, the metrics files
+    ``config.formats`` names, reliability_bins.csv, referral_curve.csv,
+    threshold_curve.csv and distance_summary.json.
 
-    A run writes these texts and ``report`` renders them again from the
-    stored predictions.csv and distance column to compare bytes.
+    The uncertainty is the estimators' own: the predictive entropy of
+    ``batch.probs``.  A run writes these texts and ``report`` renders them
+    again from the stored predictions.csv and distance column to compare
+    bytes.
     """
+    uncertainty = predictive_entropy(batch.probs)
     correctness = batch.correctness()
     curve = referral_curve(uncertainty, correctness, batch.probs[:, 1],
                            config.analysis.fractions, labels=batch.labels)
@@ -296,7 +302,10 @@ def read_predictions(path) -> PredictionBatch:
     if data.shape[1] < 3 or (data[:, 1] != np.round(data[:, 1])).any():
         raise InvalidInputError(f"{path}: rows must hold a sample index, an "
                                 "integer label and class probabilities")
-    return PredictionBatch(data[:, 2:], data[:, 1])
+    try:
+        return PredictionBatch(data[:, 2:], data[:, 1])
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
 
 
 def read_distances(path, n: int) -> np.ndarray:
@@ -374,8 +383,7 @@ def _evaluate_and_write(config: ExperimentConfig, out: Path, dataset: Dataset,
     queries = models[0].features(dataset.val_inputs)
     distances = distance_records(queries, bank, output.uncertainty, correctness)
 
-    for name, text in render_artifacts(config, batch, report, bins,
-                                       output.uncertainty, distances).items():
+    for name, text in render_artifacts(config, batch, report, bins, distances).items():
         _write(out / name, text)
     _write(out / "train_log.json",
            _json_text({"models": [log.to_dict() for log in logs]}))

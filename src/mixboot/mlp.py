@@ -93,17 +93,18 @@ class MlpModel:
 
 @dataclass
 class ForwardCache:
-    """What backward needs: the input, the masked activations and the masks.
+    """What backward needs: the input, the masked activations and the
+    dropout scale ``1/(1-rate)`` (1.0 with dropout off).
 
-    A unit's pre-activation was positive exactly where its activation is,
-    so backward tests ``a > 0`` and no pre-activation is kept.
+    A unit was both kept by its mask and active exactly where its
+    activation is positive, so backward gates on ``a > 0`` and keeps
+    neither the pre-activations nor the masks.
     """
 
     x: np.ndarray
     a1: np.ndarray
     a2: np.ndarray
-    mask1: np.ndarray | None
-    mask2: np.ndarray | None
+    scale: float
 
 
 def kaiming_init(
@@ -175,20 +176,18 @@ def forward(
         raise InvalidInputError("active dropout requires an rng")
 
     a1 = hidden1(model, x)
-    mask1 = mask2 = None
     if use_dropout:
         # one draw for both masks, in the stream order of layer 1 then 2
         n, h1 = a1.shape
         masks = _dropout_mask(np.empty(dropout_draws(model, n)), model.dropout, rng)
-        mask1 = masks[:n * h1].reshape(n, h1)
-        mask2 = masks[n * h1:].reshape(n, model.dims[2])
-        a1 *= mask1
+        a1 *= masks[:n * h1].reshape(n, h1)
     a2 = a1 @ model.w2
     a2 += model.b2
     np.maximum(a2, 0.0, out=a2)
     if use_dropout:
-        a2 *= mask2
-    return _output_layer(model, a2), a2, ForwardCache(x, a1, a2, mask1, mask2)
+        a2 *= masks[n * h1:].reshape(n, model.dims[2])
+    scale = 1.0 / (1.0 - model.dropout) if use_dropout else 1.0
+    return _output_layer(model, a2), a2, ForwardCache(x, a1, a2, scale)
 
 
 def dropout_pass(model: MlpModel, hidden: np.ndarray, rng: np.random.Generator,
@@ -242,6 +241,11 @@ def backward(
     whose flat buffer is overwritten and returned.  Every gradient is a
     sum over the batch, divided by the row count in one pass at the end:
     ``mean(axis=0)`` is the same sum and the same division.
+
+    Gating by ``a > 0`` and then scaling gives the bits of the product
+    with the dropout mask and then the gate, signed zeros included, except
+    at a dead unit where ``dz * scale`` overflows, where the mask product
+    gave NaN and this gives ±0.
     """
     g = np.asarray(grad_logits, dtype=np.float64)
     if out is None:
@@ -250,15 +254,13 @@ def backward(
     np.matmul(cache.a2.T, g, out=out.w3)
     np.add.reduce(g, axis=0, out=out.b3)
     dz2 = g @ model.w3.T
-    if cache.mask2 is not None:
-        dz2 *= cache.mask2
     dz2 *= cache.a2 > 0.0
+    dz2 *= cache.scale
     np.matmul(cache.a1.T, dz2, out=out.w2)
     np.add.reduce(dz2, axis=0, out=out.b2)
     dz1 = dz2 @ model.w2.T
-    if cache.mask1 is not None:
-        dz1 *= cache.mask1
     dz1 *= cache.a1 > 0.0
+    dz1 *= cache.scale
     np.matmul(cache.x.T, dz1, out=out.w1)
     np.add.reduce(dz1, axis=0, out=out.b1)
     out.flat /= g.shape[0]

@@ -93,6 +93,15 @@ def _moment_match(x: np.ndarray, resp: np.ndarray) -> tuple[float, float]:
     return float(max(a, SHAPE_MIN)), float(max(b, SHAPE_MIN))
 
 
+def _m_step(x: np.ndarray, r1: np.ndarray) -> tuple[float, float, float, float, float]:
+    """Both components' moment-matched shapes and the component-1 mixing
+    weight from its responsibilities ``r1``, in ``bmm_e_step``'s argument
+    order: (a1, b1, a2, b2, pi)."""
+    a1, b1 = _moment_match(x, r1)
+    a2, b2 = _moment_match(x, 1.0 - r1)
+    return a1, b1, a2, b2, float(np.clip(r1.mean(), NORM_EPS, 1.0 - NORM_EPS))
+
+
 def fit_bmm(
     normalized_losses: np.ndarray, iterations: int = DEFAULT_EM_ITERATIONS
 ) -> BetaMixtureModel:
@@ -111,17 +120,11 @@ def fit_bmm(
     if np.all(x == x[0]):
         return BetaMixtureModel(1.0, 1.0, 1.0, 1.0, 0.5, uninformative=True)
 
-    r1 = (x < x.mean()).astype(np.float64)
-    a1, b1 = _moment_match(x, r1)
-    a2, b2 = _moment_match(x, 1.0 - r1)
-    pi = float(np.clip(r1.mean(), NORM_EPS, 1.0 - NORM_EPS))
-
+    params = _m_step(x, (x < x.mean()).astype(np.float64))
     for _ in range(iterations):
-        r1, _ = _kernels.bmm_e_step(x, a1, b1, a2, b2, pi)
-        a1, b1 = _moment_match(x, r1)
-        a2, b2 = _moment_match(x, 1.0 - r1)
-        pi = float(np.clip(r1.mean(), NORM_EPS, 1.0 - NORM_EPS))
+        params = _m_step(x, _kernels.bmm_e_step(x, *params)[0])
 
+    a1, b1, a2, b2, pi = params
     if a1 / (a1 + b1) > a2 / (a2 + b2):
         a1, b1, a2, b2 = a2, b2, a1, b1
         pi = 1.0 - pi

@@ -75,19 +75,14 @@ class PredictionBatch:
 class ReliabilityBins:
     """Per-bin counts, mean confidences and empirical accuracies.
 
-    Bin m covers the half-open interval (m*w, (m+1)*w]; a confidence of
-    exactly 0 lands in the first bin.  conf_mean/acc are NaN for empty bins.
+    Bin m covers (edges[m], edges[m + 1]]; a confidence of exactly 0 lands
+    in the first bin.  conf_mean/acc are NaN for empty bins.
     """
 
-    bin_width: float
     counts: np.ndarray
     conf_mean: np.ndarray
     acc: np.ndarray
     edges: np.ndarray = field(repr=False)
-
-    @property
-    def n_bins(self) -> int:
-        return len(self.counts)
 
     def gaps(self) -> np.ndarray:
         """|conf - acc| per bin, NaN where the bin is empty."""
@@ -123,13 +118,7 @@ def reliability_bins(batch: PredictionBatch, bin_width: float = 0.1) -> Reliabil
     with np.errstate(invalid="ignore"):
         conf_mean = conf_sum / counts
         acc = acc_sum / counts
-    return ReliabilityBins(
-        bin_width=float(bin_width),
-        counts=counts,
-        conf_mean=conf_mean,
-        acc=acc,
-        edges=edges,
-    )
+    return ReliabilityBins(counts=counts, conf_mean=conf_mean, acc=acc, edges=edges)
 
 
 def expected_calibration_error(
@@ -139,8 +128,7 @@ def expected_calibration_error(
     bins = reliability_bins(batch, bin_width)
     nonempty = bins.counts > 0
     weights = bins.counts[nonempty] / batch.n
-    gaps = np.abs(bins.conf_mean[nonempty] - bins.acc[nonempty])
-    return float((weights * gaps).sum()), bins
+    return float((weights * bins.gaps()[nonempty]).sum()), bins
 
 
 def negative_log_likelihood_binary(batch: PredictionBatch) -> float:

@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import special, stats
 
 from mixboot.analysis import (
+    _sorted_unique,
     distance_perception_summary,
     distance_records,
     min_cosine_distances,
@@ -16,9 +20,31 @@ from mixboot.analysis import (
     threshold_curve,
 )
 from mixboot.errors import InvalidInputError, UndefinedMetricError
+from mixboot.prob_metrics import roc_auc
 
 # frozen tied-rank hand-oracle: ranks (1, 2.5, 2.5, 4) vs (1, 3, 2, 4)
 SPEARMAN_TIED_EXAMPLE = 0.9486832980505138
+
+
+@st.composite
+def referral_cases(draw):
+    """1..60 rows of uncertainty, 0/1 correctness, score and 0/1 label, a
+    few rejection fractions and a permutation of the rows.  Uncertainties
+    and scores come from a coarse grid (many ties) or are free floats."""
+    n = draw(st.integers(1, 60))
+
+    def column(grid):
+        elements = (st.sampled_from(grid) if draw(st.booleans())
+                    else st.floats(0.0, 1.0))
+        return draw(hnp.arrays(np.float64, n, elements=elements))
+
+    u = column([0.0, 0.1, 0.5, 0.7])
+    s = column([0.0, 0.25, 0.5, 1.0])
+    c = draw(hnp.arrays(np.float64, n, elements=st.sampled_from([0.0, 1.0])))
+    y = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1)))
+    fracs = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=5))
+    perm = np.array(draw(st.permutations(range(n))))
+    return u, c, s, y, fracs, perm
 
 
 class TestReferralCurve:
@@ -89,6 +115,28 @@ class TestReferralCurve:
             referral_curve(np.ones(2), np.ones(2), np.full(2, 0.5), [1.0],
                            np.zeros(2, dtype=int))
 
+    @settings(deadline=None, max_examples=200)
+    @given(referral_cases())
+    def test_points_do_not_depend_on_row_order(self, case):
+        # the retained rows are scored in rejection order, and each point
+        # has the bits of the same rows scored in any other order
+        u, c, s, y, fracs, perm = case
+        order = np.argsort(-u, kind="stable")
+        expected = []
+        for f in sorted(set(fracs)):
+            kept = order[math.ceil(f * len(u)):]
+            kept = kept[np.argsort(perm[kept])]  # the same rows, shuffled
+            try:
+                auc = roc_auc(s[kept], y[kept])
+            except UndefinedMetricError:
+                auc = None
+            expected.append((f, float(c[kept].mean()) if kept.size else None, auc,
+                             int(kept.size)))
+        assert referral_curve(u, c, s, fracs, y) == expected
+        if len(set(u.tolist())) == len(u):
+            # without ties every permutation of the rows retains the same rows
+            assert referral_curve(u[perm], c[perm], s[perm], fracs, y[perm]) == expected
+
 
 class TestThresholdCurve:
     def test_hand_filter_oracle(self):
@@ -116,6 +164,18 @@ class TestThresholdCurve:
         points = threshold_curve(u, c, [0.3, 0.15, 0.3])
         assert [p.threshold for p in points] == [0.15, 0.3]
         assert [p.n_retained for p in points] == [1, 3]
+
+
+class TestSortedUnique:
+    @settings(deadline=None, max_examples=300)
+    @given(hnp.arrays(np.float64, st.integers(0, 30), elements=st.one_of(
+        st.sampled_from([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 0.5, 1.0]),
+        st.floats(allow_nan=True, allow_infinity=True))))
+    def test_matches_np_unique_bit_for_bit(self, values):
+        # signed zeros and NaN payloads included
+        got, want = _sorted_unique(values), np.unique(values)
+        assert got.shape == want.shape
+        assert (got.view(np.int64) == want.view(np.int64)).all()
 
 
 class TestMinCosineDistance:

@@ -420,15 +420,19 @@ class TestReportVerb:
         "0,1.5,0.5,0.5\n",  # a label that is no class index
         "0,1,0.5,0.5\n1,0,0.5\n",  # a short row
         "",  # no rows
+        "0,1,1.5,-0.5\n",  # a probability outside [0, 1]
+        "0,1,0.5,0.4\n",  # a row that does not sum to 1
+        "0,7,0.5,0.5\n",  # a label past the last class
     ])
     @pytest.mark.filterwarnings("error")  # the error: line is all the user sees
     def test_malformed_predictions_are_input_errors(self, workdir, capsys, rows):
         write_config(workdir, FAST_BLOBS)
-        (workdir / "predictions.csv").write_text("sample_index,label,prob_0,prob_1\n" + rows)
+        predictions = workdir / "predictions.csv"
+        predictions.write_text("sample_index,label,prob_0,prob_1\n" + rows)
         capsys.readouterr()
         assert main(["report", "--run", str(workdir)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "predictions.csv" in err
+        assert err.startswith(f"error: {predictions}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("edit", ["missing", "short", "one_column", "non_number"])
     @pytest.mark.filterwarnings("error")  # the error: line is all the user sees
@@ -500,20 +504,32 @@ class TestImportGraph:
                   "('multiprocessing', 'concurrent.futures'))")
         assert self.run_python(f"import sys, mixboot.cli; print({loaded})") == "False"
 
-    def test_run_and_report_load_no_scipy(self, workdir):
-        # a small bsm run (perfbench's smoke sizes) reaches the BMM fit, the
-        # Spearman p-value and report
-        config = write_config(workdir, (
+    @pytest.fixture(scope="class")
+    def run_and_report_modules(self, tmp_path_factory):
+        """The modules loaded after a small bsm run (perfbench's smoke
+        sizes) and its report in one process: they reach the BMM fit, the
+        Spearman p-value, both curves and report."""
+        root = tmp_path_factory.mktemp("imports")
+        config = write_config(root, (
             "method = bsm\ngenerator = two_moons\nnoise_rate = 0.2\n"
             "n_train = 200\nn_val = 100\nmax_epochs = 2\npatience = 2\n"
             "estimator.kind = mc_dropout\nestimator.passes = 3\n"
-            "output.dir = run\n"
+            f"output.dir = {root / 'run'}\n"
         ))
         code = (
             "import sys\n"
             "from mixboot.cli import main\n"
             f"assert main(['run', '--config', {config!r}]) == 0\n"
-            f"assert main(['report', '--run', {str(workdir / 'run')!r}]) == 0\n"
-            f"print({self.SCIPY_LOADED})\n"
+            f"assert main(['report', '--run', {str(root / 'run')!r}]) == 0\n"
+            "print(' '.join(sys.modules))\n"
         )
-        assert self.run_python(code) == "False"
+        return set(self.run_python(code).split())
+
+    def test_run_and_report_load_no_scipy(self, run_and_report_modules):
+        assert not any(m == "scipy" or m.startswith("scipy.")
+                       for m in run_and_report_modules)
+
+    def test_run_and_report_load_no_numpy_ma(self, run_and_report_modules):
+        # np.unique imports numpy.ma on its first call: 12-14 ms and 1.7 MB
+        assert "numpy" in run_and_report_modules
+        assert "numpy.ma" not in run_and_report_modules

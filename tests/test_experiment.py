@@ -159,12 +159,15 @@ class TestRunExperiment:
 
         batch = read_predictions(out_dir / "predictions.csv")
         distances = read_distances(out_dir / "distance_records.csv", batch.n)
-        uncertainty = predictive_entropy(batch.probs)
         np.testing.assert_array_equal(batch.probs, args[1].probs)
-        np.testing.assert_array_equal(uncertainty, args[4])
-        np.testing.assert_array_equal(distances, args[5])
+        np.testing.assert_array_equal(distances, args[4])
+        # the entropy the renderer derives is the estimator's uncertainty
+        # column, which distance_records.csv stores
+        stored = np.loadtxt(out_dir / "distance_records.csv", delimiter=",",
+                            skiprows=4, usecols=2)
+        np.testing.assert_array_equal(predictive_entropy(batch.probs), stored)
         again = render_artifacts(config, batch, *compute_report(config, batch),
-                                 uncertainty, distances)
+                                 distances)
         assert again == texts
 
     def test_metrics_json_matches_report(self, out_root):
@@ -604,8 +607,7 @@ class TestTableFormat:
                                 np.array([1, 0, 0]))
         config = parse_config(FAST_BLOBS)
         _, bins = compute_report(config, batch)
-        texts = render_artifacts(config, batch, self.REPORT, bins,
-                                 predictive_entropy(batch.probs), np.array([0.1, 0.2, 0.3]))
+        texts = render_artifacts(config, batch, self.REPORT, bins, np.array([0.1, 0.2, 0.3]))
         assert texts["metrics.csv"] == (
             "# config_hash=0123456789ab\n"
             "# seed=5\n"

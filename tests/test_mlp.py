@@ -64,12 +64,19 @@ def reference_forward(model, inputs, dropout_active=False, rng=None):
     return a @ model.w3 + model.b3, acts, masks
 
 
-def loop_backward(model, cache, grad_logits):
+def loop_backward(model, cache, grad_logits, masks=None):
     """Reference: six separately allocated gradient arrays, in params() order.
 
-    The ReLU gates test the pre-activations, rebuilt here from the cached
-    input and layer-1 activations, where backward tests the activations.
+    Each hidden gradient is multiplied by the dropout mask, then by a ReLU
+    gate on the pre-activations, rebuilt here from the cached input and
+    layer-1 activations.  ``masks`` are those ``reference_forward`` draws
+    from the forward's seed ([] with dropout off); by default they are
+    rebuilt from the cache, ``cache.scale`` where a unit is active and 0
+    elsewhere, which is the drawn mask wherever the gate is open.
     """
+    if masks is None:
+        masks = [np.where(a > 0.0, cache.scale, 0.0) for a in (cache.a1, cache.a2)]
+    mask1, mask2 = masks or (None, None)
     z1 = cache.x @ model.w1 + model.b1
     z2 = cache.a1 @ model.w2 + model.b2
     g = np.asarray(grad_logits, dtype=np.float64)
@@ -77,14 +84,14 @@ def loop_backward(model, cache, grad_logits):
     dw3 = cache.a2.T @ g / n
     db3 = g.mean(axis=0)
     da2 = g @ model.w3.T
-    if cache.mask2 is not None:
-        da2 = da2 * cache.mask2
+    if mask2 is not None:
+        da2 = da2 * mask2
     dz2 = da2 * (z2 > 0.0)
     dw2 = cache.a1.T @ dz2 / n
     db2 = dz2.mean(axis=0)
     da1 = dz2 @ model.w2.T
-    if cache.mask1 is not None:
-        da1 = da1 * cache.mask1
+    if mask1 is not None:
+        da1 = da1 * mask1
     dz1 = da1 * (z1 > 0.0)
     dw1 = cache.x.T @ dz1 / n
     db1 = dz1.mean(axis=0)
@@ -265,17 +272,22 @@ class TestBackward:
                 assert abs(fd - flat_g[idx]) <= 1e-6 * max(1.0, abs(flat_g[idx]))
 
     def test_dropout_mask_respected(self):
-        # gradients must flow only through surviving units
-        model = kaiming_init((2, 8, 8, 2), seed=12, dropout=0.5)
+        # gradients must flow only through surviving units; 64 units at rate
+        # 0.5 leave about 4 dropped in all 4 rows
+        model = kaiming_init((2, 64, 8, 2), seed=12, dropout=0.5)
         x = np.random.default_rng(13).normal(size=(4, 2))
         logits, _, cache = forward(
             model, x, dropout_active=True, rng=np.random.default_rng(14)
         )
+        _, _, masks = reference_forward(
+            model, x, dropout_active=True, rng=np.random.default_rng(14)
+        )
         grad_logits = softmax(logits) - batch_onehot(np.zeros(4, dtype=int), 2)
-        dw1 = split_flat(backward(model, cache, grad_logits), model.dims)[0]
-        dead_cols = (cache.mask1 == 0.0).all(axis=0)
-        if dead_cols.any():
-            assert (np.abs(dw1[:, dead_cols]) == 0.0).all()
+        dw1, db1 = split_flat(backward(model, cache, grad_logits), model.dims)[:2]
+        dead_cols = (masks[0] == 0.0).all(axis=0)
+        assert dead_cols.any()
+        assert (dw1[:, dead_cols] == 0.0).all() and (db1[dead_cols] == 0.0).all()
+        assert (db1[~dead_cols] != 0.0).any()
 
     @pytest.mark.parametrize("n", [1, 2, 32])
     def test_flat_gradients_match_loop(self, n):
@@ -285,11 +297,14 @@ class TestBackward:
         logits, _, cache = forward(
             model, x, dropout_active=True, rng=np.random.default_rng(22)
         )
+        _, _, masks = reference_forward(
+            model, x, dropout_active=True, rng=np.random.default_rng(22)
+        )
         grad_logits = softmax(logits) - batch_onehot(np.arange(n) % 4, 4)
         flat = backward(model, cache, grad_logits)
         assert flat.shape == model.flat.shape
         for got, want in zip(split_flat(flat, model.dims),
-                             loop_backward(model, cache, grad_logits)):
+                             loop_backward(model, cache, grad_logits, masks)):
             assert got.shape == want.shape
             assert (got == want).all()
 
@@ -301,10 +316,13 @@ class TestBackward:
         rng = np.random.default_rng(43)
         for n, active in ((5, True), (2, False)):
             x = rng.normal(size=(n, 3))
+            _, _, masks = reference_forward(model, x, dropout_active=active,
+                                            rng=copy.deepcopy(rng))
             logits, _, cache = forward(model, x, dropout_active=active, rng=rng)
             grad_logits = softmax(logits) - batch_onehot(np.arange(n) % 4, 4)
             assert backward(model, cache, grad_logits, out=out) is out.flat
-            for got, want in zip(out.params(), loop_backward(model, cache, grad_logits)):
+            for got, want in zip(out.params(),
+                                 loop_backward(model, cache, grad_logits, masks)):
                 assert_same_bits(got, want)
 
 
@@ -340,7 +358,8 @@ def forward_cases(draw):
 
 
 class TestInPlaceForward:
-    """The in-place forward and the a > 0 gates give the out-of-place bits."""
+    """The in-place forward gives the out-of-place bits, and backward's
+    a > 0 gates and dropout scale give those of the reference's masks."""
 
     @settings(deadline=None, max_examples=200)
     @given(forward_cases())
@@ -353,17 +372,15 @@ class TestInPlaceForward:
             model, x, dropout_active=active, rng=np.random.default_rng(case["seed"])
         )
         assert_same_bits(logits, ref_logits)
-        masks = [m for m in (cache.mask1, cache.mask2) if m is not None]
-        assert len(masks) == len(ref_masks)
-        for got, want in zip([feats, cache.a1, cache.a2] + masks,
-                             [ref_acts[1]] + ref_acts + ref_masks):
+        for got, want in zip([feats, cache.a1, cache.a2], [ref_acts[1]] + ref_acts):
             assert_same_bits(got, want)
+        assert cache.scale == (1.0 / (1.0 - model.dropout) if ref_masks else 1.0)
 
         # with the activations equal, loop_backward rebuilds the reference's
-        # pre-activations and gates on them
+        # pre-activations and gates them and the drawn masks
         grads = backward(model, cache, case["grad_logits"])
         for got, want in zip(split_flat(grads, model.dims),
-                             loop_backward(model, cache, case["grad_logits"])):
+                             loop_backward(model, cache, case["grad_logits"], ref_masks)):
             assert_same_bits(got, want)
 
     @pytest.mark.parametrize("h1,h2", [(64, 64), (64, 1)])
