@@ -62,6 +62,8 @@ class AnalysisConfig:
             raise ConfigError("analysis.fractions and analysis.thresholds must be nonempty")
         if not all(0.0 <= f < 1.0 for f in self.fractions):
             raise ConfigError("analysis.fractions must lie in [0, 1)")
+        if any(t != t for t in self.thresholds):  # NaN is unequal to itself
+            raise ConfigError("analysis.thresholds must not be nan")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Uncertainty-producing predictors over trained models.
 
-Every estimator is the mean of per-pass softmax rows, summed in pass
-order by one fold so results do not depend on scheduling, plus a
-per-sample uncertainty: the predictive entropy of the mean row.  MC
-dropout and TTA draw their randomness from the seed material they are
-given, never from a caller's generator.
+Every estimator returns the mean of per-pass softmax rows, summed in
+pass order by one fold so results do not depend on scheduling; the
+uncertainty score, the predictive entropy of those rows, is left to the
+caller (``prob_metrics.predictive_entropy``).  MC dropout and TTA draw
+their randomness from the seed material they are given, never from a
+caller's generator.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .errors import InvalidInputError
 from .losses import softmax
 from .jobs import run_jobs
 from .mlp import MlpModel, dropout_draws, dropout_pass, hidden1
-from .prob_metrics import predictive_entropy
 
 
 # MC-dropout passes fork only from this many rows times passes: a 500-row,
@@ -31,10 +31,9 @@ MC_FORK_MIN_ROW_PASSES = 32768
 
 @dataclass(frozen=True)
 class EstimatorOutput:
-    """Mean probabilities, their per-row entropy, optional per-class variance."""
+    """Mean probabilities and, for MC dropout, their per-class variance."""
 
     mean_probs: np.ndarray
-    uncertainty: np.ndarray
     variance: np.ndarray | None = None
 
 
@@ -53,13 +52,9 @@ def _fold(results: Iterable, shape: tuple[int, int]) -> tuple[np.ndarray, np.nda
     return total / count, total_sq / count
 
 
-def _output(mean: np.ndarray, variance: np.ndarray | None = None) -> EstimatorOutput:
-    return EstimatorOutput(mean, predictive_entropy(mean), variance)
-
-
 def ensemble_predict(models: list[MlpModel], inputs: np.ndarray) -> EstimatorOutput:
-    """Arithmetic mean of member probabilities, dropout off; entropy of the
-    mean.  One member is the single-pass estimator."""
+    """Arithmetic mean of member probabilities, dropout off.  One member is
+    the single-pass estimator."""
     if len(models) < 1:
         raise InvalidInputError("ensemble needs at least one model")
     dims = models[0].dims
@@ -67,7 +62,7 @@ def ensemble_predict(models: list[MlpModel], inputs: np.ndarray) -> EstimatorOut
         raise InvalidInputError("ensemble members must share input/output shapes")
     mean, _ = _fold((softmax(m.predict_logits(inputs)) for m in models),
                     (len(inputs), dims[3]))
-    return _output(mean)
+    return EstimatorOutput(mean)
 
 
 def mc_dropout_predict(
@@ -107,7 +102,7 @@ def mc_dropout_predict(
 
     run = map if passes * len(x) < MC_FORK_MIN_ROW_PASSES else run_jobs
     mean, mean_sq = _fold(run(one_pass, range(passes)), (len(x), k))
-    return _output(mean, tau_inv + mean_sq - mean * mean)
+    return EstimatorOutput(mean, tau_inv + mean_sq - mean * mean)
 
 
 def tta_predict(
@@ -131,4 +126,4 @@ def tta_predict(
     rng = np.random.default_rng(seed)
     mean, _ = _fold((softmax(model.predict_logits(perturb(inputs, policy, rng)))
                      for _ in range(repeats)), (len(inputs), model.dims[3]))
-    return _output(mean)
+    return EstimatorOutput(mean)

@@ -13,7 +13,7 @@ import shutil
 import tempfile
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -248,10 +248,10 @@ def render_artifacts(config: ExperimentConfig, batch: PredictionBatch,
     ``config.formats`` names, reliability_bins.csv, referral_curve.csv,
     threshold_curve.csv and distance_summary.json.
 
-    The uncertainty is the estimators' own: the predictive entropy of
-    ``batch.probs``.  A run writes these texts and ``report`` renders them
-    again from the stored predictions.csv and distance column to compare
-    bytes.
+    The uncertainty is the predictive entropy of ``batch.probs``, the
+    column distance_records.csv stores.  A run writes these texts and
+    ``report`` renders them again from the stored predictions.csv and
+    distance column to compare bytes.
     """
     uncertainty = predictive_entropy(batch.probs)
     correctness = batch.correctness()
@@ -299,9 +299,9 @@ def read_predictions(path) -> PredictionBatch:
     """Rebuild the exact PredictionBatch persisted by run_experiment; a
     malformed file raises ``InvalidInputError`` naming it."""
     data = _load_rows(path, 1, ndmin=2)
-    if data.shape[1] < 3 or (data[:, 1] != np.round(data[:, 1])).any():
-        raise InvalidInputError(f"{path}: rows must hold a sample index, an "
-                                "integer label and class probabilities")
+    if data.shape[1] < 3:
+        raise InvalidInputError(f"{path}: rows must hold a sample index, a "
+                                "label and class probabilities")
     try:
         return PredictionBatch(data[:, 2:], data[:, 1])
     except InvalidInputError as exc:
@@ -381,15 +381,16 @@ def _evaluate_and_write(config: ExperimentConfig, out: Path, dataset: Dataset,
     correctness = batch.correctness()
     bank = models[0].features(dataset.train_inputs)
     queries = models[0].features(dataset.val_inputs)
-    distances = distance_records(queries, bank, output.uncertainty, correctness)
+    uncertainty = predictive_entropy(batch.probs)
+    distances = distance_records(queries, bank, uncertainty, correctness)
 
     for name, text in render_artifacts(config, batch, report, bins, distances).items():
         _write(out / name, text)
     _write(out / "train_log.json",
-           _json_text({"models": [log.to_dict() for log in logs]}))
+           _json_text({"models": [asdict(log) for log in logs]}))
     _write(out / "distance_records.csv", _table(
         ("sample_index", "min_cosine_distance", "uncertainty", "correct"),
-        (range(batch.n), distances, output.uncertainty, correctness.astype(bool)),
+        (range(batch.n), distances, uncertainty, correctness.astype(bool)),
         report.provenance))
     _write(out / "predictions.csv", _table(
         ("sample_index", "label", *(f"prob_{j}" for j in range(batch.k))),

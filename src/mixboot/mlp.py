@@ -377,6 +377,8 @@ def load_model(path) -> MlpModel:
 
     dims = tuple(numbers(1, int, skip=1))
     dropout = numbers(2, float, skip=1)[0]
+    if not 0.0 <= dropout < 1.0:  # NaN fails too
+        raise malformed(2, f"dropout {dropout} must lie in [0, 1)")
     params = {}
     i = 3
     while i < len(lines):

@@ -22,7 +22,8 @@ def _check_rows(p: np.ndarray) -> None:
     """Reject anything but an N x K float array of probability rows."""
     if p.ndim != 2:
         raise InvalidInputError(f"probs must be N x K, got shape {p.shape}")
-    if np.any(p < 0.0) or np.any(p > 1.0):
+    # NaN fails both comparisons, so a NaN probability is refused here
+    if not ((p >= 0.0) & (p <= 1.0)).all():
         raise InvalidInputError("probabilities must lie in [0, 1]")
     if np.any(np.abs(p.sum(axis=1) - 1.0) > ROW_SUM_TOL):
         raise InvalidInputError("every probability row must sum to 1 within 1e-6")
@@ -30,10 +31,12 @@ def _check_rows(p: np.ndarray) -> None:
 
 @dataclass
 class PredictionBatch:
-    """N rows of K class probabilities plus N integer labels.
+    """N >= 1 rows of K class probabilities plus N integer labels.
 
-    Rows must sum to 1 within 1e-6, every probability must lie in [0, 1]
-    and every label must be a valid class index.
+    The one check of a prediction set: rows must sum to 1 within 1e-6,
+    every probability must lie in [0, 1], and every label must be an
+    integer class index (checked before the labels become int64, so a
+    NaN, infinite or fractional label is refused, not cast).
     """
 
     probs: np.ndarray
@@ -41,15 +44,17 @@ class PredictionBatch:
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
         _check_rows(self.probs)
         n, k = self.probs.shape
-        if self.labels.shape != (n,):
-            raise InvalidInputError(
-                f"labels must have length {n}, got shape {self.labels.shape}"
-            )
-        if n > 0 and (self.labels.min() < 0 or self.labels.max() >= k):
-            raise InvalidInputError(f"labels must lie in 0..{k - 1}")
+        if n == 0:
+            raise InvalidInputError("a prediction batch needs at least one row")
+        labels = np.asarray(self.labels)
+        if labels.shape != (n,):
+            raise InvalidInputError(f"labels must have length {n}, got shape {labels.shape}")
+        # NaN fails every comparison and infinity the upper bound
+        if not ((labels >= 0) & (labels < k) & (labels == np.floor(labels))).all():
+            raise InvalidInputError(f"labels must be integers in 0..{k - 1}")
+        self.labels = labels.astype(np.int64, copy=False)
 
     @property
     def n(self) -> int:
@@ -100,8 +105,6 @@ def predictive_entropy(probs: np.ndarray) -> np.ndarray:
 
 def reliability_bins(batch: PredictionBatch, bin_width: float = 0.1) -> ReliabilityBins:
     """Bin samples by confidence into (m*w, (m+1)*w] intervals."""
-    if batch.n == 0:
-        raise InvalidInputError("cannot bin an empty batch")
     if not 0.0 < bin_width <= 1.0:
         raise InvalidInputError("bin_width must lie in (0, 1]")
     n_bins = int(np.ceil(1.0 / bin_width))
@@ -135,8 +138,6 @@ def negative_log_likelihood_binary(batch: PredictionBatch) -> float:
     """Mean -ln p(true class), binary only, probabilities clamped by 1e-12."""
     if batch.k != 2:
         raise UnsupportedShapeError(f"binary NLL requires K = 2, got K = {batch.k}")
-    if batch.n == 0:
-        raise InvalidInputError("cannot score an empty batch")
     p_true = batch.probs[np.arange(batch.n), batch.labels]
     p_true = np.clip(p_true, LOG_EPS, 1.0 - LOG_EPS)
     return float(-np.log(p_true).mean())
@@ -144,8 +145,6 @@ def negative_log_likelihood_binary(batch: PredictionBatch) -> float:
 
 def brier_score(batch: PredictionBatch) -> float:
     """Mean over samples of K^-1 * sum_k (onehot_k - p_k)^2."""
-    if batch.n == 0:
-        raise InvalidInputError("cannot score an empty batch")
     onehot = np.zeros_like(batch.probs)
     onehot[np.arange(batch.n), batch.labels] = 1.0
     return float(((onehot - batch.probs) ** 2).sum(axis=1).mean() / batch.k)
@@ -191,6 +190,4 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
 
 def accuracy(batch: PredictionBatch) -> float:
     """Fraction of samples whose argmax probability hits the label."""
-    if batch.n == 0:
-        raise InvalidInputError("cannot score an empty batch")
     return float(batch.correctness().mean())

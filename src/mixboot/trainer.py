@@ -11,7 +11,6 @@ and the resulting noisy-posterior weights drive the next epoch; the first
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-import math
 
 import numpy as np
 
@@ -92,28 +91,21 @@ class TrainConfig:
 
 @dataclass
 class TrainLog:
-    """Per-epoch training history, JSON-serializable via to_dict()."""
+    """Per-epoch training history; ``dataclasses.asdict`` of it is JSON.
+
+    Nothing derived is stored: epoch e ran at ``learning_rate * lr_decay
+    ** e`` and the best accuracy is ``val_accuracy[best_epoch]``.  An
+    empty clean or flipped split logs None."""
 
     method: str
     seed: int
     train_loss: list[float] = field(default_factory=list)
     val_accuracy: list[float] = field(default_factory=list)
-    learning_rate: list[float] = field(default_factory=list)
-    clean_ce: list[float] = field(default_factory=list)
-    flipped_ce: list[float] = field(default_factory=list)
+    clean_ce: list[float | None] = field(default_factory=list)
+    flipped_ce: list[float | None] = field(default_factory=list)
     bmm: list[dict | None] = field(default_factory=list)
     best_epoch: int = -1
-    best_val_accuracy: float = -1.0
     stopped_epoch: int = -1
-
-    def to_dict(self) -> dict:
-        def clean(v):
-            return None if (isinstance(v, float) and not math.isfinite(v)) else v
-
-        d = asdict(self)
-        d["clean_ce"] = [clean(v) for v in d["clean_ce"]]
-        d["flipped_ce"] = [clean(v) for v in d["flipped_ce"]]
-        return d
 
 
 def dataset_from_config(config: TrainConfig) -> Dataset:
@@ -202,8 +194,8 @@ def train(config: TrainConfig, dataset: Dataset) -> tuple[MlpModel, TrainLog]:
 
         # epoch-end bookkeeping on original inputs, dropout off
         ce_values = _per_sample_ce(model, x_train, y_train, k)
-        clean_ce = float(ce_values[~flip_mask].mean()) if (~flip_mask).any() else float("nan")
-        flipped_ce = float(ce_values[flip_mask].mean()) if flip_mask.any() else float("nan")
+        clean_ce = float(ce_values[~flip_mask].mean()) if (~flip_mask).any() else None
+        flipped_ce = float(ce_values[flip_mask].mean()) if flip_mask.any() else None
 
         bmm_entry = None
         if config.method == "bsm":
@@ -217,7 +209,6 @@ def train(config: TrainConfig, dataset: Dataset) -> tuple[MlpModel, TrainLog]:
 
         log.train_loss.append(float(np.mean(batch_losses)))
         log.val_accuracy.append(val_acc)
-        log.learning_rate.append(lr)
         log.clean_ce.append(clean_ce)
         log.flipped_ce.append(flipped_ce)
         log.bmm.append(bmm_entry)
@@ -230,5 +221,4 @@ def train(config: TrainConfig, dataset: Dataset) -> tuple[MlpModel, TrainLog]:
         if epoch - log.best_epoch >= config.patience:
             break
 
-    log.best_val_accuracy = best_acc
     return best_params, log

@@ -423,6 +423,8 @@ class TestReportVerb:
         "0,1,1.5,-0.5\n",  # a probability outside [0, 1]
         "0,1,0.5,0.4\n",  # a row that does not sum to 1
         "0,7,0.5,0.5\n",  # a label past the last class
+        "0,1,nan,nan\n",  # a NaN probability
+        "0,inf,0.5,0.5\n",  # a label that no int64 holds
     ])
     @pytest.mark.filterwarnings("error")  # the error: line is all the user sees
     def test_malformed_predictions_are_input_errors(self, workdir, capsys, rows):

@@ -254,6 +254,12 @@ class TestSectionValidation:
         with pytest.raises(ConfigError):
             AnalysisConfig(fractions=())
 
+    @pytest.mark.filterwarnings("error")
+    def test_nan_threshold_rejected(self):
+        # a NaN threshold would add a nan,nan,0 row to threshold_curve.csv
+        with pytest.raises(ConfigError, match="analysis.thresholds"):
+            parse_config(MINIMAL + "analysis.thresholds = nan,0.2\n")
+
     def test_formats_bounds(self):
         base = parse_config(MINIMAL)
         with pytest.raises(ConfigError):

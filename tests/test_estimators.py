@@ -37,13 +37,16 @@ def example_inputs(n=5, seed=0):
 
 def single_forward(model, inputs):
     """The single-pass estimator written out: one softmax pass, dropout off."""
-    probs = softmax(model.predict_logits(inputs))
-    return EstimatorOutput(probs, predictive_entropy(probs))
+    return EstimatorOutput(softmax(model.predict_logits(inputs)))
 
 
 def output_bytes(out):
-    return [None if a is None else a.tobytes()
-            for a in (out.mean_probs, out.uncertainty, out.variance)]
+    return [None if a is None else a.tobytes() for a in (out.mean_probs, out.variance)]
+
+
+def entropy(out):
+    """The uncertainty score of an estimate: the entropy of its mean rows."""
+    return predictive_entropy(out.mean_probs)
 
 
 class TestSingleForward:
@@ -54,23 +57,23 @@ class TestSingleForward:
         x = example_inputs()
         a, b = ensemble_predict([model], x), ensemble_predict([model], x)
         assert (a.mean_probs == b.mean_probs).all()
-        assert (a.uncertainty == b.uncertainty).all()
+        assert (entropy(a) == entropy(b)).all()
 
     def test_zero_logits_give_ln2(self):
         model = kaiming_init((2, 16, 16, 2), seed=1)  # zero biases
         out = ensemble_predict([model], np.zeros((3, 2)))
-        np.testing.assert_allclose(out.uncertainty, np.log(2.0), atol=1e-15)
+        np.testing.assert_allclose(entropy(out), np.log(2.0), atol=1e-15)
 
     def test_entropy_bounds(self):
         model = kaiming_init((2, 16, 16, 3), seed=2)
         out = ensemble_predict([model], example_inputs(50, 3))
-        assert (out.uncertainty >= 0.0).all()
-        assert (out.uncertainty <= np.log(3.0) + 1e-12).all()
+        assert (entropy(out) >= 0.0).all()
+        assert (entropy(out) <= np.log(3.0) + 1e-12).all()
 
     def test_uncertainty_matches_scalar_entropy(self):
         model = kaiming_init((2, 8, 8, 2), seed=3)
         out = ensemble_predict([model], example_inputs(10, 4))
-        for row, h in zip(out.mean_probs, out.uncertainty):
+        for row, h in zip(out.mean_probs, entropy(out)):
             assert predictive_entropy(row[None])[0] == h
 
     def test_single_row_input(self):
@@ -123,7 +126,7 @@ class TestEnsemble:
             total += softmax(m.predict_logits(x))
         mean = total / len(models)
         assert output_bytes(ensemble_predict(models, x)) == output_bytes(
-            EstimatorOutput(mean, predictive_entropy(mean)))
+            EstimatorOutput(mean))
 
     def test_identical_members_collapse(self):
         model = kaiming_init((2, 16, 16, 2), seed=7)
@@ -137,7 +140,7 @@ class TestEnsemble:
         peaked_1 = FixedLogitsModel([0.0, 500.0])
         out = ensemble_predict([peaked_0, peaked_1], example_inputs(4, 7))
         np.testing.assert_allclose(out.mean_probs, 0.5, atol=1e-12)
-        np.testing.assert_allclose(out.uncertainty, np.log(2.0), atol=1e-12)
+        np.testing.assert_allclose(entropy(out), np.log(2.0), atol=1e-12)
 
     def test_empty_ensemble_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -154,8 +157,8 @@ class TestEnsemble:
         models = [kaiming_init((2, 16, 16, 2), seed=s) for s in range(10, 15)]
         x = example_inputs(20, 8)
         out = ensemble_predict(models, x)
-        member_h = np.mean([single_forward(m, x).uncertainty for m in models], axis=0)
-        assert (out.uncertainty >= member_h - 1e-12).all()
+        member_h = np.mean([entropy(single_forward(m, x)) for m in models], axis=0)
+        assert (entropy(out) >= member_h - 1e-12).all()
 
 
 class TestMcDropout:
@@ -218,7 +221,7 @@ def serial_mc_dropout(model, inputs, passes, tau_inv, seed):
         total += probs
         total_sq += probs * probs
     mean = total / passes
-    return mean, predictive_entropy(mean), tau_inv + total_sq / passes - mean * mean
+    return mean, tau_inv + total_sq / passes - mean * mean
 
 
 def seed_for(seed):
@@ -303,8 +306,7 @@ class TestTta:
             total += softmax(model.predict_logits(perturb(x, policy, rng)))
         mean = total / repeats
         out = tta_predict(model, x, policy, repeats, seed=[3, 202])
-        assert output_bytes(out) == output_bytes(
-            EstimatorOutput(mean, predictive_entropy(mean)))
+        assert output_bytes(out) == output_bytes(EstimatorOutput(mean))
 
     def test_negative_repeats_rejected(self):
         model = kaiming_init((2, 8, 8, 2), seed=26)

@@ -161,8 +161,8 @@ class TestRunExperiment:
         distances = read_distances(out_dir / "distance_records.csv", batch.n)
         np.testing.assert_array_equal(batch.probs, args[1].probs)
         np.testing.assert_array_equal(distances, args[4])
-        # the entropy the renderer derives is the estimator's uncertainty
-        # column, which distance_records.csv stores
+        # the entropy the renderer derives is the uncertainty column that
+        # distance_records.csv stores
         stored = np.loadtxt(out_dir / "distance_records.csv", delimiter=",",
                             skiprows=4, usecols=2)
         np.testing.assert_array_equal(predictive_entropy(batch.probs), stored)
@@ -175,6 +175,15 @@ class TestRunExperiment:
         report, out_dir = run_experiment(config)
         stored = json.loads((out_dir / "metrics.json").read_text())
         assert stored == report.to_dict()
+
+    def test_train_log_holds_no_derived_values(self, out_root):
+        # the learning rate follows from config.txt and the best accuracy
+        # is val_accuracy[best_epoch]: neither is stored again
+        config = parse_config(FAST_MOONS + "output.dir = tl\n")
+        _, out_dir = run_experiment(config)
+        [entry] = json.loads((out_dir / "train_log.json").read_text())["models"]
+        assert sorted(entry) == ["best_epoch", "bmm", "clean_ce", "flipped_ce", "method",
+                                 "seed", "stopped_epoch", "train_loss", "val_accuracy"]
 
     def test_provenance_comments_present(self, out_root):
         config = parse_config(FAST_MOONS + "output.dir = g\n")

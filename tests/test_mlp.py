@@ -525,6 +525,16 @@ class TestSerialization:
                            match=f"{re.escape(str(path))} at line {line}:"):
             load_model(path)
 
+    @pytest.mark.parametrize("value", ["nan", "1.5"])
+    def test_dropout_out_of_range_names_path_and_line(self, value, tmp_path):
+        # the model's dropout must lie in [0, 1), as TrainConfig's does
+        path = tmp_path / "model.txt"
+        save_model(kaiming_init((2, 3, 3, 2), seed=46, dropout=0.35), path)
+        path.write_text(path.read_text().replace("dropout 0.35", f"dropout {value}"))
+        with pytest.raises(InvalidInputError,
+                           match=f"{re.escape(str(path))} at line 3: dropout"):
+            load_model(path)
+
     def test_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("not-a-model\n")

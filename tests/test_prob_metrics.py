@@ -52,6 +52,23 @@ class TestPredictionBatch:
         with pytest.raises(InvalidInputError):
             PredictionBatch(np.array([[0.5, 0.5]]), np.array([2]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_empty_batch_rejected(self):
+        with pytest.raises(InvalidInputError, match="at least one row"):
+            PredictionBatch(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+
+    @pytest.mark.filterwarnings("error")
+    def test_nan_probability_rejected(self):
+        # NaN passes p < 0 and p > 1 alike; the check must refuse it
+        with pytest.raises(InvalidInputError, match="lie in"):
+            PredictionBatch(np.array([[0.5, 0.5], [np.nan, np.nan]]), np.array([0, 1]))
+
+    @pytest.mark.parametrize("label", [1.5, np.nan, np.inf, -1.0, 2.0])
+    @pytest.mark.filterwarnings("error")  # no cast warning before the check
+    def test_label_must_be_a_class_index(self, label):
+        with pytest.raises(InvalidInputError, match="labels must be integers"):
+            PredictionBatch(np.array([[0.5, 0.5], [0.5, 0.5]]), np.array([0.0, label]))
+
     def test_confidence_and_correctness(self):
         batch = PredictionBatch(np.array([[0.7, 0.3], [0.2, 0.8]]), np.array([0, 0]))
         np.testing.assert_allclose(batch.confidences(), [0.7, 0.8])
