@@ -39,20 +39,16 @@ class PerturbationPolicy:
         return self.noise_sigma == 0.0 and self.scale_jitter == 0.0
 
 
-def sample_gammas(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n Beta(alpha, alpha) draws, each g1 / (g1 + g2) over one row of Gamma draws.
+def beta_from_gammas(draws: np.ndarray) -> np.ndarray:
+    """Beta(alpha, alpha) coefficients g1 / (g1 + g2), one per row of an
+    (n, 2) array of Gamma(alpha) draws.
 
-    The (n, 2) draw is row-major, so it consumes the stream exactly as n
-    successive scalar (g1, g2) pairs would.  Each ratio is clipped to
-    [GAMMA_EPS, 1 - GAMMA_EPS]; a row whose sum underflows to 0 (vanishingly
-    rare for usable alpha) gets 0.5.
+    Each ratio is clipped to [GAMMA_EPS, 1 - GAMMA_EPS]; a row whose sum
+    underflows to 0 (vanishingly rare for usable alpha) gets 0.5.
     """
-    if alpha <= 0.0:
-        raise InvalidInputError("alpha must be positive")
-    g = rng.gamma(alpha, size=(n, 2))
-    total = g[:, 0] + g[:, 1]
+    total = draws[:, 0] + draws[:, 1]
     with np.errstate(invalid="ignore"):
-        ratio = g[:, 0] / total
+        ratio = draws[:, 0] / total
     # np.clip's ufuncs without its Python wrapper; NaN still propagates
     np.maximum(ratio, GAMMA_EPS, out=ratio)
     np.minimum(ratio, 1.0 - GAMMA_EPS, out=ratio)
@@ -63,21 +59,41 @@ def mixup_batch(
     inputs: np.ndarray,
     alpha: float,
     rng: np.random.Generator,
+    batch_size: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mix each row with a permutation partner under its own coefficient.
+    """Mix each row with a partner from its own batch under its own
+    coefficient.
 
-    Returns ``(mixed, partners, gammas)`` with
-    ``mixed[i] = gammas[i] * inputs[i] + (1 - gammas[i]) * inputs[partners[i]]``.
-    The permutation is drawn first, then one ``sample_gammas`` batch.  A
-    lone row has no partner: it comes back unmixed, paired with itself at
-    gamma 1, and nothing is drawn.
+    The rows split into consecutive batches of ``batch_size`` (one batch
+    if None).  Returns ``(mixed, partners, gammas)`` with
+    ``mixed[i] = gammas[i] * inputs[i] + (1 - gammas[i]) * inputs[partners[i]]``,
+    where ``partners`` indexes all the rows.  Batch by batch, the
+    partners are one permutation of the batch, drawn first, and the
+    coefficients come from one ``(m, 2)`` Gamma draw after it
+    (``beta_from_gammas``): the stream a call per batch would use.  A
+    1-row batch has no partner: it is paired with itself at gamma 1,
+    which leaves it unmixed, and nothing is drawn.  The ratios and the
+    mixing then run once over all rows.
     """
+    if alpha <= 0.0:
+        raise InvalidInputError("alpha must be positive")
     x = np.asarray(inputs, dtype=np.float64)
     n = x.shape[0]
-    if n == 1:
-        return x, np.zeros(1, dtype=np.intp), np.ones(1)
-    partners = rng.permutation(n)
-    gammas = sample_gammas(alpha, n, rng)
+    size = n if batch_size is None else batch_size
+    partners = np.arange(n)
+    draws = np.empty((n, 2))
+    for start in range(0, n, size):
+        rows = slice(start, start + size)
+        if min(size, n - start) > 1:
+            # shuffling the batch's own indices in place draws what
+            # ``rng.permutation(m)`` draws, and a standard Gamma draw is
+            # ``rng.gamma(alpha)`` at scale 1, bit for bit
+            rng.shuffle(partners[rows])
+            rng.standard_gamma(alpha, out=draws[rows])
+    # only the last batch can have one row, unless every batch does
+    mixed_rows = 0 if size == 1 else n - (n % size == 1)
+    gammas = np.ones(n)
+    gammas[:mixed_rows] = beta_from_gammas(draws[:mixed_rows])
     g = gammas.reshape((n,) + (1,) * (x.ndim - 1))
     return g * x + (1.0 - g) * x[partners], partners, gammas
 

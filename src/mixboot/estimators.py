@@ -19,7 +19,7 @@ from .augment import PerturbationPolicy, perturb
 from .errors import InvalidInputError
 from .losses import softmax
 from .jobs import run_jobs
-from .mlp import MlpModel, dropout_draws, dropout_pass, hidden1
+from .mlp import MlpModel, dropout_draws, dropout_pass, hidden1, hidden_buffers
 
 
 # MC-dropout passes fork only from this many rows times passes: a 500-row,
@@ -89,10 +89,9 @@ def mc_dropout_predict(
     if tau_inv < 0.0:
         raise InvalidInputError("tau_inv must be nonnegative")
     x = np.asarray(inputs, dtype=np.float64)
-    _, h1, h2, k = model.dims
     hidden = hidden1(model, x)
     # allocated before any fork: a worker faults them in once for all its passes
-    a1, a2 = np.empty((len(x), h1)), np.empty((len(x), h2))
+    a1, a2 = hidden_buffers(model, len(x))
     draws = dropout_draws(model, len(x))
 
     def one_pass(p: int) -> np.ndarray:
@@ -101,7 +100,7 @@ def mc_dropout_predict(
         return softmax(dropout_pass(model, hidden, np.random.Generator(bits), a1, a2))
 
     run = map if passes * len(x) < MC_FORK_MIN_ROW_PASSES else run_jobs
-    mean, mean_sq = _fold(run(one_pass, range(passes)), (len(x), k))
+    mean, mean_sq = _fold(run(one_pass, range(passes)), (len(x), model.dims[3]))
     return EstimatorOutput(mean, tau_inv + mean_sq - mean * mean)
 
 

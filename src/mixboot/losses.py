@@ -10,7 +10,8 @@ which is ``_kernels.loss_from_targets(logits, targets)``.  The builders
 here produce those rows for a whole batch:
 
 * cross-entropy: ``batch_onehot(labels, k)``
-* bootstrapped mixup: ``batch_bsm_targets``
+* bootstrapped mixup: ``batch_bsm_targets`` on the label halves
+  ``label_rows(onehot(y), w)`` of a row and of its mix partner
 * mixup cross-entropy: ``batch_bsm_targets`` with w = 0, whose rows are
   exactly gamma * onehot(y_i) + (1 - gamma) * onehot(y_j)
 * bootstrapped cross-entropy: ``batch_bsm_targets`` with each row paired
@@ -39,13 +40,20 @@ def batch_onehot(labels: np.ndarray, k: int) -> np.ndarray:
     return t
 
 
+def label_rows(onehot: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The label half ``(1 - w) * onehot(y)`` of bootstrapped target rows,
+    for one-hot rows and a column of noise weights ``w``."""
+    return (1.0 - w) * onehot
+
+
 def batch_bsm_targets(
     logits: np.ndarray,
-    labels_i: np.ndarray,
-    labels_j: np.ndarray,
-    gammas: np.ndarray,
+    label_i: np.ndarray,
+    label_j: np.ndarray,
     w_i: np.ndarray,
     w_j: np.ndarray,
+    gammas: np.ndarray,
+    gammas_c: np.ndarray,
     soft: bool = False,
 ) -> np.ndarray:
     """Row-wise bootstrapped mixup targets on the mixed input's forward pass.
@@ -54,14 +62,13 @@ def batch_bsm_targets(
     t = (1 - w) * onehot(y) + w * z, where z is the one-hot argmax of
     logits[r] (lowest index winning ties), or with ``soft`` its softmax.
     Both mix partners of a row share that one z, since only one forward
-    pass on the mixed input exists.
+    pass on the mixed input exists.  Nothing else here reads the logits,
+    so the caller passes the rest precomputed: the label halves
+    ``label_rows`` of the row and of its partner, the columns ``w_i``,
+    ``w_j`` and ``gammas``, and ``gammas_c = 1 - gammas``.
     """
     z = np.asarray(logits, dtype=np.float64)
-    k = z.shape[-1]
-    z_rows = softmax(z) if soft else batch_onehot(z.argmax(axis=-1), k)
-    wi = np.asarray(w_i, dtype=np.float64)[:, None]
-    wj = np.asarray(w_j, dtype=np.float64)[:, None]
-    t_i = (1.0 - wi) * batch_onehot(labels_i, k) + wi * z_rows
-    t_j = (1.0 - wj) * batch_onehot(labels_j, k) + wj * z_rows
-    g = np.asarray(gammas, dtype=np.float64)[:, None]
-    return g * t_i + (1.0 - g) * t_j
+    z_rows = softmax(z) if soft else batch_onehot(z.argmax(axis=-1), z.shape[-1])
+    t_i = label_i + w_i * z_rows
+    t_j = label_j + w_j * z_rows
+    return gammas * t_i + gammas_c * t_j

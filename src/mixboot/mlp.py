@@ -80,9 +80,9 @@ class MlpModel:
         return MlpModel(self.flat.copy(), self.dims, dropout=self.dropout)
 
     # estimator-facing surface
-    def predict_logits(self, inputs: np.ndarray) -> np.ndarray:
-        """Logits with dropout inactive."""
-        logits, _, _ = forward(self, inputs)
+    def predict_logits(self, inputs: np.ndarray, buffers=None) -> np.ndarray:
+        """Logits with dropout inactive; ``buffers`` as in ``forward``."""
+        logits, _, _ = forward(self, inputs, buffers=buffers)
         return logits
 
     def features(self, inputs: np.ndarray) -> np.ndarray:
@@ -140,10 +140,18 @@ def dropout_draws(model: MlpModel, n_rows: int) -> int:
     return n_rows * (h1 + h2) if model.dropout > 0.0 else 0
 
 
-def hidden1(model: MlpModel, x: np.ndarray) -> np.ndarray:
+def hidden_buffers(model: MlpModel, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uninitialised N x H1 and N x H2 float64 buffers for the hidden
+    layers of ``forward`` or ``dropout_pass`` over ``n_rows`` rows."""
+    _, h1, h2, _ = model.dims
+    return np.empty((n_rows, h1)), np.empty((n_rows, h2))
+
+
+def hidden1(model: MlpModel, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Layer-1 activations ``ReLU(x @ w1 + b1)`` of an N x D float64 batch,
-    before any dropout: one new N x H1 array."""
-    a1 = x @ model.w1
+    before any dropout: written into ``out``, an N x H1 float64 buffer,
+    or into one new N x H1 array if None."""
+    a1 = np.matmul(x, model.w1, out=out)
     a1 += model.b1
     np.maximum(a1, 0.0, out=a1)
     return a1
@@ -162,26 +170,30 @@ def forward(
     inputs: np.ndarray,
     dropout_active: bool = False,
     rng: np.random.Generator | None = None,
+    buffers: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
     """Affine/ReLU stack over an N x D batch; returns (logits, penultimate
     features, cache).
 
     Each hidden layer is one array, written in place: affine, bias, ReLU,
-    then the dropout mask.  A dropout rate of 0 draws nothing, so active
-    and inactive modes agree.
+    then the dropout mask.  ``buffers`` are N x H1 and N x H2 float64
+    arrays that hold the two layers in place of new ones, as in
+    ``dropout_pass``; the returned features and cache are views of them.
+    A dropout rate of 0 draws nothing, so active and inactive modes agree.
     """
     x = np.asarray(inputs, dtype=np.float64)
     use_dropout = dropout_active and model.dropout > 0.0
     if use_dropout and rng is None:
         raise InvalidInputError("active dropout requires an rng")
 
-    a1 = hidden1(model, x)
+    a1, a2 = (None, None) if buffers is None else buffers
+    a1 = hidden1(model, x, out=a1)
     if use_dropout:
         # one draw for both masks, in the stream order of layer 1 then 2
         n, h1 = a1.shape
         masks = _dropout_mask(np.empty(dropout_draws(model, n)), model.dropout, rng)
         a1 *= masks[:n * h1].reshape(n, h1)
-    a2 = a1 @ model.w2
+    a2 = np.matmul(a1, model.w2, out=a2)
     a2 += model.b2
     np.maximum(a2, 0.0, out=a2)
     if use_dropout:

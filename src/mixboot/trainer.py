@@ -18,8 +18,8 @@ from . import _kernels
 from .augment import PerturbationPolicy, mixup_batch, perturb
 from .data import GENERATORS, N_CLASSES, Dataset, build_dataset
 from .errors import ConfigError, TrainingDivergenceError
-from .losses import batch_bsm_targets, batch_onehot
-from .mlp import MlpModel, adam_init, backward_step, forward, kaiming_init
+from .losses import batch_bsm_targets, batch_onehot, label_rows
+from .mlp import MlpModel, adam_init, backward_step, forward, hidden_buffers, kaiming_init
 from .noise_model import MIN_FIT_VALUES, fit_bmm, noisy_posterior, normalize_losses
 
 METHODS = ("ce", "ce_aug", "mixup_ce", "bsm")
@@ -119,14 +119,18 @@ def dataset_from_config(config: TrainConfig) -> Dataset:
     )
 
 
-def _per_sample_ce(model: MlpModel, inputs: np.ndarray, labels: np.ndarray,
-                   k: int) -> np.ndarray:
-    """No-gradient, no-dropout per-sample cross-entropy losses."""
-    logits = model.predict_logits(inputs)
-    values, _ = _kernels.loss_from_targets(logits, batch_onehot(labels, k))
+def _per_sample_ce(model: MlpModel, inputs: np.ndarray, onehot: np.ndarray,
+                   buffers: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """No-gradient, no-dropout per-sample cross-entropy losses against
+    one-hot rows, with the hidden layers in ``buffers``."""
+    logits = model.predict_logits(inputs, buffers)
+    values, _ = _kernels.loss_from_targets(logits, onehot)
     return values
 
 
+# a diverging run overflows without a warning: the finiteness checks of
+# the loss and of the forward pass raise TrainingDivergenceError instead
+@np.errstate(over="ignore", invalid="ignore")
 def train(config: TrainConfig, dataset: Dataset) -> tuple[MlpModel, TrainLog]:
     """Run the epoch loop and return the best-validation checkpoint + log."""
     x_train = dataset.train_inputs
@@ -146,6 +150,10 @@ def train(config: TrainConfig, dataset: Dataset) -> tuple[MlpModel, TrainLog]:
     policy = PerturbationPolicy(config.aug_noise_sigma, config.aug_scale_jitter)
     # mixup_ce never refits the mixture, so it trains as bsm with w = 0
     mixes = config.method in ("mixup_ce", "bsm")
+    onehot_train = batch_onehot(y_train, k)
+    # the epoch-end forwards write their hidden layers here
+    train_buffers = hidden_buffers(model, n_train)
+    val_buffers = hidden_buffers(model, len(dataset.val_inputs))
 
     log = TrainLog(method=config.method, seed=config.seed)
     current_w = np.zeros(n_train)
@@ -156,31 +164,32 @@ def train(config: TrainConfig, dataset: Dataset) -> tuple[MlpModel, TrainLog]:
         lr = config.learning_rate * config.lr_decay ** epoch
         w_used = current_w if epoch >= config.warmup_epochs else np.zeros(n_train)
         order = shuffle_rng.permutation(n_train)
-        # gathered once per epoch; each batch is a slice of these
-        x_epoch, y_epoch, w_epoch = x_train[order], y_train[order], w_used[order]
+        # everything a step needs that no weight feeds is built here, once
+        # per epoch, and each batch takes a slice of it
+        x_epoch, onehot_epoch = x_train[order], onehot_train[order]
+        if mixes:
+            x_epoch, partners, gammas = mixup_batch(
+                x_epoch, config.alpha, mixup_rng, config.batch_size)
+            w = w_used[order][:, None]
+            label = label_rows(onehot_epoch, w)
+            g = gammas[:, None]
+            # label_i, label_j, w_i, w_j, gammas, 1 - gammas
+            pair_rows = (label, label[partners], w, w[partners], g, 1.0 - g)
         batch_losses = []
 
         for start in range(0, n_train, config.batch_size):
             rows = slice(start, start + config.batch_size)
-            x, y = x_epoch[rows], y_epoch[rows]
-
-            if mixes:
-                xb, partners, gammas = mixup_batch(x, config.alpha, mixup_rng)
-            elif config.method == "ce_aug":
-                xb = perturb(x, policy, augment_rng)
-            else:
-                xb = x
+            xb = x_epoch[rows]
+            if config.method == "ce_aug":
+                xb = perturb(xb, policy, augment_rng)
 
             logits, _, cache = forward(model, xb, dropout_active=True,
                                        rng=dropout_rng)
             if mixes:
-                w = w_epoch[rows]
                 targets = batch_bsm_targets(
-                    logits, y, y[partners], gammas,
-                    w, w[partners], config.soft_bootstrap,
-                )
+                    logits, *(a[rows] for a in pair_rows), config.soft_bootstrap)
             else:
-                targets = batch_onehot(y, k)
+                targets = onehot_epoch[rows]
 
             values, grad_logits = _kernels.loss_from_targets(logits, targets)
             if not np.isfinite(values).all():
@@ -193,7 +202,7 @@ def train(config: TrainConfig, dataset: Dataset) -> tuple[MlpModel, TrainLog]:
                           config.weight_decay)
 
         # epoch-end bookkeeping on original inputs, dropout off
-        ce_values = _per_sample_ce(model, x_train, y_train, k)
+        ce_values = _per_sample_ce(model, x_train, onehot_train, train_buffers)
         clean_ce = float(ce_values[~flip_mask].mean()) if (~flip_mask).any() else None
         flipped_ce = float(ce_values[flip_mask].mean()) if flip_mask.any() else None
 
@@ -204,7 +213,7 @@ def train(config: TrainConfig, dataset: Dataset) -> tuple[MlpModel, TrainLog]:
             current_w = noisy_posterior(bmm, normalized)
             bmm_entry = asdict(bmm)
 
-        val_logits = model.predict_logits(dataset.val_inputs)
+        val_logits = model.predict_logits(dataset.val_inputs, val_buffers)
         val_acc = float((val_logits.argmax(axis=-1) == dataset.val_labels).mean())
 
         log.train_loss.append(float(np.mean(batch_losses)))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mixboot.analysis import min_cosine_distances, referral_curve, spearman
-from mixboot.augment import PerturbationPolicy, sample_gammas
+from mixboot.augment import PerturbationPolicy, beta_from_gammas
 from mixboot.config import parse_config
 from mixboot.estimators import (
     EstimatorOutput,
@@ -19,7 +19,7 @@ from mixboot.estimators import (
 )
 from mixboot.experiment import _models_and_logs, _train_all, run_experiment, run_sweep
 from mixboot._kernels import log_beta, loss_from_targets
-from mixboot.losses import batch_bsm_targets, batch_onehot, softmax
+from mixboot.losses import batch_onehot, softmax
 from mixboot.mlp import kaiming_init
 from mixboot.noise_model import fit_bmm, normalize_losses
 from mixboot.prob_metrics import (
@@ -31,6 +31,7 @@ from mixboot.prob_metrics import (
     roc_auc,
 )
 from mixboot.trainer import TrainConfig, dataset_from_config
+from oracles import bsm_targets
 
 N_SEEDS = 10
 WARMUP_EPOCHS = 1  # TrainConfig default; epochs >= this are post-warm-up
@@ -94,13 +95,13 @@ def test_criterion_1_metric_oracles():
     z_64, z_37 = np.log([[0.6, 0.4]]), np.log([[0.3, 0.7]])
     ce_23 = loss_from_targets(z_23, batch_onehot([1], 2))[0][0]
     bs_64 = loss_from_targets(
-        z_64, batch_bsm_targets(z_64, [0], [0], [1.0], [0.5], [0.5]))[0][0]
+        z_64, bsm_targets(z_64, [0], [0], [1.0], [0.5], [0.5]))[0][0]
     bs_37 = loss_from_targets(
-        z_37, batch_bsm_targets(z_37, [0], [0], [1.0], [0.4], [0.4]))[0][0]
+        z_37, bsm_targets(z_37, [0], [0], [1.0], [0.4], [0.4]))[0][0]
     mixup_64 = loss_from_targets(
-        z_64, batch_bsm_targets(z_64, [0], [1], [0.5], [0.0], [0.0]))[0][0]
+        z_64, bsm_targets(z_64, [0], [1], [0.5], [0.0], [0.0]))[0][0]
     bsm_37 = loss_from_targets(
-        z_37, batch_bsm_targets(z_37, [0], [1], [0.5], [0.4], [0.0]))[0][0]
+        z_37, bsm_targets(z_37, [0], [1], [0.5], [0.4], [0.0]))[0][0]
     cases = [
         ("entropy(0.8,0.2)", predictive_entropy(np.array([[0.8, 0.2]]))[0],
          0.5004024235381879, 1e-9),
@@ -125,7 +126,7 @@ def test_criterion_1_metric_oracles():
          0.9486832980505138, 1e-9),
     ]
     rng = np.random.default_rng(7)
-    draws = sample_gammas(32.0, 200_000, rng)
+    draws = beta_from_gammas(rng.gamma(32.0, size=(200_000, 2)))
     cases.append(("gamma std alpha=32 (statistical)", draws.std(),
                   0.06201736729460423, 5e-3))
     bad = [name for name, got, want, tol in cases if abs(got - want) > tol]
@@ -171,13 +172,13 @@ def test_criterion_2_gradients_match_finite_differences():
             if name == "ce":
                 targets = lambda q: batch_onehot([y_i], k)
             elif name == "bs":
-                targets = lambda q: batch_bsm_targets(
+                targets = lambda q: bsm_targets(
                     q, [y_i], [y_i], [1.0], [w_i], [w_i])
             elif name == "mixup":
-                targets = lambda q: batch_bsm_targets(
+                targets = lambda q: bsm_targets(
                     q, [y_i], [y_j], [gamma], [0.0], [0.0])
             else:
-                targets = lambda q: batch_bsm_targets(
+                targets = lambda q: bsm_targets(
                     q, [y_i], [y_j], [gamma], [w_i], [w_j])
             grad = loss_from_targets(z[None], targets(z[None]))[1][0]
             fd = _fd_gradient(
@@ -221,9 +222,9 @@ def test_criterion_4_reduction_identities():
         ce = batch_onehot([y_i], k)
         mixup = mixup_row(y_i, y_j, gamma, k)
         for lhs, rhs in (
-            (batch_bsm_targets(z, [y_i], [y_i], [1.0], [0.0], [0.0]), ce),
-            (batch_bsm_targets(z, [y_i], [y_j], [gamma], [0.0], [0.0]), mixup),
-            (batch_bsm_targets(z, [y_i], [y_j], [1.0], [0.0], [0.0]), ce),
+            (bsm_targets(z, [y_i], [y_i], [1.0], [0.0], [0.0]), ce),
+            (bsm_targets(z, [y_i], [y_j], [gamma], [0.0], [0.0]), mixup),
+            (bsm_targets(z, [y_i], [y_j], [1.0], [0.0], [0.0]), ce),
         ):
             (va, ga), (vb, gb) = loss_from_targets(z, lhs), loss_from_targets(z, rhs)
             ok &= bool((va == vb).all() and (ga == gb).all())

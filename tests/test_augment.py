@@ -2,17 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from mixboot import augment
 from mixboot.augment import (
     GAMMA_EPS,
     PerturbationPolicy,
+    beta_from_gammas,
     mixup_batch,
     perturb,
-    sample_gammas,
 )
 from mixboot.errors import InvalidInputError
+from oracles import reference_mixup_batch
 
 # closed form std of Beta(a, a): sqrt(1 / (4 (2a + 1)))
 GAMMA_STD_ALPHA_32 = 0.06201736729460423
@@ -21,7 +24,7 @@ GAMMA_STD_ALPHA_32 = 0.06201736729460423
 def draw_gammas(alpha, n, seed):
     # equal bit for bit to n one-draw calls on the same stream
     # (TestMixupMatchesLoop::test_scalar_draws_equal_one_batch_draw)
-    return sample_gammas(alpha, n, np.random.default_rng(seed))
+    return beta_from_gammas(np.random.default_rng(seed).gamma(alpha, size=(n, 2)))
 
 
 class TestSampleGamma:
@@ -51,7 +54,7 @@ class TestSampleGamma:
 
     def test_alpha_positive_required(self):
         with pytest.raises(InvalidInputError):
-            sample_gammas(0.0, 1, np.random.default_rng(0))
+            mixup_batch(np.zeros((2, 1)), 0.0, np.random.default_rng(0))
 
     def test_seeded_stream_reproduces(self):
         assert draw_gammas(0.3, 50, 5).tolist() == draw_gammas(0.3, 50, 5).tolist()
@@ -61,10 +64,10 @@ class TestSampleGamma:
 def pin_gammas(monkeypatch):
     """``pin(value)`` makes mixup_batch take every coefficient as ``value``,
     the endpoints 0 and 1 included, which sampling never returns; the
-    partner permutation is still drawn."""
+    partner permutation and the Gamma draws are still drawn."""
     def pin(value):
-        monkeypatch.setattr(augment, "sample_gammas",
-                            lambda alpha, n, rng: np.full(n, float(value)))
+        monkeypatch.setattr(augment, "beta_from_gammas",
+                            lambda draws: np.full(len(draws), float(value)))
     return pin
 
 
@@ -75,11 +78,11 @@ def loop_mixup(inputs, alpha, rng, fixed_gamma=None):
     partners = rng.permutation(n)
     mixed, gammas = [], []
     for i in range(n):
+        g1 = rng.gamma(alpha)
+        g2 = rng.gamma(alpha)
         if fixed_gamma is not None:
             gamma = float(fixed_gamma)
         else:
-            g1 = rng.gamma(alpha)
-            g2 = rng.gamma(alpha)
             total = g1 + g2
             if total == 0.0:
                 gamma = 0.5
@@ -176,9 +179,49 @@ class TestMixupMatchesLoop:
     @pytest.mark.parametrize("alpha", [0.3, 1.0, 32.0])
     def test_scalar_draws_equal_one_batch_draw(self, alpha):
         rng_scalar, rng_batch = np.random.default_rng(11), np.random.default_rng(11)
-        scalar = [sample_gammas(alpha, 1, rng_scalar)[0] for _ in range(40)]
-        assert scalar == sample_gammas(alpha, 40, rng_batch).tolist()
+        scalar = [beta_from_gammas(rng_scalar.gamma(alpha, size=(1, 2)))[0]
+                  for _ in range(40)]
+        assert scalar == beta_from_gammas(rng_batch.gamma(alpha, size=(40, 2))).tolist()
         assert rng_scalar.bit_generator.state == rng_batch.bit_generator.state
+
+
+class TestMixupBatches:
+    """One call over an epoch's rows in batches of ``batch_size`` gives the
+    bits of one call per batch, concatenated, with the partners offset to
+    epoch rows, and leaves the generator where those calls leave it."""
+
+    @settings(deadline=None)
+    @given(n=st.integers(1, 80), batch_size=st.integers(1, 40),
+           alpha=st.sampled_from([1e-3, 0.3, 1.0, 32.0]), d=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_one_call_per_batch(self, n, batch_size, alpha, d, seed):
+        x = np.random.default_rng(seed).normal(size=(n, d))
+        rng, rng_ref = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        mixed, partners, gammas = mixup_batch(x, alpha, rng, batch_size)
+        parts = [reference_mixup_batch(x[s:s + batch_size], alpha, rng_ref)
+                 for s in range(0, n, batch_size)]
+        assert (mixed == np.concatenate([p[0] for p in parts])).all()
+        assert (partners == np.concatenate(
+            [p[1] + s for p, s in zip(parts, range(0, n, batch_size))])).all()
+        assert (gammas == np.concatenate([p[2] for p in parts])).all()
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    @pytest.mark.parametrize("n,batch_size", [(100, 33), (65, 32), (5, 1), (1, 32)])
+    def test_one_row_batches_pass_unmixed(self, n, batch_size):
+        x = np.random.default_rng(0).normal(size=(n, 2))
+        mixed, partners, gammas = mixup_batch(x, 0.3, np.random.default_rng(1),
+                                              batch_size)
+        # the last batch, or with batch_size 1 every batch
+        lone = np.arange(n) if batch_size == 1 else np.arange(n - (n % batch_size == 1), n)
+        assert (mixed[lone] == x[lone]).all()
+        assert (partners[lone] == lone).all()
+        assert (gammas[lone] == 1.0).all()
+
+    def test_none_is_one_batch(self):
+        x = np.random.default_rng(2).normal(size=(40, 2))
+        whole = mixup_batch(x, 0.3, np.random.default_rng(3))
+        for got, want in zip(whole, mixup_batch(x, 0.3, np.random.default_rng(3), 40)):
+            assert (got == want).all()
 
 
 class TestPerturb:

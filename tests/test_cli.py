@@ -123,17 +123,16 @@ class TestRunVerb:
         assert err.startswith(f"error: {path}: not UTF-8 text")
 
     def test_divergence_exit_code(self, workdir, capsys):
-        import numpy as np
-
         config = write_config(
             workdir,
             "method = ce\nn_train = 100\nn_val = 20\nmax_epochs = 5\n"
             "learning_rate = 1e12\nweight_decay = 1e12\noutput.dir = boom\n",
         )
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["run", "--config", config])
+        code = main(["run", "--config", config])
         assert code == EXIT_DIVERGED
-        assert "diverged" in capsys.readouterr().err
+        # the overflow that diverges it prints no numpy warning
+        assert capsys.readouterr().err == (
+            "error: training diverged: non-finite activations in forward pass\n")
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_divergence_in_an_mc_dropout_worker_exit_code(self, workdir, capsys,
@@ -310,9 +309,12 @@ class TestReportVerb:
             EXIT_OK, [f"matches stored {name}: yes" for name in DERIVED])
 
     def test_degenerate_distance_run_matches(self, workdir, capsys):
-        run_dir = self.run_once(workdir)
+        # one penultimate unit: every distance is exactly 0.0 or NaN, on any
+        # BLAS kernel, so the correlation is degenerate without rounding
+        run_dir = self.run_once(workdir, "hidden_2 = 1\n")
         summary = json.loads((run_dir / "distance_summary.json").read_text())
-        assert "degenerate" in summary and summary["n"] == 20
+        assert "degenerate" in summary
+        assert summary["n"] + summary["n_dropped"] == 20
         assert self.report(run_dir, capsys) == (
             EXIT_OK, [f"matches stored {name}: yes" for name in DERIVED])
 

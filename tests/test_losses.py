@@ -4,12 +4,14 @@ identities and gradients."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mixboot._kernels import loss_from_targets
-from mixboot.losses import batch_bsm_targets, batch_onehot, softmax
+from mixboot.losses import batch_onehot, softmax
+from oracles import bsm_targets, reference_bsm_targets
 
 # frozen hand-oracle values
 CE_LN2_LABEL1 = 1.0986122886681098          # -ln(1/3)
@@ -27,13 +29,13 @@ def logits_for(probs):
 def bs_targets(logits, labels, w, soft=False):
     """Bootstrapped-CE targets: each row paired with itself at gamma 1."""
     ones = np.ones(len(labels))
-    return batch_bsm_targets(logits, labels, labels, ones, w, w, soft)
+    return bsm_targets(logits, labels, labels, ones, w, w, soft)
 
 
 def mixup_targets(logits, labels_i, labels_j, gammas, soft=False):
     """Mixup-CE targets as the trainer builds them: bsm with w = 0."""
     zeros = np.zeros(len(labels_i))
-    return batch_bsm_targets(logits, labels_i, labels_j, gammas, zeros, zeros, soft)
+    return bsm_targets(logits, labels_i, labels_j, gammas, zeros, zeros, soft)
 
 
 def mixup_rows(labels_i, labels_j, gammas, k):
@@ -159,7 +161,7 @@ class TestBsmLoss:
         li, lj = rng.integers(0, 3, size=20), rng.integers(0, 3, size=20)
         gammas, zeros = rng.random(20), np.zeros(20)
         assert_same_bits(
-            loss_from_targets(z, batch_bsm_targets(z, li, lj, gammas, zeros, zeros)),
+            loss_from_targets(z, bsm_targets(z, li, lj, gammas, zeros, zeros)),
             loss_from_targets(z, mixup_rows(li, lj, gammas, 3)),
         )
 
@@ -169,14 +171,14 @@ class TestBsmLoss:
         li, lj = rng.integers(0, 3, size=20), rng.integers(0, 3, size=20)
         wi, wj = rng.random(20), rng.random(20)
         assert_same_bits(
-            loss_from_targets(z, batch_bsm_targets(z, li, lj, np.ones(20), wi, wj)),
+            loss_from_targets(z, bsm_targets(z, li, lj, np.ones(20), wi, wj)),
             loss_from_targets(z, bs_targets(z, li, wi)),
         )
 
     def test_composed_hand_oracle(self):
         z = logits_for([0.3, 0.7])
         values, _ = loss_from_targets(
-            z, batch_bsm_targets(z, [0], [1], [0.5], [0.4], [0.0]))
+            z, bsm_targets(z, [0], [1], [0.5], [0.4], [0.0]))
         assert abs(values[0] - BSM_COMPOSED) <= 1e-9
 
     def test_shared_hard_prediction(self):
@@ -184,13 +186,13 @@ class TestBsmLoss:
         # forward pass; with w_i = w_j = 1 the target is exactly z
         z = logits_for([0.3, 0.7])
         values, _ = loss_from_targets(
-            z, batch_bsm_targets(z, [0], [1], [0.37], [1.0], [1.0]))
+            z, bsm_targets(z, [0], [1], [0.37], [1.0], [1.0]))
         assert abs(values[0] - (-math.log(0.7))) <= 1e-12
 
     def test_target_rows_sum_to_one(self):
         rng = np.random.default_rng(6)
         z = rng.normal(size=(50, 4)) * 2
-        targets = batch_bsm_targets(
+        targets = bsm_targets(
             z, rng.integers(0, 4, size=50), rng.integers(0, 4, size=50),
             rng.random(50), rng.random(50), rng.random(50))
         _, grads = loss_from_targets(z, targets)
@@ -228,11 +230,11 @@ class TestBatchBuilders:
         g = rng.random(8)
         wi = rng.random(8)
         wj = rng.random(8)
-        values, grads = loss_from_targets(z, batch_bsm_targets(z, li, lj, g, wi, wj))
+        values, grads = loss_from_targets(z, bsm_targets(z, li, lj, g, wi, wj))
         for r in range(8):
             s = slice(r, r + 1)
             one = loss_from_targets(
-                z[s], batch_bsm_targets(z[s], li[s], lj[s], g[s], wi[s], wj[s]))
+                z[s], bsm_targets(z[s], li[s], lj[s], g[s], wi[s], wj[s]))
             assert_same_bits(one, (values[s], grads[s]))
 
 
@@ -317,11 +319,11 @@ class TestOneCeCore:
         # row would get inside any larger batch
         z, li, lj, g = b["logits"], b["labels_i"], b["labels_j"], b["gammas"]
         wi, wj, soft = b["w_i"], b["w_j"], b["soft"]
-        full = batch_bsm_targets(z, li, lj, g, wi, wj, soft)
+        full = bsm_targets(z, li, lj, g, wi, wj, soft)
         values, grads = loss_from_targets(z, full)
         for r in range(len(z)):
             s = slice(r, r + 1)
-            one = batch_bsm_targets(z[s], li[s], lj[s], g[s], wi[s], wj[s], soft)
+            one = bsm_targets(z[s], li[s], lj[s], g[s], wi[s], wj[s], soft)
             assert (one == full[s]).all()
             assert_same_bits(loss_from_targets(z[s], one), (values[s], grads[s]))
 
@@ -333,6 +335,31 @@ class TestOneCeCore:
         for t in (
             batch_onehot(li, k),
             mixup_targets(z, li, lj, g, b["soft"]),
-            batch_bsm_targets(z, li, lj, g, b["w_i"], b["w_j"], b["soft"]),
+            bsm_targets(z, li, lj, g, b["w_i"], b["w_j"], b["soft"]),
         ):
             np.testing.assert_allclose(t.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+
+
+class TestSplitTargets:
+    """The per-step builder fed with per-epoch label halves gives the bits
+    of the formula computed whole from the labels on each step."""
+
+    @settings(deadline=None)
+    @given(loss_batches())
+    def test_equals_the_whole_formula(self, b):
+        args = (b["logits"], b["labels_i"], b["labels_j"], b["gammas"],
+                b["w_i"], b["w_j"], b["soft"])
+        assert (bsm_targets(*args) == reference_bsm_targets(*args)).all()
+
+    @pytest.mark.parametrize("soft", [False, True])
+    @pytest.mark.parametrize("w", [0.0, 0.37, 1.0])
+    def test_endpoint_weights_and_self_pairs(self, soft, w):
+        rng = np.random.default_rng(10)
+        z = rng.normal(size=(30, 3)) * 3
+        li, lj = rng.integers(0, 3, size=30), rng.integers(0, 3, size=30)
+        ws = np.full(30, w)
+        # a mixed pair, and each row paired with itself at gamma 1
+        for g, labels_j, w_j in ((rng.random(30), lj, rng.random(30)),
+                                 (np.ones(30), li, ws)):
+            args = (z, li, labels_j, g, ws, w_j, soft)
+            assert (bsm_targets(*args) == reference_bsm_targets(*args)).all()

@@ -383,6 +383,43 @@ class TestInPlaceForward:
                              loop_backward(model, cache, case["grad_logits"], ref_masks)):
             assert_same_bits(got, want)
 
+    @settings(deadline=None)
+    @given(forward_cases())
+    def test_buffers_give_the_same_bits(self, case):
+        model, x, active = case["model"], case["x"], case["active"]
+        n, (_, h1, h2, _) = len(x), model.dims
+        # stale buffer contents must not leak into the forward
+        buffers = (np.full((n, h1), np.nan), np.full((n, h2), np.nan))
+        got = forward(model, x, dropout_active=active,
+                      rng=np.random.default_rng(case["seed"]), buffers=buffers)
+        want = forward(model, x, dropout_active=active,
+                       rng=np.random.default_rng(case["seed"]))
+        for g, w in zip(got[:2] + (got[2].a1, got[2].a2),
+                        want[:2] + (want[2].a1, want[2].a2)):
+            assert_same_bits(g, w)
+        assert np.shares_memory(got[2].a1, buffers[0])
+        assert np.shares_memory(got[1], buffers[1])
+
+    @pytest.mark.parametrize("h1,h2", [(64, 64), (8, 8)])
+    def test_buffered_predict_logits_allocation_budget(self, h1, h2):
+        # with its hidden layers in buffers, a 20000-row forward allocates
+        # only the N x K logits and their N x K finiteness check; the budget
+        # leaves 25% over those, below one N x H array at H >= 8
+        n, k = 20000, 2
+        model = kaiming_init((2, h1, h2, k), seed=36, dropout=0.2)
+        x = np.random.default_rng(37).normal(size=(n, 2))
+        buffers = (np.empty((n, h1)), np.empty((n, h2)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            logits = model.predict_logits(x, buffers)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert (logits == model.predict_logits(x)).all()
+        assert peak <= 1.25 * n * k * (8 + 1)
+
     @pytest.mark.parametrize("h1,h2", [(64, 64), (64, 1)])
     def test_dropout_forward_allocation_budget(self, h1, h2):
         # one 20000-row pass with dropout holds a1, a2 and their two masks,

@@ -7,10 +7,11 @@ import pytest
 
 import mixboot.trainer as trainer_module
 from mixboot.errors import ConfigError, TrainingDivergenceError
-from mixboot.losses import batch_bsm_targets, batch_onehot
+from mixboot.losses import batch_onehot
 from mixboot.mlp import backward_step
 from mixboot.noise_model import BetaMixtureModel
 from mixboot.trainer import TrainConfig, dataset_from_config, train
+from oracles import reference_bsm_targets, reference_train
 
 
 def blobs_config(**kwargs):
@@ -179,9 +180,9 @@ class TestMethods:
 class TestLeftoverBatch:
     """n_train = 100 with batch_size = 33 leaves a 1-row batch every epoch.
 
-    ``mixup_batch`` pairs that row with itself at gamma 1: it trains
-    unmixed and its target comes from ``batch_bsm_targets`` like every other
-    batch's.
+    The epoch's ``mixup_batch`` call pairs that row with itself at gamma
+    1: it trains unmixed and its target comes from ``batch_bsm_targets``
+    like every other batch's.
     """
 
     @pytest.mark.parametrize("method,soft", [
@@ -191,10 +192,16 @@ class TestLeftoverBatch:
         config = moons_config(method=method, soft_bootstrap=soft, n_train=100,
                               batch_size=33, max_epochs=3)
         ds = dataset_from_config(config)
-        steps, posteriors = [], []
+        steps, posteriors, mixups = [], [], []
+        mixup_batch = trainer_module.mixup_batch
         forward = trainer_module.forward
         loss_from_targets = trainer_module._kernels.loss_from_targets
         noisy_posterior = trainer_module.noisy_posterior
+
+        def spy_mixup(x, alpha, rng, batch_size):
+            mixed, partners, gammas = mixup_batch(x, alpha, rng, batch_size)
+            mixups.append((partners, gammas))
+            return mixed, partners, gammas
 
         def spy_forward(model, xb, **kwargs):
             if len(xb) == 1:
@@ -213,12 +220,16 @@ class TestLeftoverBatch:
             posteriors.append(w)
             return w
 
+        monkeypatch.setattr(trainer_module, "mixup_batch", spy_mixup)
         monkeypatch.setattr(trainer_module, "forward", spy_forward)
         monkeypatch.setattr(trainer_module._kernels, "loss_from_targets", spy_loss)
         monkeypatch.setattr(trainer_module, "noisy_posterior", spy_posterior)
         train(config, ds)
 
-        assert len(steps) == config.max_epochs
+        assert len(steps) == len(mixups) == config.max_epochs
+        for partners, gammas in mixups:
+            # the epoch's last row is its own partner at gamma 1
+            assert partners[-1] == 99 and gammas[-1] == 1.0
         for step in steps:
             # the row is a training row, unmixed
             (i,) = np.flatnonzero((ds.train_inputs == step["x"]).all(axis=1))
@@ -228,46 +239,49 @@ class TestLeftoverBatch:
             else:
                 epoch = step["epoch"]
                 w = posteriors[epoch - 1][i:i + 1] if epoch >= 1 else np.zeros(1)
-                expected = batch_bsm_targets(step["logits"], y, y, [1.0], w, w, soft)
+                expected = reference_bsm_targets(step["logits"], y, y, [1.0], w, w, soft)
             assert (step["targets"] == expected).all()
 
 
 class TestMixupCeTargets:
     @pytest.mark.parametrize("soft", [False, True])
     def test_targets_are_hand_mixup_rows(self, monkeypatch, soft):
-        # mixup_ce trains through batch_bsm_targets with w = 0; each batch's
-        # targets must still be gamma * onehot(y_i) + (1 - gamma) * onehot(y_j)
+        # mixup_ce trains through batch_bsm_targets with w = 0; each row's
+        # target must still be gamma * onehot(y_i) + (1 - gamma) * onehot(y_j),
+        # with i and j rows of the epoch's one mixup_batch call
         config = moons_config(method="mixup_ce", soft_bootstrap=soft, n_train=100,
                               batch_size=33, max_epochs=3)
         ds = dataset_from_config(config)
-        steps = []
+        epochs = []
         mixup_batch = trainer_module.mixup_batch
         loss_from_targets = trainer_module._kernels.loss_from_targets
 
-        def spy_mixup(x, alpha, rng):
-            xb, partners, gammas = mixup_batch(x, alpha, rng)
-            steps.append({"x": x.copy(), "partners": partners, "gammas": gammas})
+        def spy_mixup(x, alpha, rng, batch_size):
+            xb, partners, gammas = mixup_batch(x, alpha, rng, batch_size)
+            epochs.append({"x": x.copy(), "partners": partners, "gammas": gammas,
+                           "targets": []})
             return xb, partners, gammas
 
         def spy_loss(logits, targets):
-            # the epoch-end per-sample CE comes after its epoch's last step
-            if steps and "targets" not in steps[-1]:
-                steps[-1]["targets"] = targets.copy()
+            # the epoch-end per-sample CE takes all 100 rows at once
+            if len(logits) <= config.batch_size:
+                epochs[-1]["targets"].append(targets.copy())
             return loss_from_targets(logits, targets)
 
         monkeypatch.setattr(trainer_module, "mixup_batch", spy_mixup)
         monkeypatch.setattr(trainer_module._kernels, "loss_from_targets", spy_loss)
         train(config, ds)
 
-        assert len(steps) == 4 * config.max_epochs
+        assert len(epochs) == config.max_epochs
         eye = np.eye(2)
-        for step in steps:
+        for epoch in epochs:
+            assert [len(t) for t in epoch["targets"]] == [33, 33, 33, 1]
             rows = [np.flatnonzero((ds.train_inputs == r).all(axis=1))[0]
-                    for r in step["x"]]
+                    for r in epoch["x"]]
             y = ds.train_labels[rows]
-            g = step["gammas"][:, None]
-            expected = g * eye[y] + (1.0 - g) * eye[y[step["partners"]]]
-            assert (step["targets"] == expected).all()
+            g = epoch["gammas"][:, None]
+            expected = g * eye[y] + (1.0 - g) * eye[y[epoch["partners"]]]
+            assert (np.concatenate(epoch["targets"]) == expected).all()
 
 
 class TestDivergence:
@@ -275,9 +289,45 @@ class TestDivergence:
         # lr*decay >> 1 amplifies parameters geometrically until overflow
         config = moons_config(method="ce", learning_rate=1e12,
                               weight_decay=1e12, max_epochs=5)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(TrainingDivergenceError):
-                train(config, dataset_from_config(config))
+        # under the suite's RuntimeWarning filter, a warning would fail this
+        with pytest.raises(TrainingDivergenceError):
+            train(config, dataset_from_config(config))
+
+
+class TestMatchesPerStepReference:
+    """Building a step's weight-independent parts once per epoch keeps the
+    bits of the loop that built them per step (``oracles.reference_train``)."""
+
+    @pytest.mark.parametrize("overrides", [
+        dict(method="ce"),
+        dict(method="ce_aug", aug_scale_jitter=0.1),
+        dict(method="mixup_ce"),
+        dict(method="bsm"),
+        dict(method="bsm", soft_bootstrap=True),
+        dict(method="bsm", n_train=100, batch_size=33),
+        dict(method="mixup_ce", n_train=100, batch_size=33, soft_bootstrap=True),
+        dict(method="bsm", n_train=100, batch_size=1, max_epochs=2),
+        dict(method="bsm", warmup_epochs=0),
+        dict(method="bsm", warmup_epochs=2),
+        dict(method="bsm", dropout=0.0),
+        dict(method="ce", dropout=0.0),
+    ], ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()))
+    def test_same_model_bytes_and_log(self, overrides):
+        config = moons_config(**overrides)
+        self.check(config, dataset_from_config(config))
+
+    def test_early_stop(self):
+        config = blobs_config(max_epochs=40, patience=3, learning_rate=0.01)
+        log = self.check(config, dataset_from_config(config))
+        assert log.stopped_epoch == 3
+
+    @staticmethod
+    def check(config, ds):
+        model, log = train(config, ds)
+        ref_model, ref_log = reference_train(config, ds)
+        assert model.flat.tobytes() == ref_model.flat.tobytes()
+        assert asdict(log) == asdict(ref_log)
+        return log
 
 
 class TestLogSerialization:
