@@ -19,7 +19,7 @@ from .augment import PerturbationPolicy, perturb
 from .errors import InvalidInputError
 from .losses import softmax
 from .jobs import run_jobs
-from .mlp import MlpModel, dropout_draws, dropout_pass, hidden1, hidden_buffers
+from .mlp import MlpModel, dropout_draws, forward, hidden1, hidden_buffers
 
 
 # MC-dropout passes fork only from this many rows times passes: a 500-row,
@@ -79,8 +79,8 @@ def mc_dropout_predict(
     ``Generator.random`` takes one PCG64 step per float, so pass p draws
     its masks from ``PCG64(seed)`` advanced by p times a forward's
     ``dropout_draws``: the stream one pass after another would use.  The
-    layer-1 activations are computed once; every pass starts from them
-    and reuses the same two buffers (``mlp.dropout_pass``).  From
+    layer-1 activations are computed once; every pass is one
+    ``mlp.forward`` from them into the same two buffers.  From
     ``MC_FORK_MIN_ROW_PASSES`` rows times passes the passes run through
     ``run_jobs`` (in forked workers when CPUs allow).
     """
@@ -97,7 +97,7 @@ def mc_dropout_predict(
     def one_pass(p: int) -> np.ndarray:
         bits = np.random.PCG64(seed)
         bits.advance(p * draws)
-        return softmax(dropout_pass(model, hidden, np.random.Generator(bits), a1, a2))
+        return softmax(forward(model, x, np.random.Generator(bits), (a1, a2), hidden)[0])
 
     run = map if passes * len(x) < MC_FORK_MIN_ROW_PASSES else run_jobs
     mean, mean_sq = _fold(run(one_pass, range(passes)), (len(x), model.dims[3]))

@@ -18,8 +18,8 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-# rows per block of dropout_pass's elementwise steps: a 512 x 64 float64
-# block is 256 KiB, so it stays in cache from one step to the next
+# rows per block of forward's masks and elementwise steps: a 512 x 64
+# float64 block is 256 KiB, so it stays in cache from one step to the next
 PASS_ROW_BLOCK = 512
 
 MODEL_FORMAT_HEADER = "mixboot-mlp v1"
@@ -87,8 +87,7 @@ class MlpModel:
 
     def features(self, inputs: np.ndarray) -> np.ndarray:
         """Penultimate activations with dropout inactive."""
-        _, feats, _ = forward(self, inputs, dropout_active=False)
-        return feats
+        return forward(self, inputs)[1]
 
 
 @dataclass
@@ -133,6 +132,25 @@ def _dropout_mask(out: np.ndarray, rate: float, rng: np.random.Generator) -> np.
     return out
 
 
+def _block_masks(model: MlpModel, n_rows: int, rng: np.random.Generator):
+    """The dropout masks of a forward's row blocks, in stream order: every
+    block of layer 1, then every block of layer 2.  One block's two masks
+    are one draw; wider batches draw each block into one shared scratch
+    array, so a mask is stale once the next is drawn."""
+    _, h1, h2, _ = model.dims
+    rate = model.dropout
+    if n_rows <= PASS_ROW_BLOCK:
+        masks = _dropout_mask(np.empty(dropout_draws(model, n_rows)), rate, rng)
+        yield masks[:n_rows * h1].reshape(n_rows, h1)
+        yield masks[n_rows * h1:].reshape(n_rows, h2)
+        return
+    scratch = np.empty(PASS_ROW_BLOCK * max(h1, h2))
+    for width in (h1, h2):
+        for start in range(0, n_rows, PASS_ROW_BLOCK):
+            shape = (min(PASS_ROW_BLOCK, n_rows - start), width)
+            yield _dropout_mask(scratch[:shape[0] * width].reshape(shape), rate, rng)
+
+
 def dropout_draws(model: MlpModel, n_rows: int) -> int:
     """Uniform draws one active-dropout forward of an ``n_rows`` batch
     takes from its rng: one per hidden unit and row, none at rate 0."""
@@ -142,7 +160,7 @@ def dropout_draws(model: MlpModel, n_rows: int) -> int:
 
 def hidden_buffers(model: MlpModel, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
     """Uninitialised N x H1 and N x H2 float64 buffers for the hidden
-    layers of ``forward`` or ``dropout_pass`` over ``n_rows`` rows."""
+    layers of a ``forward`` over ``n_rows`` rows."""
     _, h1, h2, _ = model.dims
     return np.empty((n_rows, h1)), np.empty((n_rows, h2))
 
@@ -168,75 +186,50 @@ def _output_layer(model: MlpModel, a2: np.ndarray) -> np.ndarray:
 def forward(
     model: MlpModel,
     inputs: np.ndarray,
-    dropout_active: bool = False,
     rng: np.random.Generator | None = None,
     buffers: tuple[np.ndarray, np.ndarray] | None = None,
+    layer1: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
     """Affine/ReLU stack over an N x D batch; returns (logits, penultimate
-    features, cache).
+    features, cache).  Dropout is active exactly when ``rng`` is given; a
+    rate of 0 draws nothing, so it then gives the bits of no dropout.
 
     Each hidden layer is one array, written in place: affine, bias, ReLU,
     then the dropout mask.  ``buffers`` are N x H1 and N x H2 float64
-    arrays that hold the two layers in place of new ones, as in
-    ``dropout_pass``; the returned features and cache are views of them.
-    A dropout rate of 0 draws nothing, so active and inactive modes agree.
+    arrays that hold the two layers in place of new ones; the returned
+    features and cache are views of them.  ``layer1 = hidden1(model, x)``
+    stands in for the first layer and is never written to, so MC-dropout
+    passes over one batch can share it and the buffers.
+
+    The masks and the elementwise steps run over ``PASS_ROW_BLOCK`` rows
+    at a time, so each block stays in cache; every step is
+    row-independent, and the masks keep the stream order of one draw for
+    all of layer 1, then all of layer 2.  The GEMMs keep the full batch:
+    a GEMM's bits may depend on its row count.
     """
     x = np.asarray(inputs, dtype=np.float64)
-    use_dropout = dropout_active and model.dropout > 0.0
-    if use_dropout and rng is None:
-        raise InvalidInputError("active dropout requires an rng")
-
-    a1, a2 = (None, None) if buffers is None else buffers
-    a1 = hidden1(model, x, out=a1)
+    n = len(x)
+    a1, a2 = hidden_buffers(model, n) if buffers is None else buffers
+    if layer1 is None:
+        layer1 = hidden1(model, x, out=a1)
+    starts = range(0, n, PASS_ROW_BLOCK)
+    use_dropout = rng is not None and model.dropout > 0.0
     if use_dropout:
-        # one draw for both masks, in the stream order of layer 1 then 2
-        n, h1 = a1.shape
-        masks = _dropout_mask(np.empty(dropout_draws(model, n)), model.dropout, rng)
-        a1 *= masks[:n * h1].reshape(n, h1)
-    a2 = np.matmul(a1, model.w2, out=a2)
-    a2 += model.b2
-    np.maximum(a2, 0.0, out=a2)
-    if use_dropout:
-        a2 *= masks[n * h1:].reshape(n, model.dims[2])
-    scale = 1.0 / (1.0 - model.dropout) if use_dropout else 1.0
-    return _output_layer(model, a2), a2, ForwardCache(x, a1, a2, scale)
-
-
-def dropout_pass(model: MlpModel, hidden: np.ndarray, rng: np.random.Generator,
-                 a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
-    """Logits of one active-dropout forward from its layer-1 activations
-    ``hidden = hidden1(model, x)``: the bits of
-    ``forward(model, x, dropout_active=True, rng=rng)[0]``, with ``rng``
-    left at the same stream position.
-
-    ``a1`` and ``a2`` are N x H1 and N x H2 float64 buffers it overwrites,
-    so passes over one batch can share them and ``hidden``.  The masks and
-    the elementwise steps run over ``PASS_ROW_BLOCK`` rows at a time, so
-    each block stays in cache; every step is row-independent, and the
-    blocks draw the masks in forward's order (all of layer 1, then all of
-    layer 2).  The GEMMs keep forward's full shapes: a GEMM's bits may
-    depend on its row count.
-    """
-    rate = model.dropout
-    n, width = len(hidden), max(model.dims[1:3])
-    blocks = [slice(s, s + PASS_ROW_BLOCK) for s in range(0, n, PASS_ROW_BLOCK)]
-    if rate > 0.0:
-        scratch = np.empty(min(n, PASS_ROW_BLOCK) * width)
-
-        def mask(block: np.ndarray) -> np.ndarray:
-            return _dropout_mask(scratch[:block.size].reshape(block.shape), rate, rng)
-
-        for rows in blocks:
-            np.multiply(hidden[rows], mask(a1[rows]), out=a1[rows])
-        hidden = a1
-    np.matmul(hidden, model.w2, out=a2)
-    for rows in blocks:
-        block = a2[rows]
+        masks = _block_masks(model, n, rng)
+        for s in starts:
+            rows = slice(s, s + PASS_ROW_BLOCK)
+            np.multiply(layer1[rows], next(masks), out=a1[rows])
+    else:
+        a1 = layer1
+    np.matmul(a1, model.w2, out=a2)
+    for s in starts:
+        block = a2[s:s + PASS_ROW_BLOCK]
         block += model.b2
         np.maximum(block, 0.0, out=block)
-        if rate > 0.0:
-            block *= mask(block)
-    return _output_layer(model, a2)
+        if use_dropout:
+            block *= next(masks)
+    scale = 1.0 / (1.0 - model.dropout) if use_dropout else 1.0
+    return _output_layer(model, a2), a2, ForwardCache(x, a1, a2, scale)
 
 
 def backward(

@@ -5,7 +5,9 @@ Regimes: plain cross-entropy (ce), cross-entropy on perturbed inputs
 For bsm, a two-component beta mixture is refit after every epoch on that
 epoch's per-sample cross-entropy losses (unmixed inputs, dropout off),
 and the resulting noisy-posterior weights drive the next epoch; the first
-``warmup_epochs`` epochs use w = 0.  mixup_ce is bsm with w = 0 throughout.
+``warmup_epochs`` epochs use w = 0.  Epoch 0 always does, since no
+mixture has been fit before it, so ``warmup_epochs = 0`` trains exactly
+as 1.  mixup_ce is bsm with w = 0 throughout.
 """
 
 from __future__ import annotations
@@ -151,7 +153,8 @@ def train(config: TrainConfig, dataset: Dataset) -> tuple[MlpModel, TrainLog]:
     # mixup_ce never refits the mixture, so it trains as bsm with w = 0
     mixes = config.method in ("mixup_ce", "bsm")
     onehot_train = batch_onehot(y_train, k)
-    # the epoch-end forwards write their hidden layers here
+    # the steps and the epoch-end forwards write their hidden layers here
+    step_buffers = hidden_buffers(model, min(config.batch_size, n_train))
     train_buffers = hidden_buffers(model, n_train)
     val_buffers = hidden_buffers(model, len(dataset.val_inputs))
 
@@ -183,8 +186,8 @@ def train(config: TrainConfig, dataset: Dataset) -> tuple[MlpModel, TrainLog]:
             if config.method == "ce_aug":
                 xb = perturb(xb, policy, augment_rng)
 
-            logits, _, cache = forward(model, xb, dropout_active=True,
-                                       rng=dropout_rng)
+            logits, _, cache = forward(model, xb, dropout_rng,
+                                       [b[:len(xb)] for b in step_buffers])
             if mixes:
                 targets = batch_bsm_targets(
                     logits, *(a[rows] for a in pair_rows), config.soft_bootstrap)

@@ -120,7 +120,7 @@ def reference_train(config, dataset):
                 xb = perturb(x, policy, augment_rng)
             else:
                 xb = x
-            logits, _, cache = forward(model, xb, dropout_active=True, rng=dropout_rng)
+            logits, _, cache = forward(model, xb, dropout_rng)
             if mixes:
                 w = w_epoch[rows]
                 targets = reference_bsm_targets(logits, y, y[partners], gammas,

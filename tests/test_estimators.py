@@ -167,11 +167,11 @@ class TestMcDropout:
         rows = [np.array([500.0, 0.0]), np.array([0.0, 500.0])]
         calls = []
 
-        def scripted_pass(model, hidden, rng, a1, a2):
-            calls.append(len(hidden))
-            return np.tile(rows[(len(calls) - 1) % 2], (len(hidden), 1))
+        def scripted_pass(model, x, rng, buffers, layer1):
+            calls.append(len(x))
+            return np.tile(rows[(len(calls) - 1) % 2], (len(x), 1)), None, None
 
-        monkeypatch.setattr(estimators, "dropout_pass", scripted_pass)
+        monkeypatch.setattr(estimators, "forward", scripted_pass)
         model = kaiming_init((2, 4, 4, 2), seed=15, dropout=0.5)
         out = mc_dropout_predict(model, example_inputs(3, 9), passes=4, seed=0)
         np.testing.assert_allclose(out.mean_probs, 0.5, atol=1e-12)
@@ -217,7 +217,7 @@ def serial_mc_dropout(model, inputs, passes, tau_inv, seed):
     total = np.zeros((len(inputs), model.dims[3]))
     total_sq = np.zeros_like(total)
     for _ in range(passes):
-        probs = softmax(forward(model, inputs, dropout_active=True, rng=rng)[0])
+        probs = softmax(forward(model, inputs, rng)[0])
         total += probs
         total_sq += probs * probs
     mean = total / passes

@@ -27,7 +27,6 @@ from mixboot.mlp import (
     backward,
     backward_step,
     dropout_draws,
-    dropout_pass,
     forward,
     hidden1,
     kaiming_init,
@@ -46,13 +45,14 @@ def ce_batch_value(model, inputs, labels):
     return float(-logp[np.arange(len(labels)), labels].mean())
 
 
-def reference_forward(model, inputs, dropout_active=False, rng=None):
+def reference_forward(model, inputs, rng=None):
     """Reference: the out-of-place forward, one fresh array per step, with
-    the mask built by ``astype`` and a division.  Returns (logits, [a1, a2],
-    masks); a2 is the feature matrix."""
+    the mask built by ``astype`` and a division, and dropout active when
+    ``rng`` is given.  Returns (logits, [a1, a2], masks); a2 is the feature
+    matrix."""
     x = np.asarray(inputs, dtype=np.float64)
     rate = model.dropout
-    use_dropout = dropout_active and rate > 0.0
+    use_dropout = rng is not None and rate > 0.0
     acts, masks = [], []
     a = x
     for w, b in ((model.w1, model.b1), (model.w2, model.b2)):
@@ -176,7 +176,7 @@ class TestForward:
         model = kaiming_init((2, 16, 16, 2), seed=3, dropout=0.0)
         x = np.random.default_rng(1).normal(size=(4, 2))
         inactive = model.predict_logits(x)
-        active, _, _ = forward(model, x, dropout_active=True, rng=np.random.default_rng(2))
+        active, _, _ = forward(model, x, np.random.default_rng(2))
         assert (inactive == active).all()
 
     def test_zero_input_zero_bias_gives_zero_logits(self):
@@ -184,17 +184,12 @@ class TestForward:
         logits = model.predict_logits(np.zeros((2, 3)))
         assert (logits == 0.0).all()
 
-    def test_active_dropout_requires_rng(self):
-        model = kaiming_init((2, 8, 8, 2), seed=6)
-        with pytest.raises(InvalidInputError):
-            forward(model, np.zeros((1, 2)), dropout_active=True)
-
     def test_dropout_masks_differ_between_calls(self):
         model = kaiming_init((2, 64, 64, 2), seed=7, dropout=0.5)
         x = np.random.default_rng(3).normal(size=(1, 2))
         rng = np.random.default_rng(4)
-        a, _, _ = forward(model, x, dropout_active=True, rng=rng)
-        b, _, _ = forward(model, x, dropout_active=True, rng=rng)
+        a, _, _ = forward(model, x, rng)
+        b, _, _ = forward(model, x, rng)
         assert not (a == b).all()
 
     @pytest.mark.parametrize("dropout, draws", [(0.0, 0), (0.4, 11 * (7 + 5))])
@@ -203,7 +198,7 @@ class TestForward:
         model = kaiming_init((3, 7, 5, 2), seed=9, dropout=dropout)
         x = np.random.default_rng(6).normal(size=(11, 3))
         rng, expected = np.random.default_rng(8), np.random.default_rng(8)
-        forward(model, x, dropout_active=True, rng=rng)
+        forward(model, x, rng)
         assert dropout_draws(model, 11) == draws
         expected.bit_generator.advance(draws)
         assert rng.bit_generator.state == expected.bit_generator.state
@@ -223,8 +218,9 @@ class TestForward:
 
 
 class TestDropoutPass:
-    """One MC-dropout pass from shared layer-1 activations and reused
-    buffers is an active-dropout forward, bit for bit."""
+    """One MC-dropout pass, a dropout forward from shared layer-1
+    activations into reused buffers, row blocks and all, gives the bits of
+    the out-of-place reference and leaves its rng where the reference does."""
 
     @pytest.mark.parametrize("n", [1, PASS_ROW_BLOCK - 1, PASS_ROW_BLOCK,
                                    PASS_ROW_BLOCK + 1, 2 * PASS_ROW_BLOCK + 1])
@@ -235,11 +231,16 @@ class TestDropoutPass:
         model = kaiming_init(dims, seed=40, dropout=dropout)
         x = np.random.default_rng(41).normal(size=(n, dims[0]))
         want_rng, rng = np.random.default_rng(42), np.random.default_rng(42)
-        want, _, _ = forward(model, x, dropout_active=True, rng=want_rng)
+        want, want_acts, _ = reference_forward(model, x, want_rng)
+        layer1 = hidden1(model, x)
+        layer1_before = layer1.copy()
         # stale buffer contents must not leak into the pass
-        a1, a2 = np.full((n, dims[1]), np.nan), np.full((n, dims[2]), np.nan)
-        got = dropout_pass(model, hidden1(model, x), rng, a1, a2)
+        buffers = (np.full((n, dims[1]), np.nan), np.full((n, dims[2]), np.nan))
+        got, feats, cache = forward(model, x, rng, buffers, layer1)
         assert_same_bits(got, want)
+        assert_same_bits(feats, want_acts[1])
+        assert_same_bits(cache.a1, want_acts[0])
+        assert_same_bits(layer1, layer1_before)
         assert rng.bit_generator.state == want_rng.bit_generator.state
         if dropout == 0.0:  # draws nothing
             assert rng.bit_generator.state == np.random.default_rng(42).bit_generator.state
@@ -277,10 +278,10 @@ class TestBackward:
         model = kaiming_init((2, 64, 8, 2), seed=12, dropout=0.5)
         x = np.random.default_rng(13).normal(size=(4, 2))
         logits, _, cache = forward(
-            model, x, dropout_active=True, rng=np.random.default_rng(14)
+            model, x, np.random.default_rng(14)
         )
         _, _, masks = reference_forward(
-            model, x, dropout_active=True, rng=np.random.default_rng(14)
+            model, x, np.random.default_rng(14)
         )
         grad_logits = softmax(logits) - batch_onehot(np.zeros(4, dtype=int), 2)
         dw1, db1 = split_flat(backward(model, cache, grad_logits), model.dims)[:2]
@@ -295,10 +296,10 @@ class TestBackward:
         model = kaiming_init((3, 9, 7, 4), seed=20, dropout=0.3)
         x = np.random.default_rng(21).normal(size=(n, 3))
         logits, _, cache = forward(
-            model, x, dropout_active=True, rng=np.random.default_rng(22)
+            model, x, np.random.default_rng(22)
         )
         _, _, masks = reference_forward(
-            model, x, dropout_active=True, rng=np.random.default_rng(22)
+            model, x, np.random.default_rng(22)
         )
         grad_logits = softmax(logits) - batch_onehot(np.arange(n) % 4, 4)
         flat = backward(model, cache, grad_logits)
@@ -316,9 +317,9 @@ class TestBackward:
         rng = np.random.default_rng(43)
         for n, active in ((5, True), (2, False)):
             x = rng.normal(size=(n, 3))
-            _, _, masks = reference_forward(model, x, dropout_active=active,
-                                            rng=copy.deepcopy(rng))
-            logits, _, cache = forward(model, x, dropout_active=active, rng=rng)
+            step_rng = rng if active else None
+            _, _, masks = reference_forward(model, x, copy.deepcopy(step_rng))
+            logits, _, cache = forward(model, x, step_rng)
             grad_logits = softmax(logits) - batch_onehot(np.arange(n) % 4, 4)
             assert backward(model, cache, grad_logits, out=out) is out.flat
             for got, want in zip(out.params(),
@@ -357,6 +358,11 @@ def forward_cases(draw):
     }
 
 
+def case_rng(case):
+    """A fresh generator from the case's seed, or None with dropout off."""
+    return np.random.default_rng(case["seed"]) if case["active"] else None
+
+
 class TestInPlaceForward:
     """The in-place forward gives the out-of-place bits, and backward's
     a > 0 gates and dropout scale give those of the reference's masks."""
@@ -364,13 +370,9 @@ class TestInPlaceForward:
     @settings(deadline=None, max_examples=200)
     @given(forward_cases())
     def test_matches_out_of_place_reference(self, case):
-        model, x, active = case["model"], case["x"], case["active"]
-        logits, feats, cache = forward(
-            model, x, dropout_active=active, rng=np.random.default_rng(case["seed"])
-        )
-        ref_logits, ref_acts, ref_masks = reference_forward(
-            model, x, dropout_active=active, rng=np.random.default_rng(case["seed"])
-        )
+        model, x = case["model"], case["x"]
+        logits, feats, cache = forward(model, x, case_rng(case))
+        ref_logits, ref_acts, ref_masks = reference_forward(model, x, case_rng(case))
         assert_same_bits(logits, ref_logits)
         for got, want in zip([feats, cache.a1, cache.a2], [ref_acts[1]] + ref_acts):
             assert_same_bits(got, want)
@@ -386,14 +388,12 @@ class TestInPlaceForward:
     @settings(deadline=None)
     @given(forward_cases())
     def test_buffers_give_the_same_bits(self, case):
-        model, x, active = case["model"], case["x"], case["active"]
+        model, x = case["model"], case["x"]
         n, (_, h1, h2, _) = len(x), model.dims
         # stale buffer contents must not leak into the forward
         buffers = (np.full((n, h1), np.nan), np.full((n, h2), np.nan))
-        got = forward(model, x, dropout_active=active,
-                      rng=np.random.default_rng(case["seed"]), buffers=buffers)
-        want = forward(model, x, dropout_active=active,
-                       rng=np.random.default_rng(case["seed"]))
+        got = forward(model, x, case_rng(case), buffers)
+        want = forward(model, x, case_rng(case))
         for g, w in zip(got[:2] + (got[2].a1, got[2].a2),
                         want[:2] + (want[2].a1, want[2].a2)):
             assert_same_bits(g, w)
@@ -422,23 +422,25 @@ class TestInPlaceForward:
 
     @pytest.mark.parametrize("h1,h2", [(64, 64), (64, 1)])
     def test_dropout_forward_allocation_budget(self, h1, h2):
-        # one 20000-row pass with dropout holds a1, a2 and their two masks,
-        # 4.0 x (N * 64 * 8) bytes at 64/64; the budget leaves 2.5% for the
-        # logits, so one more N x H temporary exceeds it (the 64/1 case
-        # catches a layer-1 temporary freed before layer 2 peaks)
-        n = 20000
-        model = kaiming_init((2, h1, h2, 2), seed=33, dropout=0.2)
+        # one 20000-row pass with dropout holds a1, a2, one PASS_ROW_BLOCK
+        # block of mask scratch and the N x K logits with their N x K
+        # finiteness check: 1.03 x (N * (H1 + H2) * 8) bytes at 64/64 and
+        # 1.06 x at 64/1.  The budget leaves 2% over those, so one more
+        # N x H1 temporary, or full-size masks, exceed it
+        n, k = 20000, 2
+        model = kaiming_init((2, h1, h2, k), seed=33, dropout=0.2)
         x = np.random.default_rng(34).normal(size=(n, 2))
         rng = np.random.default_rng(35)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            forward(model, x, dropout_active=True, rng=rng)
+            forward(model, x, rng)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 1.025 * 2 * n * (h1 + h2) * 8
+        budget = n * (h1 + h2) * 8 + PASS_ROW_BLOCK * max(h1, h2) * 8 + n * k * (8 + 1)
+        assert peak <= 1.02 * budget
 
 
 class TestAdam:

@@ -129,6 +129,17 @@ class TestDeterminism:
         assert log_a.train_loss == log_b.train_loss
         assert log_a.val_accuracy == log_b.val_accuracy
 
+    def test_warmup_zero_trains_as_one(self):
+        # epoch 0 has no fitted mixture before it, so it uses w = 0 either
+        # way; a second warmup epoch does change the run
+        flats = {}
+        for warmup in (0, 1, 2):
+            config = moons_config(warmup_epochs=warmup)
+            model, _ = train(config, dataset_from_config(config))
+            flats[warmup] = model.flat.tobytes()
+        assert flats[0] == flats[1]
+        assert flats[2] != flats[1]
+
     def test_seed_changes_trajectory(self):
         config_a = moons_config()
         config_b = moons_config(seed=1)
@@ -203,12 +214,12 @@ class TestLeftoverBatch:
             mixups.append((partners, gammas))
             return mixed, partners, gammas
 
-        def spy_forward(model, xb, **kwargs):
+        def spy_forward(model, xb, *args):
             if len(xb) == 1:
                 # bsm refits the posterior once per epoch, so for bsm this
                 # counts the epochs done so far
                 steps.append({"x": xb.copy(), "epoch": len(posteriors)})
-            return forward(model, xb, **kwargs)
+            return forward(model, xb, *args)
 
         def spy_loss(logits, targets):
             if len(logits) == 1:
@@ -307,6 +318,9 @@ class TestMatchesPerStepReference:
         dict(method="bsm", n_train=100, batch_size=33),
         dict(method="mixup_ce", n_train=100, batch_size=33, soft_bootstrap=True),
         dict(method="bsm", n_train=100, batch_size=1, max_epochs=2),
+        # 1100 = 600 + 500: steps of two row blocks, the last batch narrower
+        # than the step buffers
+        dict(method="bsm", n_train=1100, batch_size=600),
         dict(method="bsm", warmup_epochs=0),
         dict(method="bsm", warmup_epochs=2),
         dict(method="bsm", dropout=0.0),
