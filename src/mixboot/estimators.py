@@ -18,7 +18,7 @@ import numpy as np
 from .augment import PerturbationPolicy, perturb
 from .errors import InvalidInputError
 from .losses import softmax
-from .jobs import run_jobs
+from .jobs import run_jobs, shared_array
 from .mlp import MlpModel, dropout_draws, forward, hidden1, hidden_buffers
 
 
@@ -37,15 +37,14 @@ class EstimatorOutput:
     variance: np.ndarray | None = None
 
 
-def _fold(results: Iterable, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+def _fold(results: Iterable[np.ndarray], shape: tuple[int, int]
+          ) -> tuple[np.ndarray, np.ndarray]:
     """Mean and mean square of the per-pass probability rows, summed in
-    pass order; a pass that came back as an exception is raised."""
+    pass order."""
     total = np.zeros(shape)
     total_sq = np.zeros(shape)
     count = 0
     for probs in results:
-        if isinstance(probs, Exception):
-            raise probs
         total += probs
         total_sq += probs * probs
         count += 1
@@ -82,7 +81,10 @@ def mc_dropout_predict(
     layer-1 activations are computed once; every pass is one
     ``mlp.forward`` from them into the same two buffers.  From
     ``MC_FORK_MIN_ROW_PASSES`` rows times passes the passes run through
-    ``run_jobs`` (in forked workers when CPUs allow).
+    ``run_jobs`` (in forked workers when CPUs allow).  Pass p writes its
+    softmax rows into slot p of one passes x N x K ``shared_array`` and
+    returns nothing, so a forked pass sends no rows through a pipe; the
+    array holds passes x N x K x 8 bytes wherever the passes run.
     """
     if passes < 1:
         raise InvalidInputError("mc_dropout needs passes >= 1")
@@ -90,17 +92,23 @@ def mc_dropout_predict(
         raise InvalidInputError("tau_inv must be nonnegative")
     x = np.asarray(inputs, dtype=np.float64)
     hidden = hidden1(model, x)
-    # allocated before any fork: a worker faults them in once for all its passes
+    # allocated before any fork: a worker faults the buffers in once for
+    # all its passes, and its slots are the ones this process folds
     a1, a2 = hidden_buffers(model, len(x))
+    slots = shared_array((passes, len(x), model.dims[3]))
     draws = dropout_draws(model, len(x))
 
-    def one_pass(p: int) -> np.ndarray:
+    def one_pass(p: int) -> None:
         bits = np.random.PCG64(seed)
         bits.advance(p * draws)
-        return softmax(forward(model, x, np.random.Generator(bits), (a1, a2), hidden)[0])
+        logits = forward(model, x, np.random.Generator(bits), (a1, a2), hidden)[0]
+        softmax(logits, out=slots[p])
 
     run = map if passes * len(x) < MC_FORK_MIN_ROW_PASSES else run_jobs
-    mean, mean_sq = _fold(run(one_pass, range(passes)), (len(x), model.dims[3]))
+    for failure in run(one_pass, range(passes)):
+        if failure is not None:
+            raise failure
+    mean, mean_sq = _fold(slots, slots.shape[1:])
     return EstimatorOutput(mean, tau_inv + mean_sq - mean * mean)
 
 

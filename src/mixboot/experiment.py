@@ -36,7 +36,7 @@ from .estimators import (
     mc_dropout_predict,
     tta_predict,
 )
-from .jobs import run_jobs
+from .jobs import one_blas_thread, run_jobs
 from .prob_metrics import (
     PredictionBatch,
     ReliabilityBins,
@@ -362,7 +362,9 @@ def _publishing(out: Path):
 
 def run_experiment(config: ExperimentConfig) -> tuple[MetricsReport, Path]:
     """Train, evaluate on the validation split, and publish all artifacts
-    as the output directory (see ``_publishing``)."""
+    as the output directory (see ``_publishing``).  Every BLAS call runs
+    at one thread, so the bytes do not depend on the CPU count."""
+    one_blas_thread()
     out = resolve_output_dir(config)
     with _publishing(out) as built:
         report = _evaluate_and_write(config, built, *train_models(config))
@@ -431,8 +433,10 @@ def run_sweep(base: ExperimentConfig, axis: str, values: list) -> tuple[str, Pat
     exactly the files of the last sweep that returned, a sweep that
     raised leaves the previous contents in place, and an existing
     directory that is not a run or sweep directory is refused (see
-    ``_publishing``).
+    ``_publishing``).  Every BLAS call runs at one thread, as in
+    ``run_experiment``.
     """
+    one_blas_thread()
     if axis not in SWEEP_AXES:
         raise InvalidInputError(f"unknown sweep axis {axis!r}; "
                                 f"expected one of {tuple(SWEEP_AXES)}")

@@ -1,20 +1,28 @@
 """One job runner: call a function on every job, in forked workers when
 the process may use two or more CPUs.
 
-Model trainings and MC-dropout passes both go through ``run_jobs``.  A
-job must be a pure function of its input, so a worker's result equals
-the one the main process would compute, bit for bit; results come back
-in job order whatever the scheduling.
+Three stages go through ``run_jobs``: model trainings, MC-dropout passes
+and the query-row ranges of the min cosine distance pass.  A job must be
+a pure function of its input, so a worker's result equals the one the
+main process would compute, bit for bit; results come back in job order
+whatever the scheduling.  Trainings and distance ranges return their
+results through a pipe.  MC-dropout passes return None: each writes its
+probability rows into its slot of one ``shared_array``, which the main
+process allocates before the fork and reads after it.
 """
 
 from __future__ import annotations
 
 import ctypes
+import math
+import mmap
 import os
 import pickle
 import signal
 import sys
 from collections.abc import Iterator
+
+import numpy as np
 
 
 def usable_cpus() -> int:
@@ -25,9 +33,20 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _one_blas_thread() -> None:
+def shared_array(shape: tuple[int, ...]) -> np.ndarray:
+    """A zeroed float64 array in anonymous shared memory.  Allocated
+    before a fork, it is the same memory in the workers: what they write
+    into it, this process reads once they are reaped, with no copy."""
+    size = math.prod(shape)
+    memory = mmap.mmap(-1, 8 * max(size, 1))  # mmap refuses a length of 0
+    return np.frombuffer(memory, dtype=np.float64, count=size).reshape(shape)
+
+
+def one_blas_thread() -> None:
     """Limit the OpenBLAS that numpy loaded to one thread; a no-op when
-    none is found.  Workers share the CPUs, so more threads only contend."""
+    none is found.  Workers share the CPUs, so more threads only contend,
+    and a matrix product's bits may depend on its thread count.  A forked
+    worker inherits the setting."""
     try:
         with open("/proc/self/maps") as fh:
             paths = {line.split()[-1] for line in fh if "openblas" in line}
@@ -60,7 +79,6 @@ def _worker(fn, jobs: list, sink) -> None:
     ``sink`` and exit without returning to the caller's stack."""
     status = 1
     try:
-        _one_blas_thread()
         sink.write(pickle.dumps([_call(fn, job) for job in jobs]))
         sink.flush()
         status = 0
@@ -75,15 +93,18 @@ def run_jobs(fn, jobs) -> Iterator:
     """Yield ``fn(job)`` for every job, in job order; a job that raised
     an ``Exception`` yields that exception in place of its result.
 
-    With two or more usable CPUs and jobs, forked workers (one per CPU,
-    at most one per job) take the jobs round-robin, each with one BLAS
-    thread, and send their results back through a pipe; every worker is
-    reaped before the first result is yielded.  Otherwise the jobs run
-    here, one per result taken, so a caller that folds the results holds
-    one at a time.  A worker that exits without its results raises
-    ``ChildProcessError``.  An exception raised here before every result
-    is in (an interrupt) kills the workers before they are reaped.
+    The process runs its BLAS at one thread from here on, so the jobs
+    give the same bits wherever they run.  With two or more usable CPUs
+    and jobs, forked workers (one per CPU, at most one per job) take the
+    jobs round-robin and send their results back through a pipe; every
+    worker is reaped before the first result is yielded, so whatever the
+    jobs wrote into a ``shared_array`` is complete by then.  Otherwise
+    the jobs run here, one per result taken.  A worker that exits without
+    its results raises ``ChildProcessError``.  An exception raised here
+    before every result is in (an interrupt) kills the workers before
+    they are reaped.
     """
+    one_blas_thread()
     jobs = list(jobs)
     workers = min(usable_cpus(), len(jobs))
     if workers < 2 or not hasattr(os, "fork"):

@@ -7,7 +7,9 @@ per-batch forms it replaced, written out as they ran, so the tests can
 check that the hoisted forms give the same bits and leave every random
 generator in the same state.  ``bsm_targets`` is the one helper that
 calls the package: its per-step target builder fed from labels, with
-the per-epoch half computed on the spot.
+the per-epoch half computed on the spot.  ``reference_softmax`` is the
+softmax written with reductions along the class axis, as the package
+ran it before it went a class column at a time.
 """
 
 from dataclasses import asdict
@@ -29,6 +31,13 @@ from mixboot.trainer import (
     _SHUFFLE_KEY,
     TrainLog,
 )
+
+
+def reference_softmax(logits):
+    """Max-subtracted softmax, its max and sum reduced along the last axis."""
+    z = np.asarray(logits, dtype=np.float64)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def reference_sample_gammas(alpha, n, rng):

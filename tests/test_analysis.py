@@ -1,6 +1,7 @@
 """Referral curves, feature-distance queries and rank correlation."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import special, stats
 
+from mixboot import _kernels
 from mixboot.analysis import (
+    DISTANCE_FORK_MIN_PAIRS,
     _sorted_unique,
     distance_perception_summary,
     distance_records,
@@ -246,6 +249,43 @@ class TestMinCosineDistance:
         out = min_cosine_distances(rng.normal(size=(50, 5)), rng.normal(size=(30, 5)))
         assert (out >= -1e-12).all()
         assert (out <= 2.0 + 1e-12).all()
+
+
+def forking_bank(rows, seed, short=0):
+    """The fewest 8-feature bank rows with which ``rows`` query rows fork
+    the distance pass, less ``short``."""
+    bank_rows = -(-DISTANCE_FORK_MIN_PAIRS // rows) - short
+    return np.random.default_rng(seed).normal(size=(bank_rows, 8))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestDistanceRanges:
+    @pytest.mark.parametrize("rows, short, forks", [
+        (200, 1, 0),                         # one pair short of forking
+        (100, 0, 0),                         # less than one block per worker
+        (200, 0, 2),                         # one block per worker
+        (3 * _kernels.BLOCK + 57, 0, 2),     # a partial last block
+    ])
+    def test_ranges_give_one_call_on_any_cpu_count(self, cpus, rows, short, forks):
+        rng = np.random.default_rng(rows)
+        queries = rng.normal(size=(rows, 8))
+        queries[rows // 2] = 0.0
+        bank = forking_bank(rows, rows, short)
+        want = _kernels.min_cosine_distances(queries, bank).tobytes()
+        for n_cpus in (1, 2):
+            forked = cpus(n_cpus)
+            assert min_cosine_distances(queries, bank).tobytes() == want
+        assert len(forked) == forks
+
+    def test_a_range_that_raises_in_a_worker_raises(self, cpus, monkeypatch, deadline):
+        def fail(queries, bank):
+            raise ArithmeticError(f"range of {len(queries)} rows")
+
+        monkeypatch.setattr(_kernels, "min_cosine_distances", fail)
+        forked = cpus(2)
+        with pytest.raises(ArithmeticError, match="range of 256 rows"):
+            min_cosine_distances(np.ones((300, 8)), forking_bank(300, 9))
+        assert len(forked) == 2
 
 
 class TestSpearman:

@@ -15,6 +15,7 @@ from mixboot.estimators import (
     mc_dropout_predict,
     tta_predict,
 )
+from mixboot.jobs import run_jobs
 from mixboot.losses import softmax
 from mixboot.mlp import PASS_ROW_BLOCK, forward, kaiming_init
 from mixboot.prob_metrics import predictive_entropy
@@ -262,6 +263,25 @@ class TestMcDropoutPasses:
         assert runs[2] == runs[1]
         oracle = serial_mc_dropout(model, x, passes, 0.25, seed_for(seed))
         assert runs[1] == [a.tobytes() for a in oracle]
+
+    def test_forked_passes_send_no_rows_back(self, cpus, monkeypatch):
+        # each pass writes its rows into the shared array and returns None
+        results = []
+
+        def recording_run_jobs(fn, jobs):
+            for result in run_jobs(fn, jobs):
+                results.append(result)
+                yield result
+
+        monkeypatch.setattr(estimators, "run_jobs", recording_run_jobs)
+        model = kaiming_init((2, 16, 8, 2), seed=31, dropout=0.3)
+        x = example_inputs(forking_rows(4), 15)
+        forked = cpus(2)
+        out = mc_dropout_predict(model, x, 4, seed_for(5))
+        assert len(forked) == 2
+        assert results == [None] * 4
+        assert output_bytes(out) == [a.tobytes() for a in
+                                     serial_mc_dropout(model, x, 4, 0.0, seed_for(5))]
 
     def test_non_finite_pass_in_a_worker_is_divergence(self, cpus, deadline):
         model = kaiming_init((2, 8, 8, 2), seed=32, dropout=0.2)

@@ -513,34 +513,53 @@ class TestParallelTraining:
 
 # numpy loads OpenBLAS, with the thread count OPENBLAS_NUM_THREADS asks
 # for, before the process is pinned to one CPU; mixboot then takes its
-# serial path while OpenBLAS keeps its threads
+# serial path, and must itself bring OpenBLAS down to one thread
 SERIAL_CLI = ("import os, sys, numpy\n"
               "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
               "from mixboot.cli import main\n"
               "sys.exit(main(sys.argv[1:]))\n")
 
+# a 600-row batch: backward's 64 x 600 @ 600 x 64 product gives other
+# bits at 2 BLAS threads than at 1
+WIDE_BATCH_MC = (
+    "method = bsm\n"
+    "n_train = 1100\n"
+    "batch_size = 600\n"
+    "max_epochs = 3\n"
+    "estimator.kind = mc_dropout\n"
+    "estimator.passes = 5\n"
+)
+
+
+# (config, command, a file the run must write)
+BLAS_THREAD_RUNS = (
+    (FAST_MOONS, ["sweep", "--axis", "ensemble_sizes", "--values", "1,2"],
+     "member_1/models/model_1.txt"),
+    (WIDE_BATCH_MC, ["run"], "models/model_0.txt"),
+)
+
 
 @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
                     reason="OpenBLAS runs at most one thread per usable CPU")
 def test_serial_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # forked workers train with one BLAS thread and must match a serial run
-    # at any thread count
-    config = tmp_path / "sweep.cfg"
-    config.write_text(FAST_MOONS + "output.dir = sweep\n")
+    # forked workers run one BLAS thread and must match a serial run
+    # started at any thread count
     src = Path(__file__).resolve().parents[1] / "src"
-    trees = []
-    for threads in ("1", "2"):
-        root = tmp_path / f"threads_{threads}"
-        subprocess.run(
-            [sys.executable, "-c", SERIAL_CLI, "sweep", "--config", str(config),
-             "--axis", "ensemble_sizes", "--values", "1,2"],
-            env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads,
-                     **{OUTPUT_ROOT_ENV: str(root)}),
-            check=True, capture_output=True, timeout=120,
-        )
-        trees.append(read_tree(root / "sweep"))
-    assert "member_1/models/model_1.txt" in trees[0]
-    assert trees[0] == trees[1]
+    for n, (config_text, (verb, *args), expected_file) in enumerate(BLAS_THREAD_RUNS):
+        config = tmp_path / f"run_{n}.cfg"
+        config.write_text(config_text + "output.dir = out\n")
+        trees = []
+        for threads in ("1", "2"):
+            root = tmp_path / f"run_{n}_threads_{threads}"
+            subprocess.run(
+                [sys.executable, "-c", SERIAL_CLI, verb, "--config", str(config), *args],
+                env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads,
+                         **{OUTPUT_ROOT_ENV: str(root)}),
+                check=True, capture_output=True, timeout=120,
+            )
+            trees.append(read_tree(root / "out"))
+        assert expected_file in trees[0]
+        assert trees[0] == trees[1], verb
 
 
 def row_table(header, rows, provenance=None) -> str:

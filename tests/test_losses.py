@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from mixboot._kernels import loss_from_targets
 from mixboot.losses import batch_onehot, softmax
-from oracles import bsm_targets, reference_bsm_targets
+from oracles import bsm_targets, reference_bsm_targets, reference_softmax
 
 # frozen hand-oracle values
 CE_LN2_LABEL1 = 1.0986122886681098          # -ln(1/3)
@@ -71,6 +71,22 @@ class TestSoftmax:
         out = softmax(np.array([1000.0, 0.0]))
         assert np.isfinite(out).all()
         np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-300)
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_columns_give_the_bits_of_axis_reductions(self, k):
+        # rows at several scales, so some classes underflow to 0 after exp
+        rng = np.random.default_rng(k)
+        z = rng.normal(size=(20000, k)) * rng.choice([0.01, 1.0, 30.0, 800.0],
+                                                    size=(20000, 1))
+        assert softmax(z).tobytes() == reference_softmax(z).tobytes()
+        for row in z[:50]:
+            assert softmax(row).tobytes() == reference_softmax(row).tobytes()
+
+    def test_writes_into_out(self):
+        z = np.random.default_rng(8).normal(size=(9, 2))
+        out = np.full((9, 2), np.nan)
+        assert softmax(z, out=out) is out
+        assert out.tobytes() == reference_softmax(z).tobytes()
 
 
 class TestCeLoss:
