@@ -140,12 +140,9 @@ def min_cosine_distances(queries: np.ndarray, train_bank: np.ndarray) -> np.ndar
     if len(q) * len(bank) < DISTANCE_FORK_MIN_PAIRS:
         return _kernels.min_cosine_distances(q, bank)
     step = _kernels.BLOCK * -(-len(q) // (_kernels.BLOCK * usable_cpus()))
-    parts = list(run_jobs(lambda rows: _kernels.min_cosine_distances(q[rows], bank),
-                          [slice(s, s + step) for s in range(0, len(q), step)]))
-    for part in parts:
-        if isinstance(part, Exception):
-            raise part
-    return np.concatenate(parts)
+    return np.concatenate(run_jobs(
+        lambda rows: _kernels.min_cosine_distances(q[rows], bank),
+        [slice(s, s + step) for s in range(0, len(q), step)]))
 
 
 def distance_records(

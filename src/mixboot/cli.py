@@ -6,6 +6,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import load_config, parse_values
 from .errors import ConfigError, MixbootError, TrainingDivergenceError
 from .experiment import (
@@ -18,6 +20,7 @@ from .experiment import (
     run_experiment,
     run_sweep,
 )
+from .prob_metrics import predictive_entropy
 
 EXIT_OK = 0
 EXIT_MISMATCH = 4
@@ -86,30 +89,39 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    """Check the rendered files by their bytes, then the derived columns of
+    the row tables (sample_index, uncertainty, correct) by their bits: the
+    run writes floats by their round-tripping repr, entropy is finite here,
+    and a one-hot row's is -0.0, which its repr keeps."""
     run_dir = Path(args.run)
     if not is_run_dir(run_dir):
         raise MixbootError(
             f"{run_dir} is not a run directory (needs predictions.csv and config.txt)"
         )
     config = load_config(run_dir / "config.txt")
-    batch = read_predictions(run_dir / "predictions.csv")
-    distances = read_distances(run_dir / "distance_records.csv", batch.n)
+    index, batch = read_predictions(run_dir / "predictions.csv")
+    records = read_distances(run_dir / "distance_records.csv", batch.n)
     report, bins = compute_report(config, batch)
     _print_metrics(report)
-    texts = render_artifacts(config, batch, report, bins, distances)
     # every rendered file belongs in the run: the metrics files that
     # output.formats leaves out are not rendered
-    code = EXIT_OK
-    for name, text in texts.items():
+    verdicts = {}
+    for name, text in render_artifacts(config, batch, report, bins, records[1]).items():
         stored = run_dir / name
         if not stored.is_file():
-            verdict = "MISSING"
+            verdicts[name] = "MISSING"
         else:
-            verdict = "yes" if stored.read_bytes() == text.encode() else "NO"
+            verdicts[name] = "yes" if stored.read_bytes() == text.encode() else "NO"
+    # the row tables' derived columns, compared as float64 bits
+    rows = np.arange(float(batch.n))
+    stored = np.array([index, records[0], records[2], records[3]])
+    derived = np.array([rows, rows, predictive_entropy(batch.probs), batch.correctness()])
+    same = (stored.view(np.int64) == derived.view(np.int64)).all(axis=1)
+    verdicts["predictions.csv"] = "yes" if same[0] else "NO"
+    verdicts["distance_records.csv"] = "yes" if same[1:].all() else "NO"
+    for name, verdict in verdicts.items():
         print(f"matches stored {name}: {verdict}")
-        if verdict != "yes":
-            code = EXIT_MISMATCH
-    return code
+    return EXIT_OK if set(verdicts.values()) == {"yes"} else EXIT_MISMATCH
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -105,9 +105,7 @@ def mc_dropout_predict(
         softmax(logits, out=slots[p])
 
     run = map if passes * len(x) < MC_FORK_MIN_ROW_PASSES else run_jobs
-    for failure in run(one_pass, range(passes)):
-        if failure is not None:
-            raise failure
+    list(run(one_pass, range(passes)))
     mean, mean_sq = _fold(slots, slots.shape[1:])
     return EstimatorOutput(mean, tau_inv + mean_sq - mean * mean)
 

@@ -86,21 +86,11 @@ class MetricsReport:
     version: str
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "brier": self.brier,
-            "ece": self.ece,
-            "nll": self.nll,
-            "roc_auc": self.roc_auc,
-            "provenance": {
-                "config_hash": self.config_hash,
-                "estimator": self.estimator,
-                "method": self.method,
-                "noise_rate": self.noise_rate,
-                "seed": self.seed,
-                "version": self.version,
-            },
-        }
+        """The five metrics, and every other field under ``provenance``."""
+        provenance = asdict(self)
+        metrics = {key: provenance.pop(key)
+                   for key in ("accuracy", "brier", "ece", "nll", "roc_auc")}
+        return {**metrics, "provenance": provenance}
 
     def row(self) -> tuple:
         """The metrics.csv data row, in METRICS_CSV_COLUMNS order."""
@@ -129,26 +119,12 @@ def _training_jobs(config: ExperimentConfig) -> tuple[Dataset, list[tuple[TrainC
                      for m in range(n_models)]
 
 
-def _train_all(jobs: list[tuple[TrainConfig, Dataset]]) -> list:
-    """Train every ``(TrainConfig, Dataset)`` job through ``run_jobs``; in
-    job order, its ``(model, log)`` or the exception it raised.  Training
-    is a pure function of the job, so forked workers return a serial
-    run's models bit for bit."""
-    return list(run_jobs(lambda job: train(*job), jobs))
-
-
-def _models_and_logs(results: list) -> tuple[list[MlpModel], list[TrainLog]]:
-    """Split one run's ``_train_all`` results; the first exception is raised."""
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
-    return [model for model, _ in results], [log for _, log in results]
-
-
 def train_models(config: ExperimentConfig) -> tuple[Dataset, list[MlpModel], list[TrainLog]]:
-    """Train one model, or ensemble_size members differing only by seed."""
+    """Train one model, or ensemble_size members differing only by seed,
+    through ``run_jobs``."""
     dataset, jobs = _training_jobs(config)
-    return (dataset, *_models_and_logs(_train_all(jobs)))
+    results = run_jobs(lambda job: train(*job), jobs)
+    return dataset, [model for model, _ in results], [log for _, log in results]
 
 
 def estimate(config: ExperimentConfig, models: list[MlpModel],
@@ -295,28 +271,29 @@ def _load_rows(path, skiprows: int, **kwargs) -> np.ndarray:
         raise InvalidInputError(f"{path}: {exc}") from None
 
 
-def read_predictions(path) -> PredictionBatch:
-    """Rebuild the exact PredictionBatch persisted by run_experiment; a
-    malformed file raises ``InvalidInputError`` naming it."""
+def read_predictions(path) -> tuple[np.ndarray, PredictionBatch]:
+    """The sample_index column and the exact PredictionBatch run_experiment
+    persisted; a malformed file raises ``InvalidInputError`` naming it."""
     data = _load_rows(path, 1, ndmin=2)
     if data.shape[1] < 3:
         raise InvalidInputError(f"{path}: rows must hold a sample index, a "
                                 "label and class probabilities")
     try:
-        return PredictionBatch(data[:, 2:], data[:, 1])
+        return data[:, 0], PredictionBatch(data[:, 2:], data[:, 1])
     except InvalidInputError as exc:
         raise InvalidInputError(f"{path}: {exc}") from None
 
 
 def read_distances(path, n: int) -> np.ndarray:
-    """The exact min_cosine_distance column of a run's distance_records.csv,
-    which must hold ``n`` rows; a malformed file raises
-    ``InvalidInputError`` naming it."""
+    """The exact sample_index, min_cosine_distance, uncertainty and
+    correct columns of a run's distance_records.csv, as a 4 x ``n`` array;
+    a malformed file raises ``InvalidInputError`` naming it."""
     # three provenance lines, then the header
-    distances = _load_rows(path, 4, usecols=1, ndmin=1)
-    if len(distances) != n:
-        raise InvalidInputError(f"{path}: {len(distances)} rows, expected {n}")
-    return distances
+    records = _load_rows(path, 4, ndmin=2, unpack=True)
+    if records.shape != (4, n):
+        raise InvalidInputError(f"{path}: {records.shape[1]} rows of "
+                                f"{records.shape[0]} columns, expected {n} of 4")
+    return records
 
 
 def is_run_dir(path: Path) -> bool:
@@ -418,16 +395,27 @@ def _sweep_member_config(base: ExperimentConfig, axis: str, value,
     ])
 
 
+def _sweep_training(job: tuple[TrainConfig, Dataset]):
+    """One sweep training's ``(model, log)``, or the mixboot error or
+    OSError it raised, which becomes its member's error row; any other
+    exception (a bug) propagates."""
+    try:
+        return train(*job)
+    except (MixbootError, OSError) as exc:
+        return exc
+
+
 def run_sweep(base: ExperimentConfig, axis: str, values: list) -> tuple[str, Path]:
     """One experiment per axis value; consolidated CSV ordered as given.
 
-    Every member's trainings go to one ``_train_all`` call, so they share
-    the workers; each member is then estimated and written in order.  A
-    member failing with a mixboot error or an OSError (its first, in
-    config, training, then evaluation order) becomes a status=error row,
-    whose status field is ``error: <Type>: <message>``, instead of
-    aborting; any other exception propagates.  Each ok member is written
-    to ``member_<ordinal>/``, and an errored one has no directory.
+    Every member's trainings go to one ``run_jobs`` call of
+    ``_sweep_training``, so they share the workers; each member is then
+    estimated and written in order.  A member failing with a mixboot
+    error or an OSError (its first, in config, training, then evaluation
+    order) becomes a status=error row, whose status field is
+    ``error: <Type>: <message>``, instead of aborting; any other
+    exception propagates.  Each ok member is written to
+    ``member_<ordinal>/``, and an errored one has no directory.
 
     The whole sweep is published as the output directory: it then holds
     exactly the files of the last sweep that returned, a sweep that
@@ -444,28 +432,29 @@ def run_sweep(base: ExperimentConfig, axis: str, values: list) -> tuple[str, Pat
         raise InvalidInputError("sweep needs at least one value")
     out = resolve_output_dir(base)
     with _publishing(out) as built:
-        members, jobs = [], []  # per member: its config error, or what it trains
+        # per member: its config (or config error), dataset and jobs' span
+        members, jobs = [], []
         for ordinal, value in enumerate(values):
             try:
                 member = _sweep_member_config(base, axis, value, ordinal)
                 dataset, member_jobs = _training_jobs(member)
             except (MixbootError, OSError) as exc:
-                members.append(exc)
+                members.append((exc, None, slice(0)))
                 continue
             members.append((member, dataset,
                             slice(len(jobs), len(jobs) + len(member_jobs))))
             jobs.extend(member_jobs)
-        results = _train_all(jobs)
+        results = run_jobs(_sweep_training, jobs)
         rows = []
-        for ordinal, (value, member) in enumerate(zip(values, members)):
+        for ordinal, (value, (config, dataset, span)) in enumerate(zip(values, members)):
             try:
-                if isinstance(member, Exception):
-                    raise member
-                config, dataset, span = member
+                for outcome in (config, *results[span]):  # its first error is its row's
+                    if isinstance(outcome, Exception):
+                        raise outcome
                 # a member that fails partway leaves no directory behind
                 with _publishing(built / f"member_{ordinal}") as member_dir:
                     report = _evaluate_and_write(config, member_dir, dataset,
-                                                 *_models_and_logs(results[span]))
+                                                 *map(list, zip(*results[span])))
                 rows.append((axis, value, "ok", *report.row()))
             except (MixbootError, OSError) as exc:  # member failure must not kill the sweep
                 # one quoted field on one line: the message may hold commas

@@ -1,14 +1,14 @@
-"""One job runner: call a function on every job, in forked workers when
-the process may use two or more CPUs.
+"""One job runner, ``run_jobs(fn, jobs)``: ``[fn(job) for job in jobs]``,
+in forked workers when the process may use two or more CPUs.
 
-Three stages go through ``run_jobs``: model trainings, MC-dropout passes
-and the query-row ranges of the min cosine distance pass.  A job must be
-a pure function of its input, so a worker's result equals the one the
-main process would compute, bit for bit; results come back in job order
-whatever the scheduling.  Trainings and distance ranges return their
-results through a pipe.  MC-dropout passes return None: each writes its
-probability rows into its slot of one ``shared_array``, which the main
-process allocates before the fork and reads after it.
+Three stages go through it: model trainings, MC-dropout passes and the
+query-row ranges of the min cosine distance pass.  A job must be a pure
+function of its input, so a worker's result equals the one the main
+process would compute, bit for bit, whatever the scheduling.  Trainings
+and distance ranges return their results through a pipe.  MC-dropout
+passes return None: each writes its probability rows into its slot of
+one ``shared_array``, which the main process allocates before the fork
+and reads after it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import os
 import pickle
 import signal
 import sys
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -67,19 +66,20 @@ def one_blas_thread() -> None:
                 return
 
 
-def _call(fn, job):
+def _outcome(fn, job) -> tuple[bool, object]:
+    """``(True, fn(job))``, or ``(False, the exception it raised)``."""
     try:
-        return fn(job)
-    except Exception as exc:  # the caller decides which failures it survives
-        return exc
+        return True, fn(job)
+    except Exception as exc:  # sent back for run_jobs to raise
+        return False, exc
 
 
 def _worker(fn, jobs: list, sink) -> None:
-    """Body of a forked worker: run ``jobs``, pickle the results into
+    """Body of a forked worker: run ``jobs``, pickle their outcomes into
     ``sink`` and exit without returning to the caller's stack."""
     status = 1
     try:
-        sink.write(pickle.dumps([_call(fn, job) for job in jobs]))
+        sink.write(pickle.dumps([_outcome(fn, job) for job in jobs]))
         sink.flush()
         status = 0
     except BaseException:
@@ -89,28 +89,26 @@ def _worker(fn, jobs: list, sink) -> None:
         os._exit(status)
 
 
-def run_jobs(fn, jobs) -> Iterator:
-    """Yield ``fn(job)`` for every job, in job order; a job that raised
-    an ``Exception`` yields that exception in place of its result.
+def run_jobs(fn, jobs) -> list:
+    """``[fn(job) for job in jobs]``: the results in job order, or the
+    exception of the first job in job order that raised one.
 
     The process runs its BLAS at one thread from here on, so the jobs
     give the same bits wherever they run.  With two or more usable CPUs
     and jobs, forked workers (one per CPU, at most one per job) take the
-    jobs round-robin and send their results back through a pipe; every
-    worker is reaped before the first result is yielded, so whatever the
-    jobs wrote into a ``shared_array`` is complete by then.  Otherwise
-    the jobs run here, one per result taken.  A worker that exits without
-    its results raises ``ChildProcessError``.  An exception raised here
-    before every result is in (an interrupt) kills the workers before
-    they are reaped.
+    jobs round-robin and send their results, or the exceptions they
+    raised, back through a pipe; every worker is reaped before this
+    returns or raises, so whatever the jobs wrote into a
+    ``shared_array`` is complete by then.  Otherwise the jobs run here.
+    A worker that exits without its results raises
+    ``ChildProcessError``.  An exception raised here before every result
+    is in (an interrupt) kills the workers before they are reaped.
     """
     one_blas_thread()
     jobs = list(jobs)
     workers = min(usable_cpus(), len(jobs))
     if workers < 2 or not hasattr(os, "fork"):
-        for job in jobs:
-            yield _call(fn, job)
-        return
+        return [fn(job) for job in jobs]
     # a plain fork adds nothing to this process's peak memory, unlike a pool
     pids, pipes, payloads = [], [], None
     try:
@@ -130,11 +128,14 @@ def run_jobs(fn, jobs) -> Iterator:
             for pid in pids:
                 os.kill(pid, signal.SIGKILL)
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    results = [None] * len(jobs)
+    outcomes = [None] * len(jobs)
     for w, code in enumerate(codes):
         if code != 0 or not payloads[w]:
             raise ChildProcessError(f"worker {w} exited with status {code} "
                                     "without returning its results")
-        results[w::workers] = pickle.loads(payloads[w])
+        outcomes[w::workers] = pickle.loads(payloads[w])
         payloads[w] = None  # free each worker's bytes once they are unpickled
-    yield from results
+    for ok, result in outcomes:
+        if not ok:
+            raise result
+    return [result for _, result in outcomes]

@@ -17,7 +17,8 @@ from mixboot.estimators import (
     mc_dropout_predict,
     tta_predict,
 )
-from mixboot.experiment import _models_and_logs, _train_all, run_experiment, run_sweep
+from mixboot.experiment import run_experiment, run_sweep
+from mixboot.jobs import run_jobs
 from mixboot._kernels import log_beta, loss_from_targets
 from mixboot.losses import batch_onehot, softmax
 from mixboot.mlp import kaiming_init
@@ -30,7 +31,7 @@ from mixboot.prob_metrics import (
     predictive_entropy,
     roc_auc,
 )
-from mixboot.trainer import TrainConfig, dataset_from_config
+from mixboot.trainer import TrainConfig, dataset_from_config, train
 from oracles import bsm_targets
 
 N_SEEDS = 10
@@ -43,9 +44,14 @@ def mixup_row(y_i, y_j, gamma, k):
     return gamma * eye[[y_i]] + (1.0 - gamma) * eye[[y_j]]
 
 
-def check(number, description, ok):
+def verdict(number, description, ok):
+    """Print one criterion line; return ``ok``."""
     print(f"criterion {number}: {'PASS' if ok else 'FAIL'} - {description}")
-    assert ok, f"criterion {number} failed: {description}"
+    return ok
+
+
+def check(number, description, ok):
+    assert verdict(number, description, ok), f"criterion {number} failed: {description}"
 
 
 @pytest.fixture(scope="module")
@@ -63,8 +69,9 @@ def fleet():
                 datasets[seed] = dataset_from_config(config)
             keys.append((method, seed))
             jobs.append((config, datasets[seed]))
-    models, logs = _models_and_logs(_train_all(jobs))
-    return dict(zip(keys, models)), dict(zip(keys, logs)), datasets
+    results = run_jobs(lambda job: train(*job), jobs)
+    return ({key: model for key, (model, _) in zip(keys, results)},
+            {key: log for key, (_, log) in zip(keys, results)}, datasets)
 
 
 def single_forward(model, inputs):
@@ -247,17 +254,32 @@ def test_criterion_4_reduction_identities():
 
 
 def test_criterion_5_bsm_halves_calibration_error(fleet):
-    """ECE(bsm) < ECE(ce) per seed, and the median at most 0.6x."""
+    """ECE(bsm) < ECE(baseline) per seed, and the median at most 0.6x, for
+    each baseline on the fleet's ce models: the single model, and MC
+    dropout of 20 passes from a run's seed material ``[seed, 201]``."""
     models, _, datasets = fleet
-    eces = {"ce": [], "bsm": []}
+    eces = {"bsm": [], "ce single": [], "ce mc_dropout x20": []}
     for seed in range(N_SEEDS):
-        for method in ("ce", "bsm"):
-            _, batch = val_predictions(models[(method, seed)], datasets[seed])
-            eces[method].append(expected_calibration_error(batch)[0])
-    wins = sum(b < c for b, c in zip(eces["bsm"], eces["ce"]))
-    ratio = float(np.median(eces["bsm"]) / np.median(eces["ce"]))
-    check(5, f"ece(bsm) < ece(ce) in {wins}/10 seeds, "
-             f"median ratio {ratio:.3f} <= 0.6", wins >= 8 and ratio <= 0.6)
+        ds = datasets[seed]
+        ce = models[("ce", seed)]
+        outputs = {
+            "bsm": single_forward(models[("bsm", seed)], ds.val_inputs),
+            "ce single": single_forward(ce, ds.val_inputs),
+            "ce mc_dropout x20": mc_dropout_predict(ce, ds.val_inputs, 20,
+                                                    seed=[seed, 201]),
+        }
+        for name, output in outputs.items():
+            batch = PredictionBatch(output.mean_probs, ds.val_labels)
+            eces[name].append(expected_calibration_error(batch)[0])
+    failed = []
+    for baseline in ("ce single", "ce mc_dropout x20"):
+        wins = sum(b < c for b, c in zip(eces["bsm"], eces[baseline]))
+        ratio = float(np.median(eces["bsm"]) / np.median(eces[baseline]))
+        description = (f"vs {baseline}: ece(bsm) lower in {wins}/10 seeds, "
+                       f"median ratio {ratio:.3f} <= 0.6")
+        if not verdict(5, description, wins >= 8 and ratio <= 0.6):
+            failed.append(description)
+    assert not failed, f"criterion 5 failed: {failed}"
 
 
 def test_criterion_6_flipped_samples_lose_more(fleet):

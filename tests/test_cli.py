@@ -265,6 +265,9 @@ class TestSweepVerb:
 # every file report re-renders, in the order it checks them
 DERIVED = ("config.txt", "metrics.json", "metrics.csv", "reliability_bins.csv",
            "referral_curve.csv", "threshold_curve.csv", "distance_summary.json")
+# every file report checks, in order: the rendered files by their bytes,
+# then the row tables by the bits of their derived columns
+CHECKED = (*DERIVED, "predictions.csv", "distance_records.csv")
 
 
 def bump_last_digit(text):
@@ -292,8 +295,8 @@ class TestReportVerb:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert "matches stored metrics.json: yes" in out
-        assert out.splitlines()[-len(DERIVED):] == [
-            f"matches stored {name}: yes" for name in DERIVED]
+        assert out.splitlines()[-len(CHECKED):] == [
+            f"matches stored {name}: yes" for name in CHECKED]
 
     @pytest.mark.parametrize("extra", [
         "estimator.kind = single\n",
@@ -306,7 +309,7 @@ class TestReportVerb:
     def test_every_derived_file_matches(self, workdir, capsys, extra):
         run_dir = self.run_once(workdir, extra)
         assert self.report(run_dir, capsys) == (
-            EXIT_OK, [f"matches stored {name}: yes" for name in DERIVED])
+            EXIT_OK, [f"matches stored {name}: yes" for name in CHECKED])
 
     def test_degenerate_distance_run_matches(self, workdir, capsys):
         # one penultimate unit: every distance is exactly 0.0 or NaN, on any
@@ -316,13 +319,13 @@ class TestReportVerb:
         assert "degenerate" in summary
         assert summary["n"] + summary["n_dropped"] == 20
         assert self.report(run_dir, capsys) == (
-            EXIT_OK, [f"matches stored {name}: yes" for name in DERIVED])
+            EXIT_OK, [f"matches stored {name}: yes" for name in CHECKED])
 
     def test_one_class_split_matches(self, workdir, capsys):
         run_dir = self.run_once(workdir, "n_val = 2\n")
         assert json.loads((run_dir / "metrics.json").read_text())["roc_auc"] is None
         assert self.report(run_dir, capsys) == (
-            EXIT_OK, [f"matches stored {name}: yes" for name in DERIVED])
+            EXIT_OK, [f"matches stored {name}: yes" for name in CHECKED])
 
     @pytest.mark.parametrize("name", DERIVED)
     def test_tampered_file_flagged(self, workdir, capsys, name):
@@ -335,7 +338,29 @@ class TestReportVerb:
                           else bump_last_digit(text))
         assert self.report(run_dir, capsys) == (EXIT_MISMATCH, [
             f"matches stored {other}: {'NO' if other == name else 'yes'}"
-            for other in DERIVED])
+            for other in CHECKED])
+
+    @pytest.mark.parametrize("name, column", [
+        ("predictions.csv", "sample_index"),
+        ("distance_records.csv", "sample_index"),
+        ("distance_records.csv", "uncertainty"),
+        ("distance_records.csv", "correct"),
+    ])
+    def test_tampered_row_table_column_flagged(self, workdir, capsys, name, column):
+        # the row tables are inputs: a derived column that no longer follows
+        # from the predictions is a mismatch of its table
+        run_dir = self.run_once(workdir)
+        table = run_dir / name
+        lines = table.read_text().splitlines(keepends=True)
+        header = next(line for line in lines if not line.startswith("#"))
+        j = header.rstrip("\n").split(",").index(column)
+        cells = lines[-1].rstrip("\n").split(",")
+        cells[j] = {"sample_index": "0", "uncertainty": "0.5",
+                    "correct": "1" if cells[j] == "0" else "0"}[column]
+        table.write_text("".join(lines[:-1]) + ",".join(cells) + "\n")
+        assert self.report(run_dir, capsys) == (EXIT_MISMATCH, [
+            f"matches stored {other}: {'NO' if other == name else 'yes'}"
+            for other in CHECKED])
 
     def test_tampered_metrics_flagged(self, workdir, capsys):
         run_dir = self.run_once(workdir)
@@ -406,7 +431,7 @@ class TestReportVerb:
         (run_dir / name).write_bytes(stored)
         assert self.report(run_dir, capsys) == (EXIT_MISMATCH, [
             f"matches stored {other}: {'NO' if other == name else 'yes'}"
-            for other in DERIVED])
+            for other in CHECKED])
 
     def test_non_utf8_stored_config_is_config_error(self, workdir, capsys):
         run_dir = self.run_once(workdir)
@@ -478,7 +503,7 @@ class TestReportVerb:
         assert "accuracy = " in out
         assert [line for line in out.splitlines() if line.startswith("matches")] == [
             f"matches stored {name}: {'MISSING' if name == 'metrics.csv' else 'yes'}"
-            for name in DERIVED if name != "metrics.json"]
+            for name in CHECKED if name != "metrics.json"]
 
 
 class TestImportGraph:

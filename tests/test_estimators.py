@@ -269,9 +269,8 @@ class TestMcDropoutPasses:
         results = []
 
         def recording_run_jobs(fn, jobs):
-            for result in run_jobs(fn, jobs):
-                results.append(result)
-                yield result
+            results.extend(run_jobs(fn, jobs))
+            return results
 
         monkeypatch.setattr(estimators, "run_jobs", recording_run_jobs)
         model = kaiming_init((2, 16, 8, 2), seed=31, dropout=0.3)

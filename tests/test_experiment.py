@@ -17,7 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 import mixboot.experiment as experiment
 from mixboot.config import config_hash, parse_config
-from mixboot.errors import InvalidInputError
+from mixboot.errors import InvalidInputError, TrainingDivergenceError
 from mixboot.estimators import EstimatorOutput
 from mixboot.experiment import (
     OUTPUT_ROOT_ENV,
@@ -126,7 +126,7 @@ class TestRunExperiment:
     def test_predictions_round_trip_exact(self, out_root):
         config = parse_config(FAST_MOONS + "output.dir = e\n")
         report, out_dir = run_experiment(config)
-        batch = read_predictions(out_dir / "predictions.csv")
+        _, batch = read_predictions(out_dir / "predictions.csv")
         again, _ = compute_report(config, batch)
         assert again.to_dict() == report.to_dict()
 
@@ -157,15 +157,14 @@ class TestRunExperiment:
             "distance_records.csv", "predictions.csv", "train_log.json",
             *(f"models/model_{m}.txt" for m in range(n_models))}
 
-        batch = read_predictions(out_dir / "predictions.csv")
-        distances = read_distances(out_dir / "distance_records.csv", batch.n)
+        _, batch = read_predictions(out_dir / "predictions.csv")
+        _, distances, uncertainty, _ = read_distances(
+            out_dir / "distance_records.csv", batch.n)
         np.testing.assert_array_equal(batch.probs, args[1].probs)
         np.testing.assert_array_equal(distances, args[4])
         # the entropy the renderer derives is the uncertainty column that
         # distance_records.csv stores
-        stored = np.loadtxt(out_dir / "distance_records.csv", delimiter=",",
-                            skiprows=4, usecols=2)
-        np.testing.assert_array_equal(predictive_entropy(batch.probs), stored)
+        np.testing.assert_array_equal(predictive_entropy(batch.probs), uncertainty)
         again = render_artifacts(config, batch, *compute_report(config, batch),
                                  distances)
         assert again == texts
@@ -487,6 +486,54 @@ class TestParallelTraining:
         assert info.type is RuntimeError
         assert str(info.value) == "a bug in the worker training seed 0"
         assert len(forked) == 2
+
+    def test_diverging_sweep_training_becomes_error_row(self, tmp_path, monkeypatch,
+                                                        cpus):
+        # jobs: member 0's seed-0 training, member 1's seeds 1 and 2; on 2
+        # CPUs the seed-2 failure comes back as a value after a result
+        def diverge_seed_2(config, dataset):
+            if config.seed == 2:
+                raise TrainingDivergenceError("non-finite loss at seed 2")
+            return real_train(config, dataset)
+
+        real_train = experiment.train
+        monkeypatch.setattr(experiment, "train", diverge_seed_2)
+        config = parse_config(FAST_BLOBS + "output.dir = div\nmax_epochs = 2\n")
+        trees = {}
+        for n_cpus in (1, 2):
+            monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path / str(n_cpus)))
+            forked = cpus(n_cpus)
+            text, out_dir = run_sweep(config, "ensemble_sizes", [1, 2])
+            assert len(forked) == (0 if n_cpus == 1 else 2)
+            trees[n_cpus] = read_tree(out_dir)
+        rows = list(csv.reader(ln for ln in text.splitlines() if not ln.startswith("#")))
+        assert rows[1][:3] == ["ensemble_sizes", "1", "ok"]
+        assert rows[2][:3] == ["ensemble_sizes", "2", "error: TrainingDivergenceError: "
+                                                      "non-finite loss at seed 2"]
+        assert {rel.split("/")[0] for rel in trees[1]} == {"member_0", "sweep.csv"}
+        assert trees[2] == trees[1]
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_sweep_training_bug_propagates(self, out_root, monkeypatch, cpus,
+                                           deadline, n_cpus):
+        # the bug in member 1's training stops the sweep before member 0,
+        # which trained, is evaluated
+        def broken(config, dataset):
+            if config.seed == 1:
+                raise RuntimeError("a bug training seed 1")
+            return real_train(config, dataset)
+
+        real_train, evaluated = experiment.train, []
+        monkeypatch.setattr(experiment, "train", broken)
+        monkeypatch.setattr(experiment, "_evaluate_and_write",
+                            lambda *args: evaluated.append(args))
+        forked = cpus(n_cpus)
+        config = parse_config(FAST_BLOBS + "output.dir = bug\nmax_epochs = 2\n")
+        with pytest.raises(RuntimeError, match="a bug training seed 1"):
+            run_sweep(config, "noise_rates", [0.0, 0.1])
+        assert len(forked) == (0 if n_cpus == 1 else 2)
+        assert evaluated == []
+        assert not (out_root / "bug").exists()
 
     def test_interrupted_parent_kills_its_workers(self, out_root, monkeypatch, cpus):
         monkeypatch.setattr(experiment, "train", lambda config, dataset: time.sleep(60))
