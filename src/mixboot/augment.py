@@ -18,11 +18,14 @@ import numpy as np
 from .errors import InvalidInputError
 
 GAMMA_EPS = 1e-12
+# the largest scale jitter whose draw range, 2 * jitter, is a finite float
+MAX_SCALE_JITTER = np.finfo(np.float64).max.item() / 2
 
 
 @dataclass(frozen=True)
 class PerturbationPolicy:
-    """Additive noise scale and multiplicative jitter half-range, both >= 0.
+    """Additive noise scale, finite, and multiplicative jitter half-range, at
+    most ``MAX_SCALE_JITTER``; both >= 0.
 
     The all-zero policy is the identity.
     """
@@ -31,8 +34,10 @@ class PerturbationPolicy:
     scale_jitter: float = 0.0
 
     def __post_init__(self):
-        if self.noise_sigma < 0.0 or self.scale_jitter < 0.0:
-            raise InvalidInputError("perturbation parameters must be nonnegative")
+        if not (0.0 <= self.noise_sigma < np.inf
+                and 0.0 <= self.scale_jitter <= MAX_SCALE_JITTER):
+            raise InvalidInputError("perturbation parameters must be nonnegative, "
+                                    "finite and jitter at most MAX_SCALE_JITTER")
 
     @property
     def is_identity(self) -> bool:

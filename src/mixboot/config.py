@@ -11,6 +11,7 @@ import hashlib
 from dataclasses import dataclass, fields
 from typing import get_args, get_origin, get_type_hints
 
+from .augment import MAX_SCALE_JITTER
 from .errors import ConfigError
 from .trainer import TrainConfig
 
@@ -27,7 +28,7 @@ class EstimatorConfig:
     ensemble_size: int = 5
     passes: int = 20
     repeats: int = 8
-    tau_inv: float = 0.0
+    tau_inv: float = 0.0  # in config.txt and the config hash; nothing reads it
     policy_noise_sigma: float = 0.1
     policy_scale_jitter: float = 0.0
 
@@ -39,10 +40,10 @@ class EstimatorConfig:
             (self.passes >= 1, "estimator.passes must be >= 1"),
             (self.repeats >= 0, "estimator.repeats must be nonnegative"),
             (self.tau_inv >= 0.0, "estimator.tau_inv must be nonnegative"),
-            (self.policy_noise_sigma >= 0.0,
-             "estimator.policy.noise_sigma must be nonnegative"),
-            (self.policy_scale_jitter >= 0.0,
-             "estimator.policy.scale_jitter must be nonnegative"),
+            (0.0 <= self.policy_noise_sigma < float("inf"),
+             "estimator.policy.noise_sigma must be finite and nonnegative"),
+            (0.0 <= self.policy_scale_jitter <= MAX_SCALE_JITTER,
+             f"estimator.policy.scale_jitter must lie in [0, {MAX_SCALE_JITTER!r}]"),
         ]
         for ok, msg in checks:
             if not ok:

@@ -1,17 +1,16 @@
 """Uncertainty-producing predictors over trained models.
 
-Every estimator returns the mean of per-pass softmax rows, summed in
-pass order by one fold so results do not depend on scheduling; the
-uncertainty score, the predictive entropy of those rows, is left to the
-caller (``prob_metrics.predictive_entropy``).  MC dropout and TTA draw
-their randomness from the seed material they are given, never from a
-caller's generator.
+Every estimator returns one N x K array: the mean of its per-pass
+softmax rows, summed in pass order by one fold so results do not depend
+on scheduling.  The uncertainty score, the predictive entropy of those
+rows, and their correctness belong to ``prob_metrics.PredictionBatch``.
+MC dropout and TTA draw their randomness from the seed material they are
+given, never from a caller's generator.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,29 +28,17 @@ from .mlp import MlpModel, dropout_draws, forward, hidden1, hidden_buffers
 MC_FORK_MIN_ROW_PASSES = 32768
 
 
-@dataclass(frozen=True)
-class EstimatorOutput:
-    """Mean probabilities and, for MC dropout, their per-class variance."""
-
-    mean_probs: np.ndarray
-    variance: np.ndarray | None = None
-
-
-def _fold(results: Iterable[np.ndarray], shape: tuple[int, int]
-          ) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and mean square of the per-pass probability rows, summed in
-    pass order."""
+def _fold(results: Iterable[np.ndarray], shape: tuple[int, int]) -> np.ndarray:
+    """Mean of the per-pass probability rows, summed in pass order."""
     total = np.zeros(shape)
-    total_sq = np.zeros(shape)
     count = 0
     for probs in results:
         total += probs
-        total_sq += probs * probs
         count += 1
-    return total / count, total_sq / count
+    return total / count
 
 
-def ensemble_predict(models: list[MlpModel], inputs: np.ndarray) -> EstimatorOutput:
+def ensemble_predict(models: list[MlpModel], inputs: np.ndarray) -> np.ndarray:
     """Arithmetic mean of member probabilities, dropout off.  One member is
     the single-pass estimator."""
     if len(models) < 1:
@@ -59,9 +46,8 @@ def ensemble_predict(models: list[MlpModel], inputs: np.ndarray) -> EstimatorOut
     dims = models[0].dims
     if any(m.dims != dims for m in models):
         raise InvalidInputError("ensemble members must share input/output shapes")
-    mean, _ = _fold((softmax(m.predict_logits(inputs)) for m in models),
-                    (len(inputs), dims[3]))
-    return EstimatorOutput(mean)
+    return _fold((softmax(m.predict_logits(inputs)) for m in models),
+                 (len(inputs), dims[3]))
 
 
 def mc_dropout_predict(
@@ -69,11 +55,8 @@ def mc_dropout_predict(
     inputs: np.ndarray,
     passes: int,
     seed: int | list[int],
-    tau_inv: float = 0.0,
-) -> EstimatorOutput:
-    """T stochastic passes with dropout active; mean plus diagonal variance.
-
-    variance = tau_inv + second_moment - mean**2, elementwise.
+) -> np.ndarray:
+    """Mean probabilities of T stochastic passes with dropout active.
 
     ``Generator.random`` takes one PCG64 step per float, so pass p draws
     its masks from ``PCG64(seed)`` advanced by p times a forward's
@@ -88,8 +71,6 @@ def mc_dropout_predict(
     """
     if passes < 1:
         raise InvalidInputError("mc_dropout needs passes >= 1")
-    if tau_inv < 0.0:
-        raise InvalidInputError("tau_inv must be nonnegative")
     x = np.asarray(inputs, dtype=np.float64)
     hidden = hidden1(model, x)
     # allocated before any fork: a worker faults the buffers in once for
@@ -106,8 +87,7 @@ def mc_dropout_predict(
 
     run = map if passes * len(x) < MC_FORK_MIN_ROW_PASSES else run_jobs
     list(run(one_pass, range(passes)))
-    mean, mean_sq = _fold(slots, slots.shape[1:])
-    return EstimatorOutput(mean, tau_inv + mean_sq - mean * mean)
+    return _fold(slots, slots.shape[1:])
 
 
 def tta_predict(
@@ -116,7 +96,7 @@ def tta_predict(
     policy: PerturbationPolicy,
     repeats: int,
     seed: int | list[int],
-) -> EstimatorOutput:
+) -> np.ndarray:
     """Mean probabilities over perturbed copies; repeats=0 means no perturbation.
 
     With repeats >= 1 the unperturbed input is NOT part of the average.
@@ -129,6 +109,5 @@ def tta_predict(
     if repeats == 0:
         return ensemble_predict([model], inputs)
     rng = np.random.default_rng(seed)
-    mean, _ = _fold((softmax(model.predict_logits(perturb(inputs, policy, rng)))
-                     for _ in range(repeats)), (len(inputs), model.dims[3]))
-    return EstimatorOutput(mean)
+    return _fold((softmax(model.predict_logits(perturb(inputs, policy, rng)))
+                  for _ in range(repeats)), (len(inputs), model.dims[3]))

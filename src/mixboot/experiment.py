@@ -30,12 +30,7 @@ from .augment import PerturbationPolicy
 from .config import ExperimentConfig, canonical_text, config_hash, parse_config
 from .data import Dataset
 from .errors import InvalidInputError, MixbootError, UndefinedMetricError
-from .estimators import (
-    EstimatorOutput,
-    ensemble_predict,
-    mc_dropout_predict,
-    tta_predict,
-)
+from .estimators import ensemble_predict, mc_dropout_predict, tta_predict
 from .jobs import one_blas_thread, run_jobs
 from .prob_metrics import (
     PredictionBatch,
@@ -44,7 +39,6 @@ from .prob_metrics import (
     brier_score,
     expected_calibration_error,
     negative_log_likelihood_binary,
-    predictive_entropy,
     roc_auc,
 )
 from .mlp import MlpModel, save_model
@@ -128,14 +122,16 @@ def train_models(config: ExperimentConfig) -> tuple[Dataset, list[MlpModel], lis
 
 
 def estimate(config: ExperimentConfig, models: list[MlpModel],
-             inputs: np.ndarray) -> EstimatorOutput:
+             inputs: np.ndarray) -> np.ndarray:
+    """The configured estimator's N x K mean probabilities of ``inputs``.
+    ``estimator.tau_inv`` feeds none of them."""
     kind = config.estimator.kind
     seed = config.train.seed
     if kind in ("single", "ensemble"):
         return ensemble_predict(models, inputs)
     if kind == "mc_dropout":
         return mc_dropout_predict(models[0], inputs, config.estimator.passes,
-                                  [seed, _MC_RNG_KEY], config.estimator.tau_inv)
+                                  [seed, _MC_RNG_KEY])
     if kind == "tta":
         policy = PerturbationPolicy(config.estimator.policy_noise_sigma,
                                     config.estimator.policy_scale_jitter)
@@ -224,16 +220,15 @@ def render_artifacts(config: ExperimentConfig, batch: PredictionBatch,
     ``config.formats`` names, reliability_bins.csv, referral_curve.csv,
     threshold_curve.csv and distance_summary.json.
 
-    The uncertainty is the predictive entropy of ``batch.probs``, the
-    column distance_records.csv stores.  A run writes these texts and
-    ``report`` renders them again from the stored predictions.csv and
-    distance column to compare bytes.
+    The uncertainty and correctness are the batch's own, the columns
+    distance_records.csv stores.  A run writes these texts and ``report``
+    renders them again from the stored predictions.csv and distance
+    column to compare bytes.
     """
-    uncertainty = predictive_entropy(batch.probs)
-    correctness = batch.correctness()
-    curve = referral_curve(uncertainty, correctness, batch.probs[:, 1],
+    curve = referral_curve(batch.uncertainty, batch.correct, batch.probs[:, 1],
                            config.analysis.fractions, labels=batch.labels)
-    thresholds = threshold_curve(uncertainty, correctness, config.analysis.thresholds)
+    thresholds = threshold_curve(batch.uncertainty, batch.correct,
+                                 config.analysis.thresholds)
     texts = {"config.txt": canonical_text(config)}
     if "json" in config.formats:
         texts["metrics.json"] = _json_text(report.to_dict())
@@ -251,7 +246,7 @@ def render_artifacts(config: ExperimentConfig, batch: PredictionBatch,
     texts["threshold_curve.csv"] = _table(ThresholdPoint._fields, zip(*thresholds),
                                           report.provenance)
     texts["distance_summary.json"] = _json_text(
-        distance_perception_summary(distances, uncertainty))
+        distance_perception_summary(distances, batch.uncertainty))
     return texts
 
 
@@ -354,14 +349,12 @@ def _evaluate_and_write(config: ExperimentConfig, out: Path, dataset: Dataset,
     every artifact into the existing, empty directory ``out``: the
     ``render_artifacts`` texts, then train_log.json, the two row tables
     (each freed before the next is built) and the models."""
-    output = estimate(config, models, dataset.val_inputs)
-    batch = PredictionBatch(output.mean_probs, dataset.val_labels)
+    batch = PredictionBatch(estimate(config, models, dataset.val_inputs),
+                            dataset.val_labels)
     report, bins = compute_report(config, batch)
-    correctness = batch.correctness()
     bank = models[0].features(dataset.train_inputs)
     queries = models[0].features(dataset.val_inputs)
-    uncertainty = predictive_entropy(batch.probs)
-    distances = distance_records(queries, bank, uncertainty, correctness)
+    distances = distance_records(queries, bank, batch.uncertainty, batch.correct)
 
     for name, text in render_artifacts(config, batch, report, bins, distances).items():
         _write(out / name, text)
@@ -369,7 +362,7 @@ def _evaluate_and_write(config: ExperimentConfig, out: Path, dataset: Dataset,
            _json_text({"models": [asdict(log) for log in logs]}))
     _write(out / "distance_records.csv", _table(
         ("sample_index", "min_cosine_distance", "uncertainty", "correct"),
-        (range(batch.n), distances, uncertainty, correctness.astype(bool)),
+        (range(batch.n), distances, batch.uncertainty, batch.correct.astype(bool)),
         report.provenance))
     _write(out / "predictions.csv", _table(
         ("sample_index", "label", *(f"prob_{j}" for j in range(batch.k))),

@@ -391,6 +391,10 @@ def load_model(path) -> MlpModel:
         if len(tokens) < 2 or tokens[0] != "param":
             raise malformed(i, "expected 'param <name> <shape>'")
         name = tokens[1]
+        if name not in PARAM_NAMES:
+            raise malformed(i, f"unknown parameter {name!r}")
+        if name in params:
+            raise malformed(i, f"repeated parameter {name!r}")
         shape = tuple(numbers(i, int, skip=2))
         if len(shape) > 2 or min(shape) < 1:
             raise malformed(i, f"bad shape {shape}")

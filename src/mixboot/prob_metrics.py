@@ -9,6 +9,7 @@ fixed order within one call.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +30,12 @@ def _check_rows(p: np.ndarray) -> None:
         raise InvalidInputError("every probability row must sum to 1 within 1e-6")
 
 
+def _entropy_rows(p: np.ndarray) -> np.ndarray:
+    """``predictive_entropy`` of rows that ``_check_rows`` passed."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -np.where(p > 0.0, p * np.log(p), 0.0).sum(axis=1)
+
+
 @dataclass
 class PredictionBatch:
     """N >= 1 rows of K class probabilities plus N integer labels.
@@ -36,7 +43,8 @@ class PredictionBatch:
     The one check of a prediction set: rows must sum to 1 within 1e-6,
     every probability must lie in [0, 1], and every label must be an
     integer class index (checked before the labels become int64, so a
-    NaN, infinite or fractional label is refused, not cast).
+    NaN, infinite or fractional label is refused, not cast).  Each row's
+    ``uncertainty`` and ``correct`` are computed once, on first read.
     """
 
     probs: np.ndarray
@@ -72,7 +80,14 @@ class PredictionBatch:
         """Predicted class per sample, lowest index winning ties."""
         return self.probs.argmax(axis=1)
 
-    def correctness(self) -> np.ndarray:
+    @cached_property
+    def uncertainty(self) -> np.ndarray:
+        """Per-sample predictive entropy, in nats."""
+        return _entropy_rows(self.probs)
+
+    @cached_property
+    def correct(self) -> np.ndarray:
+        """Per-sample 1.0 where the prediction hits the label, else 0.0."""
         return (self.predictions() == self.labels).astype(np.float64)
 
 
@@ -99,8 +114,7 @@ def predictive_entropy(probs: np.ndarray) -> np.ndarray:
     with 0*ln(0) = 0."""
     p = np.asarray(probs, dtype=np.float64)
     _check_rows(p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return -np.where(p > 0.0, p * np.log(p), 0.0).sum(axis=1)
+    return _entropy_rows(p)
 
 
 def reliability_bins(batch: PredictionBatch, bin_width: float = 0.1) -> ReliabilityBins:
@@ -110,14 +124,13 @@ def reliability_bins(batch: PredictionBatch, bin_width: float = 0.1) -> Reliabil
     n_bins = int(np.ceil(1.0 / bin_width))
     edges = np.minimum(bin_width * np.arange(n_bins + 1), 1.0)
     conf = batch.confidences()
-    correct = batch.correctness()
     # searchsorted(edges, c, 'left') - 1 realizes the (lo, hi] convention;
     # confidence 0 is pushed into bin 0.
     idx = np.searchsorted(edges, conf, side="left") - 1
     idx = np.clip(idx, 0, n_bins - 1)
     counts = np.bincount(idx, minlength=n_bins)
     conf_sum = np.bincount(idx, weights=conf, minlength=n_bins)
-    acc_sum = np.bincount(idx, weights=correct, minlength=n_bins)
+    acc_sum = np.bincount(idx, weights=batch.correct, minlength=n_bins)
     with np.errstate(invalid="ignore"):
         conf_mean = conf_sum / counts
         acc = acc_sum / counts
@@ -190,4 +203,4 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
 
 def accuracy(batch: PredictionBatch) -> float:
     """Fraction of samples whose argmax probability hits the label."""
-    return float(batch.correctness().mean())
+    return float(batch.correct.mean())

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import _kernels
-from .augment import PerturbationPolicy, mixup_batch, perturb
+from .augment import MAX_SCALE_JITTER, PerturbationPolicy, mixup_batch, perturb
 from .data import GENERATORS, N_CLASSES, Dataset, build_dataset
 from .errors import ConfigError, TrainingDivergenceError
 from .losses import batch_bsm_targets, batch_onehot, label_rows
@@ -83,8 +83,10 @@ class TrainConfig:
             ((self.n_train + self.n_val) % 2 == 0, "n_train + n_val must be even"),
             (self.hidden_1 >= 1 and self.hidden_2 >= 1, "hidden sizes must be >= 1"),
             (0.0 <= self.dropout < 1.0, "dropout must lie in [0, 1)"),
-            (self.aug_noise_sigma >= 0.0, "aug_noise_sigma must be nonnegative"),
-            (self.aug_scale_jitter >= 0.0, "aug_scale_jitter must be nonnegative"),
+            (0.0 <= self.aug_noise_sigma < np.inf,
+             "aug_noise_sigma must be finite and nonnegative"),
+            (0.0 <= self.aug_scale_jitter <= MAX_SCALE_JITTER,
+             f"aug_scale_jitter must lie in [0, {MAX_SCALE_JITTER!r}]"),
         ]
         for ok, msg in checks:
             if not ok:

@@ -11,12 +11,7 @@ import pytest
 from mixboot.analysis import min_cosine_distances, referral_curve, spearman
 from mixboot.augment import PerturbationPolicy, beta_from_gammas
 from mixboot.config import parse_config
-from mixboot.estimators import (
-    EstimatorOutput,
-    ensemble_predict,
-    mc_dropout_predict,
-    tta_predict,
-)
+from mixboot.estimators import ensemble_predict, mc_dropout_predict, tta_predict
 from mixboot.experiment import run_experiment, run_sweep
 from mixboot.jobs import run_jobs
 from mixboot._kernels import log_beta, loss_from_targets
@@ -76,12 +71,11 @@ def fleet():
 
 def single_forward(model, inputs):
     """The single-pass estimator written out: one softmax pass, dropout off."""
-    return EstimatorOutput(softmax(model.predict_logits(inputs)))
+    return softmax(model.predict_logits(inputs))
 
 
 def val_predictions(model, ds):
-    est = single_forward(model, ds.val_inputs)
-    return est, PredictionBatch(est.mean_probs, ds.val_labels)
+    return PredictionBatch(single_forward(model, ds.val_inputs), ds.val_labels)
 
 
 def test_criterion_1_metric_oracles():
@@ -240,17 +234,15 @@ def test_criterion_4_reduction_identities():
     x = rng.normal(size=(12, 2))
     single = single_forward(model, x)
     ens = ensemble_predict([model], x)
-    ok &= (ens.mean_probs == single.mean_probs).all()
-    ok &= (predictive_entropy(ens.mean_probs)
-           == predictive_entropy(single.mean_probs)).all()
+    ok &= (ens == single).all()
+    ok &= (predictive_entropy(ens) == predictive_entropy(single)).all()
     tta = tta_predict(model, x, PerturbationPolicy(0.1, 0.1), repeats=0, seed=0)
-    ok &= (tta.mean_probs == single.mean_probs).all()
-    ok &= (predictive_entropy(tta.mean_probs)
-           == predictive_entropy(single.mean_probs)).all()
-    mc = mc_dropout_predict(model, x, passes=7, seed=0, tau_inv=0.37)
-    ok &= bool(np.max(np.abs(mc.variance - 0.37)) <= 1e-12)
+    ok &= (tta == single).all()
+    ok &= (predictive_entropy(tta) == predictive_entropy(single)).all()
+    mc = mc_dropout_predict(model, x, passes=7, seed=0)
+    ok &= bool(np.max(np.abs(mc - single)) <= 1e-12)
     check(4, "bs(w=0)=ce, bsm(0,0)=mixup, mixup(g=1)=ce, ensemble(1)=single, "
-             "tta(0)=single, identical-pass mc variance = tau_inv", ok)
+             "tta(0)=single, dropout-free mc = single", ok)
 
 
 def test_criterion_5_bsm_halves_calibration_error(fleet):
@@ -269,7 +261,7 @@ def test_criterion_5_bsm_halves_calibration_error(fleet):
                                                     seed=[seed, 201]),
         }
         for name, output in outputs.items():
-            batch = PredictionBatch(output.mean_probs, ds.val_labels)
+            batch = PredictionBatch(output, ds.val_labels)
             eces[name].append(expected_calibration_error(batch)[0])
     failed = []
     for baseline in ("ce single", "ce mc_dropout x20"):
@@ -301,18 +293,17 @@ def test_criterion_7_referral_improves_accuracy(fleet):
     wins = 0
     for seed in range(N_SEEDS):
         ds = datasets[seed]
-        est, batch = val_predictions(models[("bsm", seed)], ds)
-        correct = batch.correctness()
-        curve = referral_curve(predictive_entropy(est.mean_probs), correct,
-                               est.mean_probs[:, 1], (0.0, 0.1, 0.2, 0.3),
+        batch = val_predictions(models[("bsm", seed)], ds)
+        curve = referral_curve(batch.uncertainty, batch.correct,
+                               batch.probs[:, 1], (0.0, 0.1, 0.2, 0.3),
                                labels=ds.val_labels)
         full = curve[0].accuracy
         wins += all(p.accuracy >= full for p in curve[1:])
 
     ds = datasets[0]
-    est, batch = val_predictions(models[("bsm", 0)], ds)
-    correct = batch.correctness()
-    oracle = referral_curve(1.0 - correct, correct, est.mean_probs[:, 1],
+    batch = val_predictions(models[("bsm", 0)], ds)
+    correct = batch.correct
+    oracle = referral_curve(1.0 - correct, correct, batch.probs[:, 1],
                             np.linspace(0.0, 0.9, 19), labels=ds.val_labels)
     accs = [p.accuracy for p in oracle]
     monotone = all(b >= a for a, b in zip(accs, accs[1:]))
@@ -327,18 +318,18 @@ def test_criterion_8_distance_and_domain_shift(fleet):
     for seed in range(N_SEEDS):
         ds = datasets[seed]
         model = models[("bsm", seed)]
-        est, _ = val_predictions(model, ds)
+        batch = val_predictions(model, ds)
         d = min_cosine_distances(model.features(ds.val_inputs),
                                  model.features(ds.train_inputs))
         m = np.isfinite(d)
-        rho, p = spearman(1.0 - d[m], predictive_entropy(est.mean_probs)[m])
+        rho, p = spearman(1.0 - d[m], batch.uncertainty[m])
         rho_wins += rho < 0.0 and p < 0.05
 
         shift = 3.0 * np.vstack([ds.train_inputs, ds.val_inputs]).std(axis=0)
         in_dom = mc_dropout_predict(model, ds.val_inputs, 20, seed=[seed, 900])
         out_dom = mc_dropout_predict(model, ds.val_inputs + shift, 20, seed=[seed, 900])
-        shift_wins += (predictive_entropy(out_dom.mean_probs).mean()
-                       > predictive_entropy(in_dom.mean_probs).mean())
+        shift_wins += (predictive_entropy(out_dom).mean()
+                       > predictive_entropy(in_dom).mean())
     check(8, f"similarity-uncertainty rho negative with p<0.05 in "
              f"{rho_wins}/10 seeds; shifted inputs more uncertain in "
              f"{shift_wins}/10 seeds", rho_wins >= 8 and shift_wins >= 8)

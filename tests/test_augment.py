@@ -9,6 +9,7 @@ from scipy import stats
 from mixboot import augment
 from mixboot.augment import (
     GAMMA_EPS,
+    MAX_SCALE_JITTER,
     PerturbationPolicy,
     beta_from_gammas,
     mixup_batch,
@@ -259,6 +260,20 @@ class TestPerturb:
     def test_negative_parameters_rejected(self):
         with pytest.raises(InvalidInputError):
             PerturbationPolicy(noise_sigma=-0.1)
+
+    @pytest.mark.parametrize("sigma, jitter", [
+        (np.inf, 0.0), (np.nan, 0.0), (0.0, np.nan),
+        (0.0, np.nextafter(MAX_SCALE_JITTER, np.inf)),
+    ])
+    def test_unusable_parameters_rejected(self, sigma, jitter):
+        # rng.uniform(-j, j) raises OverflowError once 2 * j overflows
+        with pytest.raises(InvalidInputError):
+            PerturbationPolicy(noise_sigma=sigma, scale_jitter=jitter)
+
+    def test_largest_jitter_draws(self):
+        policy = PerturbationPolicy(scale_jitter=MAX_SCALE_JITTER)
+        out = perturb(np.zeros(4), policy, np.random.default_rng(0))
+        assert (out == 0.0).all()
 
     def test_seeded_reproducibility(self):
         x = np.linspace(-1, 1, 64).reshape(8, 8)

@@ -87,11 +87,18 @@ class TestRunVerb:
         pytest.param("analysis.fractions=0.0,1.0",
                      "analysis.fractions must lie in [0, 1)", id="fraction_one"),
         pytest.param("n_train=33", "n_train + n_val must be even", id="odd_total"),
+        ("aug_noise_sigma=inf", "aug_noise_sigma must be finite"),
+        ("aug_scale_jitter=1e308", "aug_scale_jitter must lie in [0, "),
+        ("estimator.policy.noise_sigma=inf", "estimator.policy.noise_sigma must be finite"),
+        ("estimator.policy.scale_jitter=1e308",
+         "estimator.policy.scale_jitter must lie in [0, "),
     ])
     def test_negative_setting_is_config_error(self, workdir, capsys, override, message):
         # each once failed past config loading: the negative settings in
         # numpy with a bare ValueError traceback, the fractions after all
-        # training, the odd total with a message naming no config key
+        # training, the odd total with a message naming no config key, an
+        # infinite noise sigma as diverged training (exit 3) and a jitter
+        # whose draw range 2 * jitter overflows with an OverflowError
         config = write_config(workdir, FAST_BLOBS + "output.dir = neg\n")
         code = main(["run", "--config", config, "--set", override])
         assert code == EXIT_CONFIG

@@ -1,9 +1,12 @@
 """Config parsing, canonical serialization and hashing."""
 
+import math
+
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from mixboot.augment import MAX_SCALE_JITTER
 from mixboot.config import (
     ESTIMATOR_KINDS,
     REPORT_FORMATS,
@@ -37,6 +40,7 @@ def experiment_configs(draw):
     ExperimentConfig rejects are discarded.
     """
     positive, nonneg = floats(0.0, exclude_min=True), floats(0.0)
+    sigma, jitter = floats(0.0, allow_infinity=False), floats(0.0, MAX_SCALE_JITTER)
     method = draw(st.sampled_from(METHODS))
     n_train = draw(st.integers(10 if method == "bsm" else 2))
     train = TrainConfig(
@@ -59,8 +63,8 @@ def experiment_configs(draw):
         hidden_2=draw(st.integers(1)),
         dropout=draw(floats(0.0, 1.0, exclude_max=True)),
         soft_bootstrap=draw(st.booleans()),
-        aug_noise_sigma=draw(nonneg),
-        aug_scale_jitter=draw(nonneg),
+        aug_noise_sigma=draw(sigma),
+        aug_scale_jitter=draw(jitter),
     )
     estimator = EstimatorConfig(
         kind=draw(st.sampled_from(ESTIMATOR_KINDS)),
@@ -68,8 +72,8 @@ def experiment_configs(draw):
         passes=draw(st.integers(1)),
         repeats=draw(st.integers(0)),
         tau_inv=draw(nonneg),
-        policy_noise_sigma=draw(nonneg),
-        policy_scale_jitter=draw(nonneg),
+        policy_noise_sigma=draw(sigma),
+        policy_scale_jitter=draw(jitter),
     )
     analysis = AnalysisConfig(
         bin_width=draw(floats(0.0, 1.0, exclude_min=True)),
@@ -249,6 +253,16 @@ class TestSectionValidation:
             EstimatorConfig(repeats=-1)
         with pytest.raises(ConfigError):
             EstimatorConfig(tau_inv=-0.1)
+
+    def test_scale_jitter_bound_is_the_largest_drawable(self):
+        # rng.uniform(-j, j) draws up to MAX_SCALE_JITTER and overflows past it
+        EstimatorConfig(policy_scale_jitter=MAX_SCALE_JITTER)
+        TrainConfig(aug_scale_jitter=MAX_SCALE_JITTER)
+        past = math.nextafter(MAX_SCALE_JITTER, math.inf)
+        with pytest.raises(ConfigError, match="estimator.policy.scale_jitter must"):
+            EstimatorConfig(policy_scale_jitter=past)
+        with pytest.raises(ConfigError, match="aug_scale_jitter must"):
+            TrainConfig(aug_scale_jitter=past)
 
     def test_analysis_bounds(self):
         with pytest.raises(ConfigError):

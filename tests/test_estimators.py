@@ -10,7 +10,6 @@ from mixboot.augment import PerturbationPolicy, perturb
 from mixboot.errors import InvalidInputError, TrainingDivergenceError
 from mixboot.estimators import (
     MC_FORK_MIN_ROW_PASSES,
-    EstimatorOutput,
     ensemble_predict,
     mc_dropout_predict,
     tta_predict,
@@ -38,16 +37,7 @@ def example_inputs(n=5, seed=0):
 
 def single_forward(model, inputs):
     """The single-pass estimator written out: one softmax pass, dropout off."""
-    return EstimatorOutput(softmax(model.predict_logits(inputs)))
-
-
-def output_bytes(out):
-    return [None if a is None else a.tobytes() for a in (out.mean_probs, out.variance)]
-
-
-def entropy(out):
-    """The uncertainty score of an estimate: the entropy of its mean rows."""
-    return predictive_entropy(out.mean_probs)
+    return softmax(model.predict_logits(inputs))
 
 
 class TestSingleForward:
@@ -57,34 +47,30 @@ class TestSingleForward:
         model = kaiming_init((2, 16, 16, 2), seed=0)
         x = example_inputs()
         a, b = ensemble_predict([model], x), ensemble_predict([model], x)
-        assert (a.mean_probs == b.mean_probs).all()
-        assert (entropy(a) == entropy(b)).all()
+        assert (a == b).all()
+        assert (predictive_entropy(a) == predictive_entropy(b)).all()
 
     def test_zero_logits_give_ln2(self):
         model = kaiming_init((2, 16, 16, 2), seed=1)  # zero biases
         out = ensemble_predict([model], np.zeros((3, 2)))
-        np.testing.assert_allclose(entropy(out), np.log(2.0), atol=1e-15)
+        np.testing.assert_allclose(predictive_entropy(out), np.log(2.0), atol=1e-15)
 
     def test_entropy_bounds(self):
         model = kaiming_init((2, 16, 16, 3), seed=2)
         out = ensemble_predict([model], example_inputs(50, 3))
-        assert (entropy(out) >= 0.0).all()
-        assert (entropy(out) <= np.log(3.0) + 1e-12).all()
+        assert (predictive_entropy(out) >= 0.0).all()
+        assert (predictive_entropy(out) <= np.log(3.0) + 1e-12).all()
 
     def test_uncertainty_matches_scalar_entropy(self):
         model = kaiming_init((2, 8, 8, 2), seed=3)
         out = ensemble_predict([model], example_inputs(10, 4))
-        for row, h in zip(out.mean_probs, entropy(out)):
+        for row, h in zip(out, predictive_entropy(out)):
             assert predictive_entropy(row[None])[0] == h
 
     def test_single_row_input(self):
         model = kaiming_init((2, 8, 8, 2), seed=4)
         out = ensemble_predict([model], np.array([[0.1, -0.2]]))
-        assert out.mean_probs.shape == (1, 2)
-
-    def test_no_variance_reported(self):
-        model = kaiming_init((2, 8, 8, 2), seed=5)
-        assert ensemble_predict([model], example_inputs()).variance is None
+        assert out.shape == (1, 2)
 
 
 class TestEntropyRows:
@@ -116,8 +102,7 @@ class TestEnsemble:
     def test_single_member_identical_to_single_forward(self):
         model = kaiming_init((2, 16, 16, 2), seed=6)
         x = example_inputs(8, 5)
-        assert output_bytes(ensemble_predict([model], x)) == output_bytes(
-            single_forward(model, x))
+        assert ensemble_predict([model], x).tobytes() == single_forward(model, x).tobytes()
 
     def test_members_fold_like_a_serial_loop(self):
         models = [kaiming_init((2, 16, 8, 3), seed=s) for s in range(40, 45)]
@@ -126,22 +111,21 @@ class TestEnsemble:
         for m in models:
             total += softmax(m.predict_logits(x))
         mean = total / len(models)
-        assert output_bytes(ensemble_predict(models, x)) == output_bytes(
-            EstimatorOutput(mean))
+        assert ensemble_predict(models, x).tobytes() == mean.tobytes()
 
     def test_identical_members_collapse(self):
         model = kaiming_init((2, 16, 16, 2), seed=7)
         x = example_inputs(6, 6)
         a = ensemble_predict([model, model.copy(), model.copy()], x)
         b = single_forward(model, x)
-        np.testing.assert_allclose(a.mean_probs, b.mean_probs, atol=1e-15)
+        np.testing.assert_allclose(a, b, atol=1e-15)
 
     def test_maximal_disagreement(self):
         peaked_0 = FixedLogitsModel([500.0, 0.0])
         peaked_1 = FixedLogitsModel([0.0, 500.0])
         out = ensemble_predict([peaked_0, peaked_1], example_inputs(4, 7))
-        np.testing.assert_allclose(out.mean_probs, 0.5, atol=1e-12)
-        np.testing.assert_allclose(entropy(out), np.log(2.0), atol=1e-12)
+        np.testing.assert_allclose(out, 0.5, atol=1e-12)
+        np.testing.assert_allclose(predictive_entropy(out), np.log(2.0), atol=1e-12)
 
     def test_empty_ensemble_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -158,8 +142,9 @@ class TestEnsemble:
         models = [kaiming_init((2, 16, 16, 2), seed=s) for s in range(10, 15)]
         x = example_inputs(20, 8)
         out = ensemble_predict(models, x)
-        member_h = np.mean([entropy(single_forward(m, x)) for m in models], axis=0)
-        assert (entropy(out) >= member_h - 1e-12).all()
+        member_h = np.mean([predictive_entropy(single_forward(m, x)) for m in models],
+                           axis=0)
+        assert (predictive_entropy(out) >= member_h - 1e-12).all()
 
 
 class TestMcDropout:
@@ -175,54 +160,30 @@ class TestMcDropout:
         monkeypatch.setattr(estimators, "forward", scripted_pass)
         model = kaiming_init((2, 4, 4, 2), seed=15, dropout=0.5)
         out = mc_dropout_predict(model, example_inputs(3, 9), passes=4, seed=0)
-        np.testing.assert_allclose(out.mean_probs, 0.5, atol=1e-12)
-        np.testing.assert_allclose(out.variance, 0.25, atol=1e-12)
+        np.testing.assert_allclose(out, 0.5, atol=1e-12)
         assert calls == [3] * 4
-
-    def test_identical_passes_variance_is_tau_inv(self):
-        model = kaiming_init((2, 16, 16, 2), seed=16, dropout=0.0)
-        x = example_inputs(5, 10)
-        out = mc_dropout_predict(model, x, passes=6, seed=0, tau_inv=0.37)
-        np.testing.assert_allclose(out.variance, 0.37, atol=1e-12)
-
-    def test_identical_passes_zero_tau_inv(self):
-        model = kaiming_init((2, 16, 16, 2), seed=17, dropout=0.0)
-        out = mc_dropout_predict(model, example_inputs(5, 11), passes=3, seed=0)
-        np.testing.assert_allclose(out.variance, 0.0, atol=1e-12)
 
     def test_seeded_reproducibility(self):
         model = kaiming_init((2, 32, 32, 2), seed=18, dropout=0.3)
         x = example_inputs(6, 12)
         a = mc_dropout_predict(model, x, passes=10, seed=42)
         b = mc_dropout_predict(model, x, passes=10, seed=42)
-        assert (a.mean_probs == b.mean_probs).all()
-        assert (a.variance == b.variance).all()
+        assert (a == b).all()
 
     def test_validates_arguments(self):
         model = kaiming_init((2, 8, 8, 2), seed=20, dropout=0.0)
         with pytest.raises(InvalidInputError):
             mc_dropout_predict(model, example_inputs(), passes=0, seed=0)
-        with pytest.raises(InvalidInputError):
-            mc_dropout_predict(model, example_inputs(), passes=2, seed=0, tau_inv=-1.0)
-
-    def test_variance_nonnegative(self):
-        model = kaiming_init((2, 32, 32, 2), seed=21, dropout=0.5)
-        out = mc_dropout_predict(model, example_inputs(20, 13), passes=20, seed=1)
-        assert (out.variance >= -1e-12).all()
 
 
-def serial_mc_dropout(model, inputs, passes, tau_inv, seed):
+def serial_mc_dropout(model, inputs, passes, seed):
     """The pass loop as it ran before passes could fork: each pass draws
     its masks where the pass before it stopped."""
     rng = np.random.default_rng(seed)
     total = np.zeros((len(inputs), model.dims[3]))
-    total_sq = np.zeros_like(total)
     for _ in range(passes):
-        probs = softmax(forward(model, inputs, rng)[0])
-        total += probs
-        total_sq += probs * probs
-    mean = total / passes
-    return mean, tau_inv + total_sq / passes - mean * mean
+        total += softmax(forward(model, inputs, rng)[0])
+    return total / passes
 
 
 def seed_for(seed):
@@ -257,12 +218,10 @@ class TestMcDropoutPasses:
         runs = {}
         for n_cpus in (1, 2):
             forked = cpus(n_cpus)
-            out = mc_dropout_predict(model, x, passes, seed_for(seed), tau_inv=0.25)
-            runs[n_cpus] = output_bytes(out)
+            runs[n_cpus] = mc_dropout_predict(model, x, passes, seed_for(seed)).tobytes()
         assert len(forked) == forks
         assert runs[2] == runs[1]
-        oracle = serial_mc_dropout(model, x, passes, 0.25, seed_for(seed))
-        assert runs[1] == [a.tobytes() for a in oracle]
+        assert runs[1] == serial_mc_dropout(model, x, passes, seed_for(seed)).tobytes()
 
     def test_forked_passes_send_no_rows_back(self, cpus, monkeypatch):
         # each pass writes its rows into the shared array and returns None
@@ -279,8 +238,7 @@ class TestMcDropoutPasses:
         out = mc_dropout_predict(model, x, 4, seed_for(5))
         assert len(forked) == 2
         assert results == [None] * 4
-        assert output_bytes(out) == [a.tobytes() for a in
-                                     serial_mc_dropout(model, x, 4, 0.0, seed_for(5))]
+        assert out.tobytes() == serial_mc_dropout(model, x, 4, seed_for(5)).tobytes()
 
     def test_non_finite_pass_in_a_worker_is_divergence(self, cpus, deadline):
         model = kaiming_init((2, 8, 8, 2), seed=32, dropout=0.2)
@@ -297,14 +255,14 @@ class TestTta:
         x = example_inputs(7, 14)
         policy = PerturbationPolicy(noise_sigma=0.1)
         a = tta_predict(model, x, policy, repeats=0, seed=0)
-        assert output_bytes(a) == output_bytes(single_forward(model, x))
+        assert a.tobytes() == single_forward(model, x).tobytes()
 
     def test_identity_policy_any_repeats(self):
         model = kaiming_init((2, 16, 16, 2), seed=23)
         x = example_inputs(7, 15)
         out = tta_predict(model, x, PerturbationPolicy(), repeats=5, seed=0)
         ref = single_forward(model, x)
-        np.testing.assert_allclose(out.mean_probs, ref.mean_probs, atol=1e-15)
+        np.testing.assert_allclose(out, ref, atol=1e-15)
 
     def test_seeded_reproducibility(self):
         model = kaiming_init((2, 16, 16, 2), seed=24)
@@ -312,7 +270,7 @@ class TestTta:
         policy = PerturbationPolicy(noise_sigma=0.2, scale_jitter=0.1)
         a = tta_predict(model, x, policy, repeats=8, seed=7)
         b = tta_predict(model, x, policy, repeats=8, seed=7)
-        assert (a.mean_probs == b.mean_probs).all()
+        assert (a == b).all()
 
     @pytest.mark.parametrize("repeats", [1, 5])
     def test_repeats_fold_like_a_serial_loop(self, repeats):
@@ -325,7 +283,7 @@ class TestTta:
             total += softmax(model.predict_logits(perturb(x, policy, rng)))
         mean = total / repeats
         out = tta_predict(model, x, policy, repeats, seed=[3, 202])
-        assert output_bytes(out) == output_bytes(EstimatorOutput(mean))
+        assert out.tobytes() == mean.tobytes()
 
     def test_negative_repeats_rejected(self):
         model = kaiming_init((2, 8, 8, 2), seed=26)
@@ -336,5 +294,5 @@ class TestTta:
         model = kaiming_init((2, 16, 16, 3), seed=27)
         policy = PerturbationPolicy(noise_sigma=0.3)
         out = tta_predict(model, example_inputs(10, 17), policy, repeats=4, seed=3)
-        np.testing.assert_allclose(out.mean_probs.sum(axis=1), 1.0, atol=1e-12)
-        assert (out.mean_probs >= 0.0).all()
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
+        assert (out >= 0.0).all()

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import mixboot.experiment as experiment
+import mixboot.prob_metrics as prob_metrics
 from mixboot.config import config_hash, parse_config
 from mixboot.errors import InvalidInputError, TrainingDivergenceError
-from mixboot.estimators import EstimatorOutput
 from mixboot.experiment import (
     OUTPUT_ROOT_ENV,
     MetricsReport,
@@ -31,7 +31,7 @@ from mixboot.experiment import (
     run_sweep,
 )
 from mixboot.mlp import load_model
-from mixboot.prob_metrics import PredictionBatch, predictive_entropy
+from mixboot.prob_metrics import PredictionBatch
 from mixboot.version import __version__
 
 FAST_BLOBS = (
@@ -162,12 +162,24 @@ class TestRunExperiment:
             out_dir / "distance_records.csv", batch.n)
         np.testing.assert_array_equal(batch.probs, args[1].probs)
         np.testing.assert_array_equal(distances, args[4])
-        # the entropy the renderer derives is the uncertainty column that
+        # the uncertainty the renderer reads is the column that
         # distance_records.csv stores
-        np.testing.assert_array_equal(predictive_entropy(batch.probs), uncertainty)
+        np.testing.assert_array_equal(batch.uncertainty, uncertainty)
         again = render_artifacts(config, batch, *compute_report(config, batch),
                                  distances)
         assert again == texts
+
+    def test_row_facts_computed_once_per_run(self, out_root, monkeypatch):
+        # the entropy and the correctness of the validation rows come from
+        # the one PredictionBatch of the run
+        calls = []
+        entropy_rows, predictions = prob_metrics._entropy_rows, PredictionBatch.predictions
+        monkeypatch.setattr(prob_metrics, "_entropy_rows",
+                            lambda p: calls.append("entropy") or entropy_rows(p))
+        monkeypatch.setattr(PredictionBatch, "predictions",
+                            lambda batch: calls.append("correct") or predictions(batch))
+        run_experiment(parse_config(FAST_BLOBS + "output.dir = once\n"))
+        assert sorted(calls) == ["correct", "entropy"]
 
     def test_metrics_json_matches_report(self, out_root):
         config = parse_config(FAST_MOONS + "output.dir = f\n")
@@ -295,6 +307,29 @@ class TestEstimatorPaths:
         report, _ = run_experiment(config)
         assert report.estimator == "mc_dropout"
         assert np.isfinite(report.ece)
+
+    def test_tau_inv_changes_only_config_and_its_hash(self, tmp_path, monkeypatch):
+        # estimator.tau_inv is part of config.txt and the config hash, and
+        # nothing else reads it
+        def without_hash(name, data):
+            if name == "metrics.json":
+                stored = json.loads(data)
+                del stored["provenance"]["config_hash"]
+                return stored
+            return [line for line in data.splitlines()
+                    if not line.startswith(b"# config_hash=")]
+
+        trees = []
+        for tau_inv in (0.0, 0.37):
+            monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path / str(tau_inv)))
+            _, out_dir = run_experiment(parse_config(
+                FAST_MOONS + "output.dir = tau\nestimator.kind = mc_dropout\n"
+                f"estimator.passes = 5\nestimator.tau_inv = {tau_inv}\n"))
+            trees.append(read_tree(out_dir))
+        a, b = trees
+        assert set(a) == set(b)
+        for name in sorted(set(a) - {"config.txt"}):
+            assert without_hash(name, a[name]) == without_hash(name, b[name]), name
 
     def test_tta_path(self, out_root):
         config = parse_config(
@@ -707,9 +742,7 @@ class TestTableFormat:
         # every validation row predicts (1/3, 2/3): the predictions rows and
         # the empty first reliability bin are then known by hand
         def thirds(config, models, inputs):
-            n = len(inputs)
-            return EstimatorOutput(np.tile([1 / 3, 2 / 3], (n, 1)),
-                                   np.linspace(0.1, 0.6, n))
+            return np.tile([1 / 3, 2 / 3], (len(inputs), 1))
 
         monkeypatch.setattr(experiment, "estimate", thirds)
         _, out_dir = run_experiment(parse_config(FAST_BLOBS + "output.dir = w\n"))

@@ -555,7 +555,9 @@ class TestSerialization:
         (lambda lines: lines[:1], 2),                           # header only
         (lambda lines: lines[:6] + [""] + lines[6:], 7),        # blank line before b1
         (lambda lines: lines[:5] + ["0.5 abc 0.5"] + lines[6:], 6),  # non-numeric value
-    ], ids=["header_only", "blank_line", "non_numeric"])
+        (lambda lines: lines + ["param w9 1 2", "0.5 0.5"], 21),  # unknown name
+        (lambda lines: lines + lines[3:6], 21),                 # second w1 block
+    ], ids=["header_only", "blank_line", "non_numeric", "unknown_param", "repeated_param"])
     def test_malformed_file_names_path_and_line(self, edit, line, tmp_path):
         path = tmp_path / "model.txt"
         save_model(kaiming_init((2, 3, 3, 2), seed=45), path)

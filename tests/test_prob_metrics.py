@@ -72,11 +72,31 @@ class TestPredictionBatch:
     def test_confidence_and_correctness(self):
         batch = PredictionBatch(np.array([[0.7, 0.3], [0.2, 0.8]]), np.array([0, 0]))
         np.testing.assert_allclose(batch.confidences(), [0.7, 0.8])
-        np.testing.assert_allclose(batch.correctness(), [1.0, 0.0])
+        np.testing.assert_allclose(batch.correct, [1.0, 0.0])
 
     def test_argmax_tie_lowest_index(self):
         batch = PredictionBatch(np.array([[0.5, 0.5]]), np.array([1]))
         assert batch.predictions()[0] == 0
+
+    @pytest.mark.parametrize("k", [2, 3, 7])
+    def test_row_facts_have_the_oracle_bits(self, k):
+        # one-hot rows (entropy -0.0), zero entries and argmax ties included
+        rng = np.random.default_rng(k)
+        probs = rng.dirichlet(np.ones(k), size=300)
+        probs[rng.random(300) < 0.3, 0] = 0.0
+        probs /= probs.sum(axis=1, keepdims=True)
+        probs[:k] = np.eye(k)
+        probs[k] = 1.0 / k
+        labels = rng.integers(k, size=300)
+        batch = PredictionBatch(probs, labels)
+        assert batch.uncertainty.tobytes() == predictive_entropy(probs).tobytes()
+        correct = (probs.argmax(axis=1) == labels).astype(np.float64)
+        assert batch.correct.tobytes() == correct.tobytes()
+
+    def test_row_facts_are_computed_once(self):
+        batch = PredictionBatch(np.array([[0.7, 0.3], [0.2, 0.8]]), np.array([0, 0]))
+        assert batch.uncertainty is batch.uncertainty
+        assert batch.correct is batch.correct
 
 
 class TestPredictiveEntropy:
@@ -122,7 +142,7 @@ class TestReliabilityAndEce:
     def test_hand_binning_oracle(self):
         batch = self._hand_batch()
         np.testing.assert_allclose(batch.confidences(), [0.95, 0.85, 0.65, 0.55])
-        np.testing.assert_allclose(batch.correctness(), [1, 1, 0, 1])
+        np.testing.assert_allclose(batch.correct, [1, 1, 0, 1])
         ece, bins = expected_calibration_error(batch, bin_width=0.1)
         assert abs(ece - ECE_HAND_EXAMPLE) <= 1e-9
         gaps = bins.gaps()
