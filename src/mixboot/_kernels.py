@@ -5,7 +5,7 @@
 * ``bmm_e_step``: E-step of the two-component Beta mixture over
   normalized losses, giving the per-sample noise posterior.
 * ``min_cosine_distances``: min cosine distance of query rows to a
-  feature bank.
+  feature bank given as unit-length rows.
 
 ``gammaln``, behind the E-step and the Spearman p-value, is a port of
 Cephes ``lgam``, so numpy is the only runtime dependency.
@@ -126,23 +126,25 @@ def bmm_e_step(x, a1, b1, a2, b2, pi):
 BLOCK = 128
 
 
-def min_cosine_distances(queries: np.ndarray, bank: np.ndarray) -> np.ndarray:
+def min_cosine_distances(queries: np.ndarray, unit_bank: np.ndarray) -> np.ndarray:
     """1 - max cosine similarity of each query row to any bank row.
 
-    A row's value is the bits of its 1-row result, whatever rows share
-    its batch and at 1 or 2 BLAS threads; a zero-norm row gives NaN.  The
-    queries go through in ``BLOCK``-row blocks copied into one buffer,
-    zero-padded past the last row, so every matrix product (GEMM) and
-    norm sees the same shapes whatever the batch.  Each product takes
-    ``BLOCK`` bank rows against the buffer, ``bn[b:b + BLOCK] @ buf.T``,
-    so its output stays ``BLOCK`` x ``BLOCK``.  The queries sit on the
-    product's column side: one ``buf @ bn.T`` against a whole bank of,
-    say, 500 rows summed the last few bank columns differently by the
-    query's row and by the thread count.
+    Every row of ``unit_bank`` must have unit length: the caller drops
+    zero rows and scales the rest once per distance pass, so ranges of
+    one pass share one bank.  A row's value is the bits of its 1-row
+    result, whatever rows share its batch and at 1 or 2 BLAS threads; a
+    zero-norm query row gives NaN.  The queries go through in
+    ``BLOCK``-row blocks copied into one buffer, zero-padded past the
+    last row, so every matrix product (GEMM) and norm sees the same
+    shapes whatever the batch.  Each product takes ``BLOCK`` bank rows
+    against the buffer, ``unit_bank[b:b + BLOCK] @ buf.T``, so its output
+    stays ``BLOCK`` x ``BLOCK``.  The queries sit on the product's column
+    side: one ``buf @ unit_bank.T`` against a whole bank of, say, 500 rows
+    summed the last few bank columns differently by the query's row and
+    by the thread count.
     """
     queries = np.asarray(queries, dtype=np.float64)
-    bn = bank / np.linalg.norm(bank, axis=1, keepdims=True)
-    n, m = queries.shape[0], bn.shape[0]
+    n, m = queries.shape[0], unit_bank.shape[0]
     buf = np.zeros((BLOCK, queries.shape[1]))
     sims = np.empty((BLOCK, BLOCK))
     top = np.empty(BLOCK)
@@ -155,7 +157,7 @@ def min_cosine_distances(queries: np.ndarray, bank: np.ndarray) -> np.ndarray:
             top.fill(-np.inf)
             for b in range(0, m, BLOCK):
                 tile = sims[:min(BLOCK, m - b)]
-                np.matmul(bn[b:b + BLOCK], buf.T, out=tile)
+                np.matmul(unit_bank[b:b + BLOCK], buf.T, out=tile)
                 np.maximum(top, tile.max(axis=0), out=top)
             norms = np.sqrt(np.einsum("ij,ij->i", buf, buf))
             best[start:start + rows] = top[:rows] / norms[:rows]

@@ -119,11 +119,13 @@ def threshold_curve(
     return out
 
 
-def min_cosine_distances(queries: np.ndarray, train_bank: np.ndarray) -> np.ndarray:
+def distance_records(queries: np.ndarray, bank: np.ndarray) -> np.ndarray:
     """1 - max cosine similarity of each query row to any nonzero bank row.
 
-    A zero-norm query has no direction and yields NaN.  Each row's value
-    is the same bits whatever other rows are in the batch, so from
+    A zero-norm query has no direction and yields NaN.  The bank's row
+    norms are taken once: they drop its zero rows and scale the rest to
+    the unit rows the kernel takes.  Each row's value is the same bits
+    whatever other rows are in the batch, so from
     ``DISTANCE_FORK_MIN_PAIRS`` query rows times bank rows the queries
     are split into one contiguous range of whole ``_kernels.BLOCK``-row
     blocks per usable CPU, and the ranges run through ``run_jobs``.
@@ -131,33 +133,20 @@ def min_cosine_distances(queries: np.ndarray, train_bank: np.ndarray) -> np.ndar
     q = np.asarray(queries, dtype=np.float64)
     if q.ndim != 2:
         raise InvalidInputError("queries must be an N x H array")
-    bank = np.asarray(train_bank, dtype=np.float64)
+    bank = np.asarray(bank, dtype=np.float64)
     if bank.ndim != 2 or bank.shape[0] == 0:
         raise InvalidInputError("bank must be a nonempty M x H array")
-    bank = bank[np.sqrt((bank * bank).sum(axis=1)) > 0.0]
-    if bank.shape[0] == 0:
+    norms = np.linalg.norm(bank, axis=1, keepdims=True)
+    nonzero = norms[:, 0] > 0.0
+    if not nonzero.any():
         raise InvalidInputError("bank has no nonzero row")
-    if len(q) * len(bank) < DISTANCE_FORK_MIN_PAIRS:
-        return _kernels.min_cosine_distances(q, bank)
+    unit = bank[nonzero] / norms[nonzero]
+    if len(q) * len(unit) < DISTANCE_FORK_MIN_PAIRS:
+        return _kernels.min_cosine_distances(q, unit)
     step = _kernels.BLOCK * -(-len(q) // (_kernels.BLOCK * usable_cpus()))
     return np.concatenate(run_jobs(
-        lambda rows: _kernels.min_cosine_distances(q[rows], bank),
+        lambda rows: _kernels.min_cosine_distances(q[rows], unit),
         [slice(s, s + step) for s in range(0, len(q), step)]))
-
-
-def distance_records(
-    query_features: np.ndarray,
-    bank_features: np.ndarray,
-    uncertainties: np.ndarray,
-    correctness: np.ndarray,
-) -> np.ndarray:
-    """Min cosine distance of each query row to the bank, checked to line
-    up row for row with the uncertainties and correctness it is reported
-    beside."""
-    d = min_cosine_distances(query_features, bank_features)
-    if not (len(d) == len(uncertainties) == len(correctness)):
-        raise InvalidInputError("features, uncertainties, correctness must match")
-    return d
 
 
 def _pearson(a: np.ndarray, b: np.ndarray) -> float:

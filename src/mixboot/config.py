@@ -8,6 +8,7 @@ line, `#` comment lines, later duplicates win.  Canonical serialization
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 from typing import get_args, get_origin, get_type_hints
 
@@ -40,7 +41,7 @@ class EstimatorConfig:
             (self.passes >= 1, "estimator.passes must be >= 1"),
             (self.repeats >= 0, "estimator.repeats must be nonnegative"),
             (self.tau_inv >= 0.0, "estimator.tau_inv must be nonnegative"),
-            (0.0 <= self.policy_noise_sigma < float("inf"),
+            (math.isfinite(self.policy_noise_sigma) and self.policy_noise_sigma >= 0.0,
              "estimator.policy.noise_sigma must be finite and nonnegative"),
             (0.0 <= self.policy_scale_jitter <= MAX_SCALE_JITTER,
              f"estimator.policy.scale_jitter must lie in [0, {MAX_SCALE_JITTER!r}]"),

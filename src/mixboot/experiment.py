@@ -354,7 +354,7 @@ def _evaluate_and_write(config: ExperimentConfig, out: Path, dataset: Dataset,
     report, bins = compute_report(config, batch)
     bank = models[0].features(dataset.train_inputs)
     queries = models[0].features(dataset.val_inputs)
-    distances = distance_records(queries, bank, batch.uncertainty, batch.correct)
+    distances = distance_records(queries, bank)
 
     for name, text in render_artifacts(config, batch, report, bins, distances).items():
         _write(out / name, text)

@@ -12,7 +12,8 @@ as 1.  mixup_ce is bsm with w = 0 throughout.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -61,7 +62,12 @@ class TrainConfig:
     aug_scale_jitter: float = 0.0
 
     def __post_init__(self):
+        # an infinite rate, weight or noise passes its bound below and
+        # trains to non-finite activations, so it is refused by name
+        nonfinite = next((f.name for f in fields(self) if f.type == "float"
+                          and not math.isfinite(getattr(self, f.name))), None)
         checks = [
+            (nonfinite is None, f"{nonfinite} must be finite"),
             (self.method in METHODS, f"method must be one of {METHODS}"),
             (self.alpha > 0.0, "alpha must be positive"),
             (0.0 <= self.noise_rate <= 1.0, "noise_rate must lie in [0, 1]"),
@@ -83,8 +89,7 @@ class TrainConfig:
             ((self.n_train + self.n_val) % 2 == 0, "n_train + n_val must be even"),
             (self.hidden_1 >= 1 and self.hidden_2 >= 1, "hidden sizes must be >= 1"),
             (0.0 <= self.dropout < 1.0, "dropout must lie in [0, 1)"),
-            (0.0 <= self.aug_noise_sigma < np.inf,
-             "aug_noise_sigma must be finite and nonnegative"),
+            (self.aug_noise_sigma >= 0.0, "aug_noise_sigma must be nonnegative"),
             (0.0 <= self.aug_scale_jitter <= MAX_SCALE_JITTER,
              f"aug_scale_jitter must lie in [0, {MAX_SCALE_JITTER!r}]"),
         ]

@@ -5,6 +5,15 @@ import signal
 
 import pytest
 
+from mixboot.experiment import OUTPUT_ROOT_ENV
+
+
+@pytest.fixture
+def out_root(tmp_path, monkeypatch):
+    """Resolve relative output.dir values under the test's tmp_path."""
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    return tmp_path
+
 
 @pytest.fixture
 def cpus(monkeypatch):

@@ -9,7 +9,10 @@ generator in the same state.  ``bsm_targets`` is the one helper that
 calls the package: its per-step target builder fed from labels, with
 the per-epoch half computed on the spot.  ``reference_softmax`` is the
 softmax written with reductions along the class axis, as the package
-ran it before it went a class column at a time.
+ran it before it went a class column at a time.  ``single_forward`` and
+``unit_rows`` write out the single-pass estimator and the distance
+pass's bank scaling.  ``FAST_BLOBS`` and ``read_tree`` are the config
+body and the output-tree reader that several test modules share.
 """
 
 from dataclasses import asdict
@@ -31,6 +34,37 @@ from mixboot.trainer import (
     _SHUFFLE_KEY,
     TrainLog,
 )
+
+
+FAST_BLOBS = (
+    "method = ce\n"
+    "generator = blobs\n"
+    "generator_noise = 0.0\n"
+    "noise_rate = 0.0\n"
+    "n_train = 80\n"
+    "n_val = 20\n"
+    "max_epochs = 10\n"
+)
+
+
+def read_tree(root):
+    """Every file under ``root``, by relative path, as bytes."""
+    return {
+        str(p.relative_to(root)): p.read_bytes()
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    }
+
+
+def single_forward(model, inputs):
+    """The single-pass estimator written out: one softmax pass, dropout off."""
+    return softmax(model.predict_logits(inputs))
+
+
+def unit_rows(bank):
+    """The bank's rows scaled to unit length, as ``distance_records``
+    hands them to the distance kernel; a bank with no zero row."""
+    return bank / np.linalg.norm(bank, axis=1, keepdims=True)
 
 
 def reference_softmax(logits):

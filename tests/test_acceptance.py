@@ -8,14 +8,14 @@ noisy two-moons fixture; the fleet is built once per module.  Run with
 import numpy as np
 import pytest
 
-from mixboot.analysis import min_cosine_distances, referral_curve, spearman
+from mixboot.analysis import distance_records, referral_curve, spearman
 from mixboot.augment import PerturbationPolicy, beta_from_gammas
 from mixboot.config import parse_config
 from mixboot.estimators import ensemble_predict, mc_dropout_predict, tta_predict
 from mixboot.experiment import run_experiment, run_sweep
 from mixboot.jobs import run_jobs
 from mixboot._kernels import log_beta, loss_from_targets
-from mixboot.losses import batch_onehot, softmax
+from mixboot.losses import batch_onehot
 from mixboot.mlp import kaiming_init
 from mixboot.noise_model import fit_bmm, normalize_losses
 from mixboot.prob_metrics import (
@@ -27,7 +27,7 @@ from mixboot.prob_metrics import (
     roc_auc,
 )
 from mixboot.trainer import TrainConfig, dataset_from_config, train
-from oracles import bsm_targets
+from oracles import bsm_targets, read_tree, single_forward
 
 N_SEEDS = 10
 WARMUP_EPOCHS = 1  # TrainConfig default; epochs >= this are post-warm-up
@@ -67,11 +67,6 @@ def fleet():
     results = run_jobs(lambda job: train(*job), jobs)
     return ({key: model for key, (model, _) in zip(keys, results)},
             {key: log for key, (_, log) in zip(keys, results)}, datasets)
-
-
-def single_forward(model, inputs):
-    """The single-pass estimator written out: one softmax pass, dropout off."""
-    return softmax(model.predict_logits(inputs))
 
 
 def val_predictions(model, ds):
@@ -319,8 +314,8 @@ def test_criterion_8_distance_and_domain_shift(fleet):
         ds = datasets[seed]
         model = models[("bsm", seed)]
         batch = val_predictions(model, ds)
-        d = min_cosine_distances(model.features(ds.val_inputs),
-                                 model.features(ds.train_inputs))
+        d = distance_records(model.features(ds.val_inputs),
+                             model.features(ds.train_inputs))
         m = np.isfinite(d)
         rho, p = spearman(1.0 - d[m], batch.uncertainty[m])
         rho_wins += rho < 0.0 and p < 0.05
@@ -346,27 +341,18 @@ RUN_TEXT = (
 )
 
 
-def _read_tree(root):
-    return {
-        str(p.relative_to(root)): p.read_bytes()
-        for p in sorted(root.rglob("*"))
-        if p.is_file()
-    }
-
-
-def test_criterion_9_byte_identical_reruns(tmp_path, monkeypatch):
+def test_criterion_9_byte_identical_reruns(out_root):
     """Repeating run and sweep reproduces every output file byte for byte."""
-    monkeypatch.setenv("MIXBOOT_OUTPUT_ROOT", str(tmp_path))
     run_config = parse_config(RUN_TEXT + "output.dir = rerun\n")
     _, run_dir = run_experiment(run_config)
-    first_run = _read_tree(run_dir)
+    first_run = read_tree(run_dir)
     run_experiment(run_config)
-    run_ok = _read_tree(run_dir) == first_run
+    run_ok = read_tree(run_dir) == first_run
 
     sweep_base = parse_config(RUN_TEXT + "output.dir = sweep_rerun\n")
     _, sweep_dir = run_sweep(sweep_base, "methods", ["ce", "bsm"])
-    first_sweep = _read_tree(sweep_dir)
+    first_sweep = read_tree(sweep_dir)
     run_sweep(sweep_base, "methods", ["ce", "bsm"])
-    sweep_ok = _read_tree(sweep_dir) == first_sweep
+    sweep_ok = read_tree(sweep_dir) == first_sweep
     check(9, f"run rerun identical: {run_ok}; sweep rerun identical: {sweep_ok}",
           run_ok and sweep_ok)

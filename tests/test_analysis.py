@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import special, stats
 
-from mixboot import _kernels
+from mixboot import _kernels, analysis
 from mixboot.analysis import (
     DISTANCE_FORK_MIN_PAIRS,
     _sorted_unique,
     distance_perception_summary,
     distance_records,
-    min_cosine_distances,
     referral_curve,
     spearman,
     t_two_tailed_p,
@@ -24,6 +23,7 @@ from mixboot.analysis import (
 )
 from mixboot.errors import InvalidInputError, UndefinedMetricError
 from mixboot.prob_metrics import roc_auc
+from oracles import unit_rows
 
 # frozen tied-rank hand-oracle: ranks (1, 2.5, 2.5, 4) vs (1, 3, 2, 4)
 SPEARMAN_TIED_EXAMPLE = 0.9486832980505138
@@ -182,48 +182,51 @@ class TestSortedUnique:
 
 
 class TestMinCosineDistance:
+    """``distance_records``: min cosine distance of each query row to the
+    bank's nonzero rows."""
+
     def test_query_in_bank_is_zero(self):
         bank = np.array([[1.0, 2.0], [3.0, -1.0]])
-        assert abs(min_cosine_distances(np.array([[3.0, -1.0]]), bank)[0]) <= 1e-12
+        assert abs(distance_records(np.array([[3.0, -1.0]]), bank)[0]) <= 1e-12
 
     def test_orthogonal_query_is_one(self):
         bank = np.array([[1.0, 0.0]])
-        assert abs(min_cosine_distances(np.array([[0.0, 2.0]]), bank)[0] - 1.0) <= 1e-12
+        assert abs(distance_records(np.array([[0.0, 2.0]]), bank)[0] - 1.0) <= 1e-12
 
     def test_opposite_query_is_two(self):
         bank = np.array([[1.0, 1.0]])
-        assert abs(min_cosine_distances(np.array([[-2.0, -2.0]]), bank)[0] - 2.0) <= 1e-12
+        assert abs(distance_records(np.array([[-2.0, -2.0]]), bank)[0] - 2.0) <= 1e-12
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(1)
         bank = rng.normal(size=(20, 4))
         q = rng.normal(size=4)
-        out = min_cosine_distances(np.stack([q, 1000.0 * q]), bank)
+        out = distance_records(np.stack([q, 1000.0 * q]), bank)
         assert abs(out[0] - out[1]) <= 1e-12
 
     def test_takes_minimum_over_bank(self):
         rng = np.random.default_rng(2)
         bank = rng.normal(size=(10, 3))
         q = rng.normal(size=(1, 3))
-        per_row = [min_cosine_distances(q, bank[i : i + 1])[0] for i in range(10)]
-        assert abs(min_cosine_distances(q, bank)[0] - min(per_row)) <= 1e-12
+        per_row = [distance_records(q, bank[i : i + 1])[0] for i in range(10)]
+        assert abs(distance_records(q, bank)[0] - min(per_row)) <= 1e-12
 
     def test_zero_bank_rows_ignored(self):
         bank = np.array([[0.0, 0.0], [0.0, 1.0]])
-        assert abs(min_cosine_distances(np.array([[0.0, 3.0]]), bank)[0]) <= 1e-12
+        assert abs(distance_records(np.array([[0.0, 3.0]]), bank)[0]) <= 1e-12
 
     def test_all_zero_bank_rejected(self):
         with pytest.raises(InvalidInputError):
-            min_cosine_distances(np.ones((1, 2)), np.zeros((3, 2)))
+            distance_records(np.ones((1, 2)), np.zeros((3, 2)))
 
     def test_batch_matches_scalar(self):
         # each row's value is the value of its 1-row batch, bit for bit
         rng = np.random.default_rng(3)
         bank = rng.normal(size=(15, 4))
         queries = rng.normal(size=(6, 4))
-        batch = min_cosine_distances(queries, bank)
+        batch = distance_records(queries, bank)
         for i in range(6):
-            assert batch[i] == min_cosine_distances(queries[i : i + 1], bank)[0]
+            assert batch[i] == distance_records(queries[i : i + 1], bank)[0]
 
     def test_zero_row_padding_leaves_value_unchanged(self):
         # a zero-norm row goes through the kernel like any other and comes
@@ -231,22 +234,22 @@ class TestMinCosineDistance:
         rng = np.random.default_rng(3)
         bank = rng.normal(size=(15, 4))
         queries = rng.normal(size=(6, 4))
-        full = min_cosine_distances(queries, bank)
+        full = distance_records(queries, bank)
         for i in range(6):
-            padded = min_cosine_distances(np.stack([queries[i], np.zeros(4)]), bank)
+            padded = distance_records(np.stack([queries[i], np.zeros(4)]), bank)
             assert padded[0] == full[i]
             assert np.isnan(padded[1])
 
     def test_batch_zero_query_gives_nan(self):
         queries = np.array([[1.0, 0.0], [0.0, 0.0]])
         with np.errstate(all="raise"):
-            out = min_cosine_distances(queries, np.ones((2, 2)))
+            out = distance_records(queries, np.ones((2, 2)))
         assert np.isfinite(out[0])
         assert np.isnan(out[1])
 
     def test_range(self):
         rng = np.random.default_rng(4)
-        out = min_cosine_distances(rng.normal(size=(50, 5)), rng.normal(size=(30, 5)))
+        out = distance_records(rng.normal(size=(50, 5)), rng.normal(size=(30, 5)))
         assert (out >= -1e-12).all()
         assert (out <= 2.0 + 1e-12).all()
 
@@ -271,10 +274,10 @@ class TestDistanceRanges:
         queries = rng.normal(size=(rows, 8))
         queries[rows // 2] = 0.0
         bank = forking_bank(rows, rows, short)
-        want = _kernels.min_cosine_distances(queries, bank).tobytes()
+        want = _kernels.min_cosine_distances(queries, unit_rows(bank)).tobytes()
         for n_cpus in (1, 2):
             forked = cpus(n_cpus)
-            assert min_cosine_distances(queries, bank).tobytes() == want
+            assert distance_records(queries, bank).tobytes() == want
         assert len(forked) == forks
 
     def test_a_range_that_raises_in_a_worker_raises(self, cpus, monkeypatch, deadline):
@@ -284,8 +287,27 @@ class TestDistanceRanges:
         monkeypatch.setattr(_kernels, "min_cosine_distances", fail)
         forked = cpus(2)
         with pytest.raises(ArithmeticError, match="range of 256 rows"):
-            min_cosine_distances(np.ones((300, 8)), forking_bank(300, 9))
+            distance_records(np.ones((300, 8)), forking_bank(300, 9))
         assert len(forked) == 2
+
+    def test_every_range_gets_the_one_unit_bank(self, cpus, monkeypatch):
+        # the ranges run here, in order, so the kernel can record the bank
+        # each one is handed: one array for all of them means the bank
+        # was normalised once, before the queries were split
+        banks = []
+
+        def record(queries, unit_bank):
+            banks.append(unit_bank)
+            return np.zeros(len(queries))
+
+        monkeypatch.setattr(_kernels, "min_cosine_distances", record)
+        monkeypatch.setattr(analysis, "run_jobs", lambda fn, jobs: [fn(j) for j in jobs])
+        cpus(2)
+        bank = forking_bank(300, 10)
+        with_zeros = np.vstack([np.zeros((3, 8)), bank])
+        assert distance_records(np.ones((300, 8)), with_zeros).shape == (300,)
+        assert len(banks) == 2 and banks[1] is banks[0]
+        assert banks[0].tobytes() == unit_rows(bank).tobytes()
 
 
 class TestSpearman:
@@ -394,19 +416,17 @@ class TestDistanceRecordsAndSummary:
     def test_records_carry_fields(self):
         bank = np.array([[1.0, 0.0], [0.0, 1.0]])
         queries = np.array([[1.0, 0.0], [1.0, 1.0]])
-        d = distance_records(queries, bank, np.array([0.3, 0.7]), np.array([1, 0]))
+        d = distance_records(queries, bank)
         assert d.shape == (2,)
         assert d[0] <= 1e-12
         assert abs(d[1] - (1.0 - np.sqrt(0.5))) <= 1e-12
-        with pytest.raises(InvalidInputError):
-            distance_records(queries, bank, np.array([0.3]), np.array([1, 0]))
 
     def test_summary_signs_are_opposite(self):
         # uncertainty grows with distance by construction
         rng = np.random.default_rng(9)
         bank = rng.normal(size=(30, 3))
         queries = rng.normal(size=(25, 3))
-        d = min_cosine_distances(queries, bank)
+        d = distance_records(queries, bank)
         u = d + 0.01 * rng.normal(size=25)
         summary = distance_perception_summary(d, u)
         assert summary["n"] == 25
@@ -419,7 +439,7 @@ class TestDistanceRecordsAndSummary:
         bank = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         queries = np.vstack([np.zeros(2), np.random.default_rng(10).normal(size=(9, 2))])
         u = np.linspace(0.1, 1.0, 10)
-        d = distance_records(queries, bank, u, np.ones(10))
+        d = distance_records(queries, bank)
         summary = distance_perception_summary(d, u)
         assert summary["n"] == 9
         assert summary["n_dropped"] == 1

@@ -9,74 +9,58 @@ from pathlib import Path
 import pytest
 
 from mixboot.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_MISMATCH, EXIT_OK, main
-from mixboot.experiment import OUTPUT_ROOT_ENV
-
-FAST_BLOBS = (
-    "method = ce\n"
-    "generator = blobs\n"
-    "generator_noise = 0.0\n"
-    "noise_rate = 0.0\n"
-    "n_train = 80\n"
-    "n_val = 20\n"
-    "max_epochs = 10\n"
-)
+from oracles import FAST_BLOBS
 
 
-@pytest.fixture
-def workdir(tmp_path, monkeypatch):
-    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
-    return tmp_path
-
-
-def write_config(workdir, text, name="config.txt"):
-    path = workdir / name
+def write_config(out_root, text, name="config.txt"):
+    path = out_root / name
     path.write_text(text)
     return str(path)
 
 
 class TestRunVerb:
-    def test_run_succeeds_and_prints_metrics(self, workdir, capsys):
-        config = write_config(workdir, FAST_BLOBS + "output.dir = run1\n")
+    def test_run_succeeds_and_prints_metrics(self, out_root, capsys):
+        config = write_config(out_root, FAST_BLOBS + "output.dir = run1\n")
         code = main(["run", "--config", config])
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert "accuracy = " in out
         assert "ece = " in out
         assert "artifacts written to" in out
-        assert (workdir / "run1" / "metrics.json").is_file()
+        assert (out_root / "run1" / "metrics.json").is_file()
 
-    def test_too_few_distances_still_writes_run(self, workdir):
+    def test_too_few_distances_still_writes_run(self, out_root):
         # two validation rows (one per class here): too few for a rank correlation
-        config = write_config(workdir, "method = ce\ngenerator = blobs\nseed = 0\n"
+        config = write_config(out_root, "method = ce\ngenerator = blobs\nseed = 0\n"
                                        "n_train = 40\nn_val = 2\nmax_epochs = 3\n"
                                        "output.dir = tiny\n")
         assert main(["run", "--config", config]) == EXIT_OK
-        summary = json.loads((workdir / "tiny" / "distance_summary.json").read_text())
+        summary = json.loads((out_root / "tiny" / "distance_summary.json").read_text())
         assert summary == {
             "degenerate": "correlation needs at least 3 finite distances, got 2",
             "n": 2, "n_dropped": 0}
 
-    def test_out_flag_overrides_directory(self, workdir):
-        config = write_config(workdir, FAST_BLOBS + "output.dir = ignored\n")
+    def test_out_flag_overrides_directory(self, out_root):
+        config = write_config(out_root, FAST_BLOBS + "output.dir = ignored\n")
         code = main(["run", "--config", config, "--out", "chosen"])
         assert code == EXIT_OK
-        assert (workdir / "chosen" / "metrics.json").is_file()
-        assert not (workdir / "ignored").exists()
+        assert (out_root / "chosen" / "metrics.json").is_file()
+        assert not (out_root / "ignored").exists()
 
-    def test_set_overrides_config_values(self, workdir):
-        config = write_config(workdir, FAST_BLOBS + "output.dir = run2\n")
+    def test_set_overrides_config_values(self, out_root):
+        config = write_config(out_root, FAST_BLOBS + "output.dir = run2\n")
         code = main(["run", "--config", config, "--set", "seed = 3"])
         assert code == EXIT_OK
-        stored = json.loads((workdir / "run2" / "metrics.json").read_text())
+        stored = json.loads((out_root / "run2" / "metrics.json").read_text())
         assert stored["provenance"]["seed"] == 3
 
-    def test_missing_config_file_is_config_error(self, workdir, capsys):
-        code = main(["run", "--config", str(workdir / "absent.txt")])
+    def test_missing_config_file_is_config_error(self, out_root, capsys):
+        code = main(["run", "--config", str(out_root / "absent.txt")])
         assert code == EXIT_CONFIG
         assert "error" in capsys.readouterr().err
 
-    def test_invalid_config_names_problem(self, workdir, capsys):
-        config = write_config(workdir, "seed = 1\n")  # no method
+    def test_invalid_config_names_problem(self, out_root, capsys):
+        config = write_config(out_root, "seed = 1\n")  # no method
         code = main(["run", "--config", config])
         assert code == EXIT_CONFIG
         assert "method" in capsys.readouterr().err
@@ -92,20 +76,25 @@ class TestRunVerb:
         ("estimator.policy.noise_sigma=inf", "estimator.policy.noise_sigma must be finite"),
         ("estimator.policy.scale_jitter=1e308",
          "estimator.policy.scale_jitter must lie in [0, "),
+        ("learning_rate=inf", "learning_rate must be finite"),
+        ("weight_decay=inf", "weight_decay must be finite"),
+        ("generator_noise=inf", "generator_noise must be finite"),
+        ("alpha=inf", "alpha must be finite"),
     ])
-    def test_negative_setting_is_config_error(self, workdir, capsys, override, message):
+    def test_negative_setting_is_config_error(self, out_root, capsys, override, message):
         # each once failed past config loading: the negative settings in
         # numpy with a bare ValueError traceback, the fractions after all
         # training, the odd total with a message naming no config key, an
-        # infinite noise sigma as diverged training (exit 3) and a jitter
+        # infinite noise sigma, learning rate, weight decay, generator noise
+        # or (under bsm) alpha as diverged training (exit 3) and a jitter
         # whose draw range 2 * jitter overflows with an OverflowError
-        config = write_config(workdir, FAST_BLOBS + "output.dir = neg\n")
+        config = write_config(out_root, FAST_BLOBS + "output.dir = neg\n")
         code = main(["run", "--config", config, "--set", override])
         assert code == EXIT_CONFIG
         assert message in capsys.readouterr().err
-        assert not (workdir / "neg").exists()
+        assert not (out_root / "neg").exists()
 
-    def test_bsm_with_too_few_training_rows_is_config_error(self, workdir, capsys,
+    def test_bsm_with_too_few_training_rows_is_config_error(self, out_root, capsys,
                                                             monkeypatch):
         # once trained an epoch, then failed in the Beta-mixture fit with a
         # message naming no config key
@@ -113,25 +102,25 @@ class TestRunVerb:
 
         trained = []
         monkeypatch.setattr(experiment, "train", lambda *job: trained.append(job))
-        config = write_config(workdir, FAST_BLOBS + "output.dir = few\n")
+        config = write_config(out_root, FAST_BLOBS + "output.dir = few\n")
         code = main(["run", "--config", config, "--set", "method=bsm",
                      "--set", "n_train=8"])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err == "error: method = bsm needs n_train >= 10\n"
         assert trained == []
-        assert not (workdir / "few").exists()
+        assert not (out_root / "few").exists()
 
-    def test_non_utf8_config_is_config_error(self, workdir, capsys):
-        path = workdir / "config.txt"
+    def test_non_utf8_config_is_config_error(self, out_root, capsys):
+        path = out_root / "config.txt"
         path.write_bytes(FAST_BLOBS.encode() + b"# \xff\n")
         code = main(["run", "--config", str(path)])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: not UTF-8 text")
 
-    def test_divergence_exit_code(self, workdir, capsys):
+    def test_divergence_exit_code(self, out_root, capsys):
         config = write_config(
-            workdir,
+            out_root,
             "method = ce\nn_train = 100\nn_val = 20\nmax_epochs = 5\n"
             "learning_rate = 1e12\nweight_decay = 1e12\noutput.dir = boom\n",
         )
@@ -142,7 +131,7 @@ class TestRunVerb:
             "error: training diverged: non-finite activations in forward pass\n")
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_divergence_in_an_mc_dropout_worker_exit_code(self, workdir, capsys,
+    def test_divergence_in_an_mc_dropout_worker_exit_code(self, out_root, capsys,
                                                           monkeypatch, cpus, deadline):
         import numpy as np
 
@@ -158,19 +147,19 @@ class TestRunVerb:
         monkeypatch.setattr(experiment, "train", poisoned)
         forked = cpus(2)
         # 4 passes over 8192 rows: enough work for the passes to fork
-        config = write_config(workdir, FAST_BLOBS + "n_val = 8192\n"
+        config = write_config(out_root, FAST_BLOBS + "n_val = 8192\n"
                                                     "estimator.kind = mc_dropout\n"
                                                     "estimator.passes = 4\noutput.dir = mc\n")
         assert main(["run", "--config", config]) == EXIT_DIVERGED
         assert len(forked) == 2  # one training here, then the passes in two workers
         assert "diverged: non-finite" in capsys.readouterr().err
 
-    def test_one_class_split_records_undefined_auc(self, workdir, capsys):
+    def test_one_class_split_records_undefined_auc(self, out_root, capsys):
         # n_val = 2 draws both validation rows from one class here
-        config = write_config(workdir, FAST_BLOBS + "n_val = 2\noutput.dir = one\n"
+        config = write_config(out_root, FAST_BLOBS + "n_val = 2\noutput.dir = one\n"
                                                     "output.formats = csv,json\n")
         assert main(["run", "--config", config]) == EXIT_OK
-        run = workdir / "one"
+        run = out_root / "one"
         labels = {line.split(",")[1] for line in
                   (run / "predictions.csv").read_text().splitlines()[1:]}
         assert len(labels) == 1
@@ -187,16 +176,16 @@ class TestRunVerb:
         sweep = main(["sweep", "--config", config, "--out", "one_sweep",
                       "--axis", "noise_rates", "--values", "0.0"])
         assert sweep == EXIT_OK
-        row = (workdir / "one_sweep" / "sweep.csv").read_text().splitlines()[-1].split(",")
+        row = (out_root / "one_sweep" / "sweep.csv").read_text().splitlines()[-1].split(",")
         assert row[2] == "ok" and row[6] == "nan"
 
-    def test_failed_write_is_io_error_and_keeps_previous_run(self, workdir, capsys,
+    def test_failed_write_is_io_error_and_keeps_previous_run(self, out_root, capsys,
                                                               monkeypatch):
         import mixboot.experiment as experiment
 
-        config = write_config(workdir, FAST_BLOBS + "output.dir = kept\n")
+        config = write_config(out_root, FAST_BLOBS + "output.dir = kept\n")
         assert main(["run", "--config", config]) == EXIT_OK
-        run = workdir / "kept"
+        run = out_root / "kept"
 
         def tree():
             return {str(p.relative_to(run)): p.read_bytes() for p in run.rglob("*")
@@ -213,20 +202,20 @@ class TestRunVerb:
         assert code == EXIT_CONFIG
         assert "No space left on device" in capsys.readouterr().err
         assert tree() == first
-        assert sorted(p.name for p in workdir.iterdir()) == ["config.txt", "kept"]
+        assert sorted(p.name for p in out_root.iterdir()) == ["config.txt", "kept"]
 
     @pytest.mark.parametrize("verb", [
         ["run"], ["sweep", "--axis", "alphas", "--values", "0.1"]], ids=["run", "sweep"])
-    def test_out_onto_foreign_directory_refused(self, workdir, capsys, monkeypatch,
+    def test_out_onto_foreign_directory_refused(self, out_root, capsys, monkeypatch,
                                                 verb):
         import mixboot.experiment as experiment
 
-        mine = workdir / "mine"
+        mine = out_root / "mine"
         mine.mkdir()
         (mine / "notes.txt").write_text("keep me")
         trained = []
         monkeypatch.setattr(experiment, "train", lambda *job: trained.append(job))
-        config = write_config(workdir, FAST_BLOBS)
+        config = write_config(out_root, FAST_BLOBS)
         code = main([verb[0], "--config", config, "--out", "mine", *verb[1:]])
         assert code == EXIT_CONFIG
         assert "mine exists and is not a run or sweep directory" in capsys.readouterr().err
@@ -236,35 +225,35 @@ class TestRunVerb:
 
 
 class TestSweepVerb:
-    def test_sweep_writes_table(self, workdir, capsys):
-        config = write_config(workdir, FAST_BLOBS + "output.dir = sw\n")
+    def test_sweep_writes_table(self, out_root, capsys):
+        config = write_config(out_root, FAST_BLOBS + "output.dir = sw\n")
         code = main(["sweep", "--config", config, "--axis", "methods",
                      "--values", "ce,mixup_ce"])
         assert code == EXIT_OK
         assert "sweep table written to" in capsys.readouterr().out
-        table = (workdir / "sw" / "sweep.csv").read_text()
+        table = (out_root / "sw" / "sweep.csv").read_text()
         assert "methods,ce,ok," in table
         assert "methods,mixup_ce,ok," in table
 
-    def test_bad_values_are_config_error(self, workdir, capsys):
-        config = write_config(workdir, FAST_BLOBS + "output.dir = sw2\n")
+    def test_bad_values_are_config_error(self, out_root, capsys):
+        config = write_config(out_root, FAST_BLOBS + "output.dir = sw2\n")
         code = main(["sweep", "--config", config, "--axis", "alphas",
                      "--values", "small,big"])
         assert code == EXIT_CONFIG
         assert ("--values for axis 'alphas': alpha: expected a number, got 'small'"
                 in capsys.readouterr().err)
-        assert not (workdir / "sw2").exists()
+        assert not (out_root / "sw2").exists()
 
-    def test_empty_values_are_config_error(self, workdir, capsys):
-        config = write_config(workdir, FAST_BLOBS + "output.dir = sw3\n")
+    def test_empty_values_are_config_error(self, out_root, capsys):
+        config = write_config(out_root, FAST_BLOBS + "output.dir = sw3\n")
         code = main(["sweep", "--config", config, "--axis", "tta_repeats",
                      "--values", " , "])
         assert code == EXIT_CONFIG
         assert ("--values for axis 'tta_repeats': estimator.repeats: expected a "
                 "comma-separated list, got ' , '" in capsys.readouterr().err)
 
-    def test_unknown_axis_rejected_by_parser(self, workdir):
-        config = write_config(workdir, FAST_BLOBS)
+    def test_unknown_axis_rejected_by_parser(self, out_root):
+        config = write_config(out_root, FAST_BLOBS)
         with pytest.raises(SystemExit):
             main(["sweep", "--config", config, "--axis", "bogus", "--values", "1"])
 
@@ -283,10 +272,10 @@ def bump_last_digit(text):
 
 
 class TestReportVerb:
-    def run_once(self, workdir, extra=""):
-        config = write_config(workdir, FAST_BLOBS + "output.dir = rep\n" + extra)
+    def run_once(self, out_root, extra=""):
+        config = write_config(out_root, FAST_BLOBS + "output.dir = rep\n" + extra)
         assert main(["run", "--config", config]) == EXIT_OK
-        return workdir / "rep"
+        return out_root / "rep"
 
     def report(self, run_dir, capsys):
         """report's exit code and its ``matches stored`` lines."""
@@ -295,8 +284,8 @@ class TestReportVerb:
         out = capsys.readouterr().out
         return code, [line for line in out.splitlines() if line.startswith("matches")]
 
-    def test_recomputation_matches(self, workdir, capsys):
-        run_dir = self.run_once(workdir)
+    def test_recomputation_matches(self, out_root, capsys):
+        run_dir = self.run_once(out_root)
         capsys.readouterr()
         code = main(["report", "--run", str(run_dir)])
         out = capsys.readouterr().out
@@ -313,30 +302,30 @@ class TestReportVerb:
         "method = ce_aug\nestimator.kind = tta\nestimator.repeats = 0\n",
         "generator = two_moons\nmethod = bsm\nnoise_rate = 0.2\n",
     ], ids=["single", "ensemble", "mc_dropout", "tta", "ce_aug_tta0", "bsm"])
-    def test_every_derived_file_matches(self, workdir, capsys, extra):
-        run_dir = self.run_once(workdir, extra)
+    def test_every_derived_file_matches(self, out_root, capsys, extra):
+        run_dir = self.run_once(out_root, extra)
         assert self.report(run_dir, capsys) == (
             EXIT_OK, [f"matches stored {name}: yes" for name in CHECKED])
 
-    def test_degenerate_distance_run_matches(self, workdir, capsys):
+    def test_degenerate_distance_run_matches(self, out_root, capsys):
         # one penultimate unit: every distance is exactly 0.0 or NaN, on any
         # BLAS kernel, so the correlation is degenerate without rounding
-        run_dir = self.run_once(workdir, "hidden_2 = 1\n")
+        run_dir = self.run_once(out_root, "hidden_2 = 1\n")
         summary = json.loads((run_dir / "distance_summary.json").read_text())
         assert "degenerate" in summary
         assert summary["n"] + summary["n_dropped"] == 20
         assert self.report(run_dir, capsys) == (
             EXIT_OK, [f"matches stored {name}: yes" for name in CHECKED])
 
-    def test_one_class_split_matches(self, workdir, capsys):
-        run_dir = self.run_once(workdir, "n_val = 2\n")
+    def test_one_class_split_matches(self, out_root, capsys):
+        run_dir = self.run_once(out_root, "n_val = 2\n")
         assert json.loads((run_dir / "metrics.json").read_text())["roc_auc"] is None
         assert self.report(run_dir, capsys) == (
             EXIT_OK, [f"matches stored {name}: yes" for name in CHECKED])
 
     @pytest.mark.parametrize("name", DERIVED)
-    def test_tampered_file_flagged(self, workdir, capsys, name):
-        run_dir = self.run_once(workdir)
+    def test_tampered_file_flagged(self, out_root, capsys, name):
+        run_dir = self.run_once(out_root)
         stored = run_dir / name
         text = stored.read_text()
         # config.txt is parsed, so an edited value would render back as
@@ -353,10 +342,10 @@ class TestReportVerb:
         ("distance_records.csv", "uncertainty"),
         ("distance_records.csv", "correct"),
     ])
-    def test_tampered_row_table_column_flagged(self, workdir, capsys, name, column):
+    def test_tampered_row_table_column_flagged(self, out_root, capsys, name, column):
         # the row tables are inputs: a derived column that no longer follows
         # from the predictions is a mismatch of its table
-        run_dir = self.run_once(workdir)
+        run_dir = self.run_once(out_root)
         table = run_dir / name
         lines = table.read_text().splitlines(keepends=True)
         header = next(line for line in lines if not line.startswith("#"))
@@ -369,8 +358,8 @@ class TestReportVerb:
             f"matches stored {other}: {'NO' if other == name else 'yes'}"
             for other in CHECKED])
 
-    def test_tampered_metrics_flagged(self, workdir, capsys):
-        run_dir = self.run_once(workdir)
+    def test_tampered_metrics_flagged(self, out_root, capsys):
+        run_dir = self.run_once(out_root)
         stored = json.loads((run_dir / "metrics.json").read_text())
         stored["accuracy"] = 0.123
         (run_dir / "metrics.json").write_text(json.dumps(stored))
@@ -380,19 +369,19 @@ class TestReportVerb:
         assert code == EXIT_MISMATCH
         assert "matches stored metrics.json: NO" in out
 
-    def test_mismatch_exit_code_is_documented_four(self, workdir):
+    def test_mismatch_exit_code_is_documented_four(self, out_root):
         # README "Exit codes": 4 report mismatch
-        run_dir = self.run_once(workdir)
+        run_dir = self.run_once(out_root)
         stored = json.loads((run_dir / "metrics.json").read_text())
         stored["brier"] = -1.0
         (run_dir / "metrics.json").write_text(json.dumps(stored))
         assert main(["report", "--run", str(run_dir)]) == 4
 
-    def test_reused_directory_reports_the_last_run(self, workdir, capsys):
+    def test_reused_directory_reports_the_last_run(self, out_root, capsys):
         # an ensemble-3 run, then a single csv-only run into the same directory
-        self.run_once(workdir, extra="estimator.kind = ensemble\n"
+        self.run_once(out_root, extra="estimator.kind = ensemble\n"
                                      "estimator.ensemble_size = 3\n")
-        run_dir = self.run_once(workdir, extra="estimator.kind = single\n"
+        run_dir = self.run_once(out_root, extra="estimator.kind = single\n"
                                                "output.formats = csv\n")
         capsys.readouterr()
         assert main(["report", "--run", str(run_dir)]) == EXIT_OK
@@ -401,8 +390,8 @@ class TestReportVerb:
         assert "matches stored metrics.json" not in out
         assert [p.name for p in (run_dir / "models").iterdir()] == ["model_0.txt"]
 
-    def test_csv_only_run_matches(self, workdir, capsys):
-        run_dir = self.run_once(workdir, extra="output.formats = csv\n")
+    def test_csv_only_run_matches(self, out_root, capsys):
+        run_dir = self.run_once(out_root, extra="output.formats = csv\n")
         capsys.readouterr()
         code = main(["report", "--run", str(run_dir)])
         out = capsys.readouterr().out
@@ -410,8 +399,8 @@ class TestReportVerb:
         assert "matches stored metrics.csv: yes" in out
         assert "matches stored metrics.json" not in out
 
-    def test_tampered_metrics_csv_flagged(self, workdir, capsys):
-        run_dir = self.run_once(workdir)
+    def test_tampered_metrics_csv_flagged(self, out_root, capsys):
+        run_dir = self.run_once(out_root)
         stored = run_dir / "metrics.csv"
         text = stored.read_text()
         assert "\nce," in text  # the data row starts with the method
@@ -431,17 +420,17 @@ class TestReportVerb:
         ("threshold_curve.csv", b"\xff\xfe"),
         ("distance_summary.json", b"{not json"),
     ])
-    def test_unparseable_stored_metrics_flagged(self, workdir, capsys, name, stored):
+    def test_unparseable_stored_metrics_flagged(self, out_root, capsys, name, stored):
         # the stored file is compared by bytes, never parsed (config.txt is
         # parsed: see test_non_utf8_stored_config_is_config_error)
-        run_dir = self.run_once(workdir)
+        run_dir = self.run_once(out_root)
         (run_dir / name).write_bytes(stored)
         assert self.report(run_dir, capsys) == (EXIT_MISMATCH, [
             f"matches stored {other}: {'NO' if other == name else 'yes'}"
             for other in CHECKED])
 
-    def test_non_utf8_stored_config_is_config_error(self, workdir, capsys):
-        run_dir = self.run_once(workdir)
+    def test_non_utf8_stored_config_is_config_error(self, out_root, capsys):
+        run_dir = self.run_once(out_root)
         with open(run_dir / "config.txt", "ab") as fh:
             fh.write(b"# \xff\n")
         capsys.readouterr()
@@ -461,19 +450,19 @@ class TestReportVerb:
         "0,inf,0.5,0.5\n",  # a label that no int64 holds
     ])
     @pytest.mark.filterwarnings("error")  # the error: line is all the user sees
-    def test_malformed_predictions_are_input_errors(self, workdir, capsys, rows):
-        write_config(workdir, FAST_BLOBS)
-        predictions = workdir / "predictions.csv"
+    def test_malformed_predictions_are_input_errors(self, out_root, capsys, rows):
+        write_config(out_root, FAST_BLOBS)
+        predictions = out_root / "predictions.csv"
         predictions.write_text("sample_index,label,prob_0,prob_1\n" + rows)
         capsys.readouterr()
-        assert main(["report", "--run", str(workdir)]) == EXIT_CONFIG
+        assert main(["report", "--run", str(out_root)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"error: {predictions}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("edit", ["missing", "short", "one_column", "non_number"])
     @pytest.mark.filterwarnings("error")  # the error: line is all the user sees
-    def test_bad_distance_records_are_input_errors(self, workdir, capsys, edit):
-        run_dir = self.run_once(workdir)
+    def test_bad_distance_records_are_input_errors(self, out_root, capsys, edit):
+        run_dir = self.run_once(out_root)
         records = run_dir / "distance_records.csv"
         lines = records.read_text().splitlines(keepends=True)
         if edit == "missing":
@@ -492,15 +481,15 @@ class TestReportVerb:
         assert captured.err.startswith(f"error: {records}: ")
         assert captured.out == ""
 
-    def test_non_run_directory_rejected(self, workdir, capsys):
-        code = main(["report", "--run", str(workdir)])
+    def test_non_run_directory_rejected(self, out_root, capsys):
+        code = main(["report", "--run", str(out_root)])
         assert code == EXIT_CONFIG
         assert "not a run directory" in capsys.readouterr().err
 
-    def test_report_without_stored_metrics_still_prints(self, workdir, capsys):
+    def test_report_without_stored_metrics_still_prints(self, out_root, capsys):
         # metrics.json is not rendered for a csv-only run; a rendered file
         # that is absent is a mismatch
-        run_dir = self.run_once(workdir, extra="output.formats = csv\n")
+        run_dir = self.run_once(out_root, extra="output.formats = csv\n")
         assert not (run_dir / "metrics.json").exists()
         (run_dir / "metrics.csv").unlink()
         capsys.readouterr()

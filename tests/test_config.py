@@ -39,8 +39,9 @@ def experiment_configs(draw):
     the checks allow them); output.dir is any text, and the few draws that
     ExperimentConfig rejects are discarded.
     """
-    positive, nonneg = floats(0.0, exclude_min=True), floats(0.0)
-    sigma, jitter = floats(0.0, allow_infinity=False), floats(0.0, MAX_SCALE_JITTER)
+    positive = floats(0.0, exclude_min=True, allow_infinity=False)
+    nonneg = floats(0.0, allow_infinity=False)
+    jitter = floats(0.0, MAX_SCALE_JITTER)
     method = draw(st.sampled_from(METHODS))
     n_train = draw(st.integers(10 if method == "bsm" else 2))
     train = TrainConfig(
@@ -63,7 +64,7 @@ def experiment_configs(draw):
         hidden_2=draw(st.integers(1)),
         dropout=draw(floats(0.0, 1.0, exclude_max=True)),
         soft_bootstrap=draw(st.booleans()),
-        aug_noise_sigma=draw(sigma),
+        aug_noise_sigma=draw(nonneg),
         aug_scale_jitter=draw(jitter),
     )
     estimator = EstimatorConfig(
@@ -71,8 +72,8 @@ def experiment_configs(draw):
         ensemble_size=draw(st.integers(1)),
         passes=draw(st.integers(1)),
         repeats=draw(st.integers(0)),
-        tau_inv=draw(nonneg),
-        policy_noise_sigma=draw(sigma),
+        tau_inv=draw(floats(0.0)),
+        policy_noise_sigma=draw(nonneg),
         policy_scale_jitter=draw(jitter),
     )
     analysis = AnalysisConfig(

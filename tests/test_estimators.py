@@ -18,6 +18,7 @@ from mixboot.jobs import run_jobs
 from mixboot.losses import softmax
 from mixboot.mlp import PASS_ROW_BLOCK, forward, kaiming_init
 from mixboot.prob_metrics import predictive_entropy
+from oracles import single_forward
 
 
 class FixedLogitsModel:
@@ -33,11 +34,6 @@ class FixedLogitsModel:
 
 def example_inputs(n=5, seed=0):
     return np.random.default_rng(seed).normal(size=(n, 2))
-
-
-def single_forward(model, inputs):
-    """The single-pass estimator written out: one softmax pass, dropout off."""
-    return softmax(model.predict_logits(inputs))
 
 
 class TestSingleForward:

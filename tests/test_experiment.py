@@ -33,16 +33,7 @@ from mixboot.experiment import (
 from mixboot.mlp import load_model
 from mixboot.prob_metrics import PredictionBatch
 from mixboot.version import __version__
-
-FAST_BLOBS = (
-    "method = ce\n"
-    "generator = blobs\n"
-    "generator_noise = 0.0\n"
-    "noise_rate = 0.0\n"
-    "n_train = 80\n"
-    "n_val = 20\n"
-    "max_epochs = 10\n"
-)
+from oracles import FAST_BLOBS, read_tree
 
 FAST_MOONS = (
     "method = bsm\n"
@@ -67,20 +58,6 @@ EXPECTED_FILES = (
     "predictions.csv",
     "models/model_0.txt",
 )
-
-
-@pytest.fixture
-def out_root(tmp_path, monkeypatch):
-    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
-    return tmp_path
-
-
-def read_tree(root):
-    return {
-        str(p.relative_to(root)): p.read_bytes()
-        for p in sorted(root.rglob("*"))
-        if p.is_file()
-    }
 
 
 class TestResolveOutputDir:

@@ -11,6 +11,7 @@ import pytest
 from scipy import special, stats
 
 from mixboot import _kernels
+from oracles import unit_rows
 
 
 def random_logits_targets(seed, n=200, k=4):
@@ -81,7 +82,7 @@ class TestDistanceKernelReference:
         rng = np.random.default_rng(4)
         queries = rng.normal(size=(20, 6))
         bank = rng.normal(size=(40, 6))
-        out = _kernels.min_cosine_distances(queries, bank)
+        out = _kernels.min_cosine_distances(queries, unit_rows(bank))
         qn = np.linalg.norm(queries, axis=1)
         bn = np.linalg.norm(bank, axis=1)
         sims = (queries @ bank.T) / np.outer(qn, bn)
@@ -100,7 +101,9 @@ BLOCKS_BYTES = ("import sys\n"
 
 class TestDistanceKernelBlocks:
     """A row's bits do not depend on where its batch puts it relative to
-    the fixed query blocks, nor on how many BLAS threads run."""
+    the fixed query blocks, nor on how many BLAS threads run.  These
+    banks are left unscaled: no bit checked here depends on the rows'
+    length."""
 
     def test_slices_across_a_block_boundary_match(self):
         # each query lies near one of the bank's last rows, which one

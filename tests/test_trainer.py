@@ -1,6 +1,6 @@
 """Training loop: early stopping, determinism, noise-model feedback."""
 
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -57,6 +57,14 @@ class TestTrainConfig:
             TrainConfig(patience=0)
         with pytest.raises(ConfigError):
             TrainConfig(lr_decay=0.0)
+        # an infinite rate, weight or noise once trained to non-finite
+        # activations and ended as diverged training
+        floats = [f.name for f in fields(TrainConfig) if f.type == "float"]
+        assert "alpha" in floats and "aug_noise_sigma" in floats
+        for name in floats:
+            for value in (np.inf, -np.inf, np.nan):
+                with pytest.raises(ConfigError, match=f"^{name} must be finite$"):
+                    TrainConfig(method="bsm", **{name: value})
 
     def test_defaults_valid(self):
         TrainConfig()
