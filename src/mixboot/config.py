@@ -14,6 +14,7 @@ from typing import get_args, get_origin, get_type_hints
 
 from .augment import MAX_SCALE_JITTER
 from .errors import ConfigError
+from .prob_metrics import MAX_BINS
 from .trainer import TrainConfig
 
 ESTIMATOR_KINDS = ("single", "ensemble", "mc_dropout", "tta")
@@ -58,8 +59,9 @@ class AnalysisConfig:
     thresholds: tuple[float, ...] = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
 
     def __post_init__(self):
-        if not 0.0 < self.bin_width <= 1.0:
-            raise ConfigError("analysis.bin_width must lie in (0, 1]")
+        if not 1.0 / MAX_BINS <= self.bin_width <= 1.0:
+            raise ConfigError(f"analysis.bin_width must lie in [1/{MAX_BINS}, 1] "
+                              f"(at most {MAX_BINS} reliability bins)")
         if len(self.fractions) == 0 or len(self.thresholds) == 0:
             raise ConfigError("analysis.fractions and analysis.thresholds must be nonempty")
         if not all(0.0 <= f < 1.0 for f in self.fractions):
@@ -204,13 +206,15 @@ def parse_config(text: str, overrides: list[str] | None = None) -> ExperimentCon
 
 
 def load_config(path, overrides: list[str] | None = None) -> ExperimentConfig:
-    """Parse the UTF-8 config file at ``path`` plus ``overrides``."""
+    """Parse the UTF-8 config file at ``path`` plus ``overrides``.  Without
+    overrides every error comes from the file, and names ``path``."""
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return parse_config(fh.read(), overrides)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    return parse_config(text, overrides)
+    except ConfigError as exc:
+        raise exc if overrides else ConfigError(f"{path}: {exc}") from None
 
 
 def _serialize_value(value) -> str:

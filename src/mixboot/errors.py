@@ -6,11 +6,8 @@ class MixbootError(Exception):
 
 
 class InvalidInputError(MixbootError, ValueError):
-    """An argument violates a documented precondition."""
-
-
-class UnsupportedShapeError(MixbootError, ValueError):
-    """Input has a shape the operation does not support (e.g. K != 2)."""
+    """An argument violates a documented precondition (e.g. a prediction
+    batch whose rows hold other than two class probabilities)."""
 
 
 class UndefinedMetricError(MixbootError, ValueError):

@@ -1,16 +1,16 @@
 """Uncertainty-producing predictors over trained models.
 
-Every estimator returns one N x K array: the mean of its per-pass
-softmax rows, summed in pass order by one fold so results do not depend
-on scheduling.  The uncertainty score, the predictive entropy of those
-rows, and their correctness belong to ``prob_metrics.PredictionBatch``.
+Every estimator returns one N x K array: ``sum(rows) / count`` of its
+per-pass softmax rows, added left to right in pass order so results do
+not depend on scheduling (the sum's start, 0, changes no bit of a row
+with no -0.0 in it, which a softmax never has).  The uncertainty score,
+the predictive entropy of those rows, and their correctness belong to
+``prob_metrics.PredictionBatch``.
 MC dropout and TTA draw their randomness from the seed material they are
 given, never from a caller's generator.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterable
 
 import numpy as np
 
@@ -28,16 +28,6 @@ from .mlp import MlpModel, dropout_draws, forward, hidden1, hidden_buffers
 MC_FORK_MIN_ROW_PASSES = 32768
 
 
-def _fold(results: Iterable[np.ndarray], shape: tuple[int, int]) -> np.ndarray:
-    """Mean of the per-pass probability rows, summed in pass order."""
-    total = np.zeros(shape)
-    count = 0
-    for probs in results:
-        total += probs
-        count += 1
-    return total / count
-
-
 def ensemble_predict(models: list[MlpModel], inputs: np.ndarray) -> np.ndarray:
     """Arithmetic mean of member probabilities, dropout off.  One member is
     the single-pass estimator."""
@@ -46,8 +36,7 @@ def ensemble_predict(models: list[MlpModel], inputs: np.ndarray) -> np.ndarray:
     dims = models[0].dims
     if any(m.dims != dims for m in models):
         raise InvalidInputError("ensemble members must share input/output shapes")
-    return _fold((softmax(m.predict_logits(inputs)) for m in models),
-                 (len(inputs), dims[3]))
+    return sum(softmax(m.predict_logits(inputs)) for m in models) / len(models)
 
 
 def mc_dropout_predict(
@@ -74,7 +63,7 @@ def mc_dropout_predict(
     x = np.asarray(inputs, dtype=np.float64)
     hidden = hidden1(model, x)
     # allocated before any fork: a worker faults the buffers in once for
-    # all its passes, and its slots are the ones this process folds
+    # all its passes, and its slots are the ones this process sums
     a1, a2 = hidden_buffers(model, len(x))
     slots = shared_array((passes, len(x), model.dims[3]))
     draws = dropout_draws(model, len(x))
@@ -87,7 +76,7 @@ def mc_dropout_predict(
 
     run = map if passes * len(x) < MC_FORK_MIN_ROW_PASSES else run_jobs
     list(run(one_pass, range(passes)))
-    return _fold(slots, slots.shape[1:])
+    return sum(slots) / passes
 
 
 def tta_predict(
@@ -109,5 +98,5 @@ def tta_predict(
     if repeats == 0:
         return ensemble_predict([model], inputs)
     rng = np.random.default_rng(seed)
-    return _fold((softmax(model.predict_logits(perturb(inputs, policy, rng)))
-                  for _ in range(repeats)), (len(inputs), model.dims[3]))
+    return sum(softmax(model.predict_logits(perturb(inputs, policy, rng)))
+               for _ in range(repeats)) / repeats

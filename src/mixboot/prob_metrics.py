@@ -1,9 +1,10 @@
 """Stateless metric kernels over batches of class-probability predictions.
 
-Entropy, expected calibration error with reliability bins, binary NLL,
-Brier score, ROC-AUC with the average ranks behind it, and accuracy.  All
-functions are pure and safe to call concurrently; sums accumulate in a
-fixed order within one call.
+Entropy of any number of classes; over a two-class ``PredictionBatch``,
+expected calibration error with reliability bins, NLL, Brier score,
+ROC-AUC with the average ranks behind it, and accuracy.  All functions
+are pure and safe to call concurrently; sums accumulate in a fixed order
+within one call.
 """
 
 from __future__ import annotations
@@ -13,10 +14,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError, UndefinedMetricError, UnsupportedShapeError
+from .data import N_CLASSES
+from .errors import InvalidInputError, UndefinedMetricError
 
 ROW_SUM_TOL = 1e-6
 LOG_EPS = 1e-12
+# the narrowest bin width, 1 / MAX_BINS, is the double 0.001: it lies just
+# above 1/1000, so ceil(1 / width) <= MAX_BINS exactly for widths from it
+MAX_BINS = 1000
 
 
 def _check_rows(p: np.ndarray) -> None:
@@ -38,13 +43,15 @@ def _entropy_rows(p: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PredictionBatch:
-    """N >= 1 rows of K class probabilities plus N integer labels.
+    """N >= 1 rows of ``data.N_CLASSES`` (2) class probabilities plus N
+    integer labels.
 
-    The one check of a prediction set: rows must sum to 1 within 1e-6,
-    every probability must lie in [0, 1], and every label must be an
-    integer class index (checked before the labels become int64, so a
-    NaN, infinite or fractional label is refused, not cast).  Each row's
-    ``uncertainty`` and ``correct`` are computed once, on first read.
+    The one check of a prediction set: rows must hold two probabilities
+    summing to 1 within 1e-6, every probability must lie in [0, 1], and
+    every label must be an integer class index (checked before the labels
+    become int64, so a NaN, infinite or fractional label is refused, not
+    cast).  Each row's ``uncertainty`` and ``correct`` are computed once,
+    on first read.
     """
 
     probs: np.ndarray
@@ -56,6 +63,8 @@ class PredictionBatch:
         n, k = self.probs.shape
         if n == 0:
             raise InvalidInputError("a prediction batch needs at least one row")
+        if k != N_CLASSES:
+            raise InvalidInputError(f"rows must hold {N_CLASSES} class probabilities, got {k}")
         labels = np.asarray(self.labels)
         if labels.shape != (n,):
             raise InvalidInputError(f"labels must have length {n}, got shape {labels.shape}")
@@ -118,9 +127,9 @@ def predictive_entropy(probs: np.ndarray) -> np.ndarray:
 
 
 def reliability_bins(batch: PredictionBatch, bin_width: float = 0.1) -> ReliabilityBins:
-    """Bin samples by confidence into (m*w, (m+1)*w] intervals."""
-    if not 0.0 < bin_width <= 1.0:
-        raise InvalidInputError("bin_width must lie in (0, 1]")
+    """Bin samples by confidence into at most MAX_BINS (m*w, (m+1)*w] intervals."""
+    if not 1.0 / MAX_BINS <= bin_width <= 1.0:
+        raise InvalidInputError(f"bin_width must lie in [1/{MAX_BINS}, 1]")
     n_bins = int(np.ceil(1.0 / bin_width))
     edges = np.minimum(bin_width * np.arange(n_bins + 1), 1.0)
     conf = batch.confidences()
@@ -148,9 +157,7 @@ def expected_calibration_error(
 
 
 def negative_log_likelihood_binary(batch: PredictionBatch) -> float:
-    """Mean -ln p(true class), binary only, probabilities clamped by 1e-12."""
-    if batch.k != 2:
-        raise UnsupportedShapeError(f"binary NLL requires K = 2, got K = {batch.k}")
+    """Mean -ln p(true class), probabilities clamped by 1e-12."""
     p_true = batch.probs[np.arange(batch.n), batch.labels]
     p_true = np.clip(p_true, LOG_EPS, 1.0 - LOG_EPS)
     return float(-np.log(p_true).mean())

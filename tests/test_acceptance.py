@@ -1,8 +1,9 @@
 """Acceptance gate: nine criteria, one pass/fail line printed per criterion.
 
-Criteria 5-8 share one fleet of models (10 seeds x {ce, bsm}) trained on the
-noisy two-moons fixture; the fleet is built once per module.  Run with
-`pytest tests/test_acceptance.py -v -s` to see the criterion lines inline.
+Criteria 5-8 share one fleet of models (10 seeds x {ce, bsm, ce_aug})
+trained on the noisy two-moons fixture; the fleet is built once per module.
+Run with `pytest tests/test_acceptance.py -v -s` to see the criterion lines
+inline.
 """
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from mixboot.analysis import distance_records, referral_curve, spearman
 from mixboot.augment import PerturbationPolicy, beta_from_gammas
-from mixboot.config import parse_config
+from mixboot.config import EstimatorConfig, parse_config
 from mixboot.estimators import ensemble_predict, mc_dropout_predict, tta_predict
 from mixboot.experiment import run_experiment, run_sweep
 from mixboot.jobs import run_jobs
@@ -51,11 +52,11 @@ def check(number, description, ok):
 
 @pytest.fixture(scope="module")
 def fleet():
-    """Models, logs, and datasets for 10 seeds x {ce, bsm}, trained by the
-    experiment job runner (in parallel where it can fork)."""
+    """Models, logs, and datasets for 10 seeds x {ce, bsm, ce_aug}, trained
+    by the experiment job runner (in parallel where it can fork)."""
     datasets, keys, jobs = {}, [], []
-    # method-major order, so a round-robin split mixes ce and bsm jobs
-    for method in ("ce", "bsm"):
+    # method-major order, so a round-robin split mixes the methods' jobs
+    for method in ("ce", "bsm", "ce_aug"):
         for seed in range(N_SEEDS):
             config = TrainConfig(
                 method=method, noise_rate=0.2, max_epochs=100, seed=seed
@@ -242,10 +243,15 @@ def test_criterion_4_reduction_identities():
 
 def test_criterion_5_bsm_halves_calibration_error(fleet):
     """ECE(bsm) < ECE(baseline) per seed, and the median at most 0.6x, for
-    each baseline on the fleet's ce models: the single model, and MC
-    dropout of 20 passes from a run's seed material ``[seed, 201]``."""
+    each baseline: the fleet's ce models single and with MC dropout of 20
+    passes from a run's seed material ``[seed, 201]``, and its ce_aug
+    models with TTA of 8 repeats of the default perturbation policy from a
+    run's seed material ``[seed, 202]``."""
     models, _, datasets = fleet
-    eces = {"bsm": [], "ce single": [], "ce mc_dropout x20": []}
+    defaults = EstimatorConfig()
+    policy = PerturbationPolicy(defaults.policy_noise_sigma, defaults.policy_scale_jitter)
+    baselines = ("ce single", "ce mc_dropout x20", "ce_aug tta x8")
+    eces = {name: [] for name in ("bsm", *baselines)}
     for seed in range(N_SEEDS):
         ds = datasets[seed]
         ce = models[("ce", seed)]
@@ -254,12 +260,14 @@ def test_criterion_5_bsm_halves_calibration_error(fleet):
             "ce single": single_forward(ce, ds.val_inputs),
             "ce mc_dropout x20": mc_dropout_predict(ce, ds.val_inputs, 20,
                                                     seed=[seed, 201]),
+            "ce_aug tta x8": tta_predict(models[("ce_aug", seed)], ds.val_inputs,
+                                         policy, 8, seed=[seed, 202]),
         }
         for name, output in outputs.items():
             batch = PredictionBatch(output, ds.val_labels)
             eces[name].append(expected_calibration_error(batch)[0])
     failed = []
-    for baseline in ("ce single", "ce mc_dropout x20"):
+    for baseline in baselines:
         wins = sum(b < c for b, c in zip(eces["bsm"], eces[baseline]))
         ratio = float(np.median(eces["bsm"]) / np.median(eces[baseline]))
         description = (f"vs {baseline}: ece(bsm) lower in {wins}/10 seeds, "

@@ -266,6 +266,12 @@ DERIVED = ("config.txt", "metrics.json", "metrics.csv", "reliability_bins.csv",
 CHECKED = (*DERIVED, "predictions.csv", "distance_records.csv")
 
 
+def edit_rows(text, edit):
+    """``text`` with ``edit`` applied to the cell list of every data row."""
+    header, *rows = text.splitlines()
+    return "\n".join([header, *(",".join(edit(row.split(","))) for row in rows)]) + "\n"
+
+
 def bump_last_digit(text):
     i = max(i for i, ch in enumerate(text) if ch.isdigit())
     return text[:i] + str((int(text[i]) + 1) % 10) + text[i + 1:]
@@ -458,6 +464,29 @@ class TestReportVerb:
         assert main(["report", "--run", str(out_root)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"error: {predictions}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("predictions.csv", lambda text: edit_rows(text, lambda c: [c[0], "0", "1.0"]),
+         "rows must hold 2 class probabilities, got 1"),
+        ("predictions.csv", lambda text: edit_rows(text, lambda c: c + ["0.0"]),
+         "rows must hold 2 class probabilities, got 3"),
+        ("config.txt", lambda text: text + "analysis.bin_width = 0.0001\n",
+         "analysis.bin_width must lie in [1/1000, 1] (at most 1000 reliability bins)"),
+    ], ids=["one_class", "three_classes", "bin_width_1e-4"])
+    @pytest.mark.filterwarnings("error")  # the error: line is all the user sees
+    def test_malformed_run_directories_are_input_errors(self, out_root, capsys, name,
+                                                        edit, message):
+        # one probability column once ended in an IndexError traceback (exit
+        # 1), three in a message naming no file, and a bin width of 1e-4 was
+        # rendered as 10000 bins (1e-9 asked for 8 GB per bin array)
+        run_dir = self.run_once(out_root)
+        stored = run_dir / name
+        stored.write_text(edit(stored.read_text()))
+        capsys.readouterr()
+        assert main(["report", "--run", str(run_dir)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {stored}: {message}\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("edit", ["missing", "short", "one_column", "non_number"])
     @pytest.mark.filterwarnings("error")  # the error: line is all the user sees

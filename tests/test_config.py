@@ -1,6 +1,7 @@
 """Config parsing, canonical serialization and hashing."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, reject, settings
@@ -21,6 +22,7 @@ from mixboot.config import (
 )
 from mixboot.data import GENERATORS
 from mixboot.errors import ConfigError
+from mixboot.prob_metrics import MAX_BINS
 from mixboot.trainer import METHODS, TrainConfig
 
 MINIMAL = "method = ce\n"
@@ -77,7 +79,7 @@ def experiment_configs(draw):
         policy_scale_jitter=draw(jitter),
     )
     analysis = AnalysisConfig(
-        bin_width=draw(floats(0.0, 1.0, exclude_min=True)),
+        bin_width=draw(floats(1.0 / MAX_BINS, 1.0)),
         fractions=tuple(draw(st.lists(floats(0.0, 1.0, exclude_max=True), min_size=1))),
         thresholds=tuple(draw(st.lists(floats(), min_size=1))),
     )
@@ -268,6 +270,23 @@ class TestSectionValidation:
     def test_analysis_bounds(self):
         with pytest.raises(ConfigError):
             AnalysisConfig(fractions=())
+
+    def test_bin_width_bound_is_the_bin_cap(self):
+        # 1 / MAX_BINS makes MAX_BINS bins, the next width down one more
+        AnalysisConfig(bin_width=1.0 / MAX_BINS)
+        for width in (math.nextafter(1.0 / MAX_BINS, 0.0), 1e-9, 5e-324):
+            with pytest.raises(ConfigError, match=r"bin_width must lie in \[1/1000, 1\]"):
+                AnalysisConfig(bin_width=width)
+
+    def test_load_errors_name_the_file(self, tmp_path):
+        # without overrides every error is the file's; with them it may
+        # be an override's, and names that instead (see TestParseConfig)
+        path = tmp_path / "config.txt"
+        path.write_text(MINIMAL + "analysis.bin_width = 1e-9\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: analysis.bin_width"):
+            load_config(path)
+        with pytest.raises(ConfigError, match="^analysis.bin_width must"):
+            load_config(path, ["seed = 1"])
 
     @pytest.mark.filterwarnings("error")
     def test_nan_threshold_rejected(self):

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats
 
-from mixboot.errors import InvalidInputError, UndefinedMetricError, UnsupportedShapeError
+from mixboot.errors import InvalidInputError, UndefinedMetricError
 from mixboot.prob_metrics import (
+    MAX_BINS,
     PredictionBatch,
     accuracy,
     brier_score,
@@ -78,16 +79,22 @@ class TestPredictionBatch:
         batch = PredictionBatch(np.array([[0.5, 0.5]]), np.array([1]))
         assert batch.predictions()[0] == 0
 
-    @pytest.mark.parametrize("k", [2, 3, 7])
-    def test_row_facts_have_the_oracle_bits(self, k):
-        # one-hot rows (entropy -0.0), zero entries and argmax ties included
-        rng = np.random.default_rng(k)
-        probs = rng.dirichlet(np.ones(k), size=300)
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_two_classes_only(self, k):
+        # every metric of a batch is binary: NLL, and the AUC and referral
+        # curves that score class 1
+        with pytest.raises(InvalidInputError, match=f"2 class probabilities, got {k}"):
+            PredictionBatch(np.full((2, k), 1.0 / k), np.array([0, 0]))
+
+    def test_row_facts_have_the_oracle_bits(self):
+        # one-hot rows (entropy -0.0), zero entries and an argmax tie included
+        rng = np.random.default_rng(2)
+        probs = rng.dirichlet(np.ones(2), size=300)
         probs[rng.random(300) < 0.3, 0] = 0.0
         probs /= probs.sum(axis=1, keepdims=True)
-        probs[:k] = np.eye(k)
-        probs[k] = 1.0 / k
-        labels = rng.integers(k, size=300)
+        probs[:2] = np.eye(2)
+        probs[2] = 0.5
+        labels = rng.integers(2, size=300)
         batch = PredictionBatch(probs, labels)
         assert batch.uncertainty.tobytes() == predictive_entropy(probs).tobytes()
         correct = (probs.argmax(axis=1) == labels).astype(np.float64)
@@ -161,10 +168,27 @@ class TestReliabilityAndEce:
 
     def test_counts_sum_to_n(self):
         rng = np.random.default_rng(3)
-        probs = rng.dirichlet(np.ones(3), size=100)
-        batch = PredictionBatch(probs, rng.integers(0, 3, size=100))
+        probs = rng.dirichlet(np.ones(2), size=100)
+        batch = PredictionBatch(probs, rng.integers(0, 2, size=100))
         bins = reliability_bins(batch, bin_width=0.1)
         assert bins.counts.sum() == 100
+
+    def test_narrowest_width_makes_max_bins(self):
+        bins = reliability_bins(self._hand_batch(), bin_width=1.0 / MAX_BINS)
+        assert len(bins.counts) == MAX_BINS
+        assert bins.counts.sum() == 4
+
+    @pytest.mark.parametrize("bin_width", [
+        np.nextafter(1.0 / MAX_BINS, 0.0), 1e-9, 5e-324, 0.0, -0.1,
+        np.nextafter(1.0, 2.0), np.nan])
+    def test_width_past_the_bin_cap_refused(self, monkeypatch, bin_width):
+        # refused before anything is allocated: 1e-9 would ask for ~8 GB
+        # per array, and a subnormal width for an infinite bin count
+        batch = self._hand_batch()
+        monkeypatch.setattr(np, "arange", None)
+        monkeypatch.setattr(np, "bincount", None)
+        with pytest.raises(InvalidInputError, match="bin_width must lie in"):
+            reliability_bins(batch, bin_width)
 
     def test_perfectly_calibrated_ece_zero(self):
         # constant confidence c with accuracy exactly c in its bin
@@ -186,11 +210,6 @@ class TestNll:
         nll = negative_log_likelihood_binary(PredictionBatch(probs, labels))
         assert abs(nll - NLL_09_06) <= 1e-9
 
-    def test_binary_only(self):
-        probs = np.full((2, 3), 1 / 3)
-        with pytest.raises(UnsupportedShapeError):
-            negative_log_likelihood_binary(PredictionBatch(probs, np.array([0, 1])))
-
     def test_clipped_at_floor(self):
         probs = np.array([[1.0, 0.0]])
         nll = negative_log_likelihood_binary(PredictionBatch(probs, np.array([1])))
@@ -208,9 +227,9 @@ class TestBrier:
 
     def test_bounds(self):
         rng = np.random.default_rng(5)
-        probs = rng.dirichlet(np.ones(4), size=50)
-        batch = PredictionBatch(probs, rng.integers(0, 4, size=50))
-        assert 0.0 <= brier_score(batch) <= 2.0
+        probs = rng.dirichlet(np.ones(2), size=50)
+        batch = PredictionBatch(probs, rng.integers(0, 2, size=50))
+        assert 0.0 <= brier_score(batch) <= 1.0
 
 
 class TestRocAuc:
