@@ -86,15 +86,21 @@ class TestPredictionBatch:
         with pytest.raises(InvalidInputError, match=f"2 class probabilities, got {k}"):
             PredictionBatch(np.full((2, k), 1.0 / k), np.array([0, 0]))
 
-    def test_row_facts_have_the_oracle_bits(self):
-        # one-hot rows (entropy -0.0), zero entries and an argmax tie included
-        rng = np.random.default_rng(2)
-        probs = rng.dirichlet(np.ones(2), size=300)
+    @pytest.mark.parametrize("k", [2, 3, 7])
+    def test_row_facts_have_the_oracle_bits(self, k):
+        # one-hot rows (entropy -0.0), zero entries and argmax ties included;
+        # rows of other than two classes are refused before any row fact
+        rng = np.random.default_rng(k)
+        probs = rng.dirichlet(np.ones(k), size=300)
         probs[rng.random(300) < 0.3, 0] = 0.0
         probs /= probs.sum(axis=1, keepdims=True)
-        probs[:2] = np.eye(2)
-        probs[2] = 0.5
-        labels = rng.integers(2, size=300)
+        probs[:k] = np.eye(k)
+        probs[k] = 1.0 / k
+        labels = rng.integers(k, size=300)
+        if k != 2:
+            with pytest.raises(InvalidInputError, match=f"2 class probabilities, got {k}"):
+                PredictionBatch(probs, labels)
+            return
         batch = PredictionBatch(probs, labels)
         assert batch.uncertainty.tobytes() == predictive_entropy(probs).tobytes()
         correct = (probs.argmax(axis=1) == labels).astype(np.float64)
@@ -209,6 +215,11 @@ class TestNll:
         labels = np.array([1, 0])
         nll = negative_log_likelihood_binary(PredictionBatch(probs, labels))
         assert abs(nll - NLL_09_06) <= 1e-9
+
+    def test_binary_only(self):
+        probs = np.full((2, 3), 1 / 3)
+        with pytest.raises(InvalidInputError, match="2 class probabilities, got 3"):
+            negative_log_likelihood_binary(PredictionBatch(probs, np.array([0, 1])))
 
     def test_clipped_at_floor(self):
         probs = np.array([[1.0, 0.0]])
