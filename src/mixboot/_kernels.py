@@ -21,6 +21,8 @@ from functools import reduce
 
 import numpy as np
 
+from .losses import fold_classes, softmax_parts
+
 
 # ---------------------------------------------------------------------------
 # kernel 1: per-row softmax cross-entropy against arbitrary target rows
@@ -29,18 +31,14 @@ import numpy as np
 def loss_from_targets(logits: np.ndarray, targets: np.ndarray):
     """value_i = -t_i . log_softmax(logits_i); grad_i = softmax(logits_i) - t_i.
 
-    It calls the ufunc reductions directly (``ndarray.max``/``sum`` reach
-    them through a Python wrapper) and reuses its temporaries in place;
-    the bits are those of the plain expressions.
+    ``losses.softmax_parts`` and ``fold_classes``, temporaries reused in place.
     """
-    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
-    e = np.exp(shifted)
-    denom = np.add.reduce(e, axis=1, keepdims=True)
-    shifted -= np.log(denom)
+    shifted, e, total = softmax_parts(logits)
+    shifted -= np.log(total)[:, None]
     shifted *= targets
-    values = np.add.reduce(shifted, axis=1)
+    values = fold_classes(np.add, shifted)
     np.negative(values, out=values)
-    e /= denom
+    e /= total[:, None]
     grads = np.subtract(e, targets, out=e)
     return values, grads
 

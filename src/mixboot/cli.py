@@ -17,6 +17,7 @@ from .experiment import (
     read_distances,
     read_predictions,
     render_artifacts,
+    row_table_heads,
     run_experiment,
     run_sweep,
 )
@@ -88,10 +89,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    """Check the rendered files by their bytes, then the derived columns of
-    the row tables (sample_index, uncertainty, correct) by their bits: the
-    run writes floats by their round-tripping repr, entropy is finite here,
-    and a one-hot row's is -0.0, which its repr keeps."""
+    """Check the rendered files and the row tables' heads by their bytes,
+    then the tables' derived columns (sample_index, uncertainty, correct)
+    by their bits: floats are written by their round-tripping repr, entropy
+    is finite here, and a one-hot row's is -0.0, which its repr keeps."""
     run_dir = Path(args.run)
     if not is_run_dir(run_dir):
         raise MixbootError(
@@ -116,8 +117,11 @@ def _cmd_report(args) -> int:
     stored = np.array([index, records[0], records[2], records[3]])
     derived = np.array([rows, rows, batch.uncertainty, batch.correct])
     same = (stored.view(np.int64) == derived.view(np.int64)).all(axis=1)
-    verdicts["predictions.csv"] = "yes" if same[0] else "NO"
-    verdicts["distance_records.csv"] = "yes" if same[1:].all() else "NO"
+    for (name, head), rows_same in zip(row_table_heads(report).items(),
+                                       (same[0], same[1:].all())):
+        with open(run_dir / name, "rb") as fh:
+            head_same = fh.read(len(head)) == head.encode()
+        verdicts[name] = "yes" if rows_same and head_same else "NO"
     for name, verdict in verdicts.items():
         print(f"matches stored {name}: {verdict}")
     return EXIT_OK if set(verdicts.values()) == {"yes"} else EXIT_MISMATCH

@@ -129,16 +129,12 @@ def _convert(key: str, raw: str, typ):
         if low in _FALSE_WORDS:
             return False
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-    if typ is int:
+    if typ in (int, float):
         try:
-            return int(raw)
+            return typ(raw)
         except ValueError:
-            raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
-    if typ is float:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
+            kind = "an integer" if typ is int else "a number"
+            raise ConfigError(f"{key}: expected {kind}, got {raw!r}") from None
     if get_origin(typ) is tuple:
         item = get_args(typ)[0]
         parts = [p.strip() for p in raw.split(",") if p.strip() != ""]

@@ -28,7 +28,7 @@ from .analysis import (
 )
 from .augment import PerturbationPolicy
 from .config import ExperimentConfig, canonical_text, config_hash, parse_config
-from .data import Dataset
+from .data import N_CLASSES, Dataset
 from .errors import InvalidInputError, MixbootError, UndefinedMetricError
 from .estimators import ensemble_predict, mc_dropout_predict, tta_predict
 from .jobs import one_blas_thread, run_jobs
@@ -61,6 +61,9 @@ METRICS_CSV_COLUMNS = (
     "method", "noise_rate", "estimator", "roc_auc", "ece", "brier",
     "nll", "accuracy", "seed",
 )
+# the row tables' headers, which the run writes and report checks
+PREDICTIONS_COLUMNS = ("sample_index", "label", *(f"prob_{j}" for j in range(N_CLASSES)))
+DISTANCE_RECORDS_COLUMNS = ("sample_index", "min_cosine_distance", "uncertainty", "correct")
 
 
 @dataclass(frozen=True)
@@ -291,6 +294,13 @@ def read_distances(path, n: int) -> np.ndarray:
     return records
 
 
+def row_table_heads(report: MetricsReport) -> dict[str, str]:
+    """The lines before each row table's first row, by file name: its
+    header, after the provenance lines in distance_records.csv."""
+    return {"predictions.csv": _table(PREDICTIONS_COLUMNS, ()),
+            "distance_records.csv": _table(DISTANCE_RECORDS_COLUMNS, (), report.provenance)}
+
+
 def is_run_dir(path: Path) -> bool:
     """Whether ``path`` holds a run: its config.txt and predictions.csv."""
     return (path / "config.txt").is_file() and (path / "predictions.csv").is_file()
@@ -361,12 +371,11 @@ def _evaluate_and_write(config: ExperimentConfig, out: Path, dataset: Dataset,
     _write(out / "train_log.json",
            _json_text({"models": [asdict(log) for log in logs]}))
     _write(out / "distance_records.csv", _table(
-        ("sample_index", "min_cosine_distance", "uncertainty", "correct"),
+        DISTANCE_RECORDS_COLUMNS,
         (range(batch.n), distances, batch.uncertainty, batch.correct.astype(bool)),
         report.provenance))
     _write(out / "predictions.csv", _table(
-        ("sample_index", "label", *(f"prob_{j}" for j in range(batch.k))),
-        (range(batch.n), batch.labels, *batch.probs.T)))
+        PREDICTIONS_COLUMNS, (range(batch.n), batch.labels, *batch.probs.T)))
     models_dir = out / "models"
     models_dir.mkdir()
     for m, model in enumerate(models):

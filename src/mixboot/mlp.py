@@ -175,14 +175,6 @@ def hidden1(model: MlpModel, x: np.ndarray, out: np.ndarray | None = None) -> np
     return a1
 
 
-def _output_layer(model: MlpModel, a2: np.ndarray) -> np.ndarray:
-    logits = a2 @ model.w3
-    logits += model.b3
-    if not np.isfinite(logits).all():
-        raise TrainingDivergenceError("non-finite activations in forward pass")
-    return logits
-
-
 def forward(
     model: MlpModel,
     inputs: np.ndarray,
@@ -228,8 +220,12 @@ def forward(
         np.maximum(block, 0.0, out=block)
         if use_dropout:
             block *= next(masks)
+    logits = a2 @ model.w3
+    logits += model.b3
+    if not np.isfinite(logits).all():
+        raise TrainingDivergenceError("non-finite activations in forward pass")
     scale = 1.0 / (1.0 - model.dropout) if use_dropout else 1.0
-    return _output_layer(model, a2), a2, ForwardCache(x, a1, a2, scale)
+    return logits, a2, ForwardCache(x, a1, a2, scale)
 
 
 def backward(
@@ -368,11 +364,14 @@ def load_model(path) -> MlpModel:
     def malformed(i: int, why: str) -> InvalidInputError:
         return InvalidInputError(f"malformed model file {path} at line {i + 1}: {why}")
 
-    def numbers(i: int, parse, skip: int = 0) -> list:
-        # the values on line i after its first ``skip`` tokens: at least one
+    def numbers(i: int, parse, head: tuple = ()) -> list:
+        # the values on line i after the tokens ``head`` it starts with: at least one
         if i >= len(lines):
             raise malformed(i, "unexpected end of file")
-        tokens = lines[i].split()[skip:]
+        tokens = lines[i].split()
+        if tokens[:len(head)] != list(head):
+            raise malformed(i, f"expected {' '.join(head)!r}")
+        tokens = tokens[len(head):]
         if not tokens:
             raise malformed(i, "no values")
         try:
@@ -380,10 +379,10 @@ def load_model(path) -> MlpModel:
         except ValueError as exc:
             raise malformed(i, str(exc)) from None
 
-    dims = tuple(numbers(1, int, skip=1))
-    dropout = numbers(2, float, skip=1)[0]
-    if not 0.0 <= dropout < 1.0:  # NaN fails too
-        raise malformed(2, f"dropout {dropout} must lie in [0, 1)")
+    dims = tuple(numbers(1, int, ("dims",)))
+    dropout, *extra = numbers(2, float, ("dropout",))
+    if extra or not 0.0 <= dropout < 1.0:  # NaN fails too
+        raise malformed(2, "dropout must be one value in [0, 1)")
     params = {}
     i = 3
     while i < len(lines):
@@ -395,7 +394,7 @@ def load_model(path) -> MlpModel:
             raise malformed(i, f"unknown parameter {name!r}")
         if name in params:
             raise malformed(i, f"repeated parameter {name!r}")
-        shape = tuple(numbers(i, int, skip=2))
+        shape = tuple(numbers(i, int, ("param", name)))
         if len(shape) > 2 or min(shape) < 1:
             raise malformed(i, f"bad shape {shape}")
         n_rows, n_cols = shape if len(shape) == 2 else (1, shape[0])
@@ -409,6 +408,6 @@ def load_model(path) -> MlpModel:
         i += 1 + n_rows
     shapes = [params[name].shape if name in params else None for name in PARAM_NAMES]
     if len(dims) != 4 or shapes != param_shapes(dims):
-        raise InvalidInputError("model file dims header disagrees with parameters")
+        raise malformed(1, "dims header disagrees with parameters")
     flat = np.concatenate([params[name].ravel() for name in PARAM_NAMES])
     return MlpModel(flat, dims, dropout=dropout)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .data import N_CLASSES
 from .errors import InvalidInputError, UndefinedMetricError
+from .losses import batch_onehot, fold_classes
 
 ROW_SUM_TOL = 1e-6
 LOG_EPS = 1e-12
@@ -25,20 +26,20 @@ MAX_BINS = 1000
 
 
 def _check_rows(p: np.ndarray) -> None:
-    """Reject anything but an N x K float array of probability rows."""
-    if p.ndim != 2:
+    """Reject anything but an N x K float array of probability rows, K >= 1."""
+    if p.ndim != 2 or p.shape[1] == 0:
         raise InvalidInputError(f"probs must be N x K, got shape {p.shape}")
     # NaN fails both comparisons, so a NaN probability is refused here
     if not ((p >= 0.0) & (p <= 1.0)).all():
         raise InvalidInputError("probabilities must lie in [0, 1]")
-    if np.any(np.abs(p.sum(axis=1) - 1.0) > ROW_SUM_TOL):
+    if np.any(np.abs(fold_classes(np.add, p) - 1.0) > ROW_SUM_TOL):
         raise InvalidInputError("every probability row must sum to 1 within 1e-6")
 
 
 def _entropy_rows(p: np.ndarray) -> np.ndarray:
     """``predictive_entropy`` of rows that ``_check_rows`` passed."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return -np.where(p > 0.0, p * np.log(p), 0.0).sum(axis=1)
+        return -fold_classes(np.add, np.where(p > 0.0, p * np.log(p), 0.0))
 
 
 @dataclass
@@ -83,7 +84,7 @@ class PredictionBatch:
 
     def confidences(self) -> np.ndarray:
         """Per-sample confidence: the maximum class probability."""
-        return self.probs.max(axis=1)
+        return fold_classes(np.maximum, self.probs)
 
     def predictions(self) -> np.ndarray:
         """Predicted class per sample, lowest index winning ties."""
@@ -165,9 +166,8 @@ def negative_log_likelihood_binary(batch: PredictionBatch) -> float:
 
 def brier_score(batch: PredictionBatch) -> float:
     """Mean over samples of K^-1 * sum_k (onehot_k - p_k)^2."""
-    onehot = np.zeros_like(batch.probs)
-    onehot[np.arange(batch.n), batch.labels] = 1.0
-    return float(((onehot - batch.probs) ** 2).sum(axis=1).mean() / batch.k)
+    sq = (batch_onehot(batch.labels, batch.k) - batch.probs) ** 2
+    return float(fold_classes(np.add, sq).mean() / batch.k)
 
 
 def rank_average(x: np.ndarray) -> np.ndarray:

@@ -7,9 +7,11 @@ per-batch forms it replaced, written out as they ran, so the tests can
 check that the hoisted forms give the same bits and leave every random
 generator in the same state.  ``bsm_targets`` is the one helper that
 calls the package: its per-step target builder fed from labels, with
-the per-epoch half computed on the spot.  ``reference_softmax`` is the
-softmax written with reductions along the class axis, as the package
-ran it before it went a class column at a time.  ``single_forward`` and
+the per-epoch half computed on the spot.  ``reference_softmax``,
+``reference_loss_from_targets`` and the ``reference_`` row facts of a
+prediction batch are written with reductions along the class axis, as
+the package ran them before they went a class column at a time through
+``losses.fold_classes``.  ``single_forward`` and
 ``unit_rows`` write out the single-pass estimator and the distance
 pass's bank scaling.  ``FAST_BLOBS`` and ``read_tree`` are the config
 body and the output-tree reader that several test modules share.
@@ -72,6 +74,37 @@ def reference_softmax(logits):
     z = np.asarray(logits, dtype=np.float64)
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def reference_loss_from_targets(logits, targets):
+    """The loss kernel with its max and sums reduced along the class axis."""
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    e = np.exp(shifted)
+    denom = np.add.reduce(e, axis=1, keepdims=True)
+    shifted -= np.log(denom)
+    shifted *= targets
+    values = np.add.reduce(shifted, axis=1)
+    np.negative(values, out=values)
+    e /= denom
+    return values, np.subtract(e, targets, out=e)
+
+
+def reference_entropy(probs):
+    """Predictive entropy of probability rows, summed along the class axis."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -np.where(probs > 0.0, probs * np.log(probs), 0.0).sum(axis=1)
+
+
+def reference_confidences(probs):
+    """The maximum class probability of each row, along the class axis."""
+    return probs.max(axis=1)
+
+
+def reference_brier(probs, labels):
+    """Brier score, its one-hot rows set by index and summed along the class axis."""
+    onehot = np.zeros_like(probs)
+    onehot[np.arange(len(labels)), labels] = 1.0
+    return float(((onehot - probs) ** 2).sum(axis=1).mean() / probs.shape[1])
 
 
 def reference_sample_gammas(alpha, n, rng):

@@ -364,6 +364,25 @@ class TestReportVerb:
             f"matches stored {other}: {'NO' if other == name else 'yes'}"
             for other in CHECKED])
 
+    @pytest.mark.parametrize("name, edit", [
+        ("predictions.csv", lambda text: text.replace(
+            "sample_index,label,prob_0,prob_1\n", "sample_index,label,prob_0,prob_x\n", 1)),
+        ("distance_records.csv",
+         lambda text: "# config_hash=000000000000\n" + text.split("\n", 1)[1]),
+        ("distance_records.csv", lambda text: text.replace(",correct\n", ",correctness\n", 1)),
+    ], ids=["predictions_header", "distance_records_provenance", "distance_records_header"])
+    def test_tampered_row_table_head_flagged(self, out_root, capsys, name, edit):
+        # the lines before the rows are read by no parser, so they are
+        # compared by their bytes with the heads this run's config renders
+        run_dir = self.run_once(out_root)
+        table = run_dir / name
+        text = table.read_text()
+        assert edit(text) != text
+        table.write_text(edit(text))
+        assert self.report(run_dir, capsys) == (EXIT_MISMATCH, [
+            f"matches stored {other}: {'NO' if other == name else 'yes'}"
+            for other in CHECKED])
+
     def test_tampered_metrics_flagged(self, out_root, capsys):
         run_dir = self.run_once(out_root)
         stored = json.loads((run_dir / "metrics.json").read_text())

@@ -11,7 +11,7 @@ import pytest
 from scipy import special, stats
 
 from mixboot import _kernels
-from oracles import unit_rows
+from oracles import reference_loss_from_targets, unit_rows
 
 
 def random_logits_targets(seed, n=200, k=4):
@@ -49,6 +49,23 @@ class TestLossKernelReference:
         values, grads = _kernels.loss_from_targets(logits, targets)
         assert np.isfinite(values).all()
         assert np.isfinite(grads).all()
+
+
+class TestLossKernelColumns:
+    @pytest.mark.parametrize("n", [32, 2000])
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_bits_of_the_axis_reduction_form(self, k, n):
+        # rows at several scales, so some classes underflow to 0 after exp;
+        # soft and one-hot target rows
+        rng = np.random.default_rng([k, n])
+        logits = rng.normal(size=(n, k)) * rng.choice([0.01, 1.0, 30.0, 800.0],
+                                                       size=(n, 1))
+        targets = rng.dirichlet(np.ones(k), size=n)
+        targets[::3] = np.eye(k)[rng.integers(k, size=len(targets[::3]))]
+        values, grads = _kernels.loss_from_targets(logits, targets)
+        ref_values, ref_grads = reference_loss_from_targets(logits, targets)
+        assert values.tobytes() == ref_values.tobytes()
+        assert grads.tobytes() == ref_grads.tobytes()
 
 
 class TestEStepReference:

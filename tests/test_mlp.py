@@ -576,6 +576,23 @@ class TestSerialization:
                            match=f"{re.escape(str(path))} at line 3: dropout"):
             load_model(path)
 
+    @pytest.mark.parametrize("line,edited", [
+        ("dims 2 4 4 2", "dimz 2 4 4 2"),
+        ("dropout 0.2", "rate 0.2"),
+        ("dropout 0.2", "dropout 0.2 0.9"),
+    ], ids=["dims_keyword", "dropout_keyword", "two_dropouts"])
+    def test_keyword_lines_name_path_and_line(self, line, edited, tmp_path):
+        # the dims and dropout lines are read by their keyword, one rate only
+        path = tmp_path / "model.txt"
+        save_model(kaiming_init((2, 4, 4, 2), seed=47, dropout=0.2), path)
+        lines = path.read_text().splitlines()
+        number = lines.index(line) + 1
+        lines[number - 1] = edited
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidInputError,
+                           match=f"{re.escape(str(path))} at line {number}:"):
+            load_model(path)
+
     def test_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("not-a-model\n")
@@ -594,7 +611,8 @@ class TestSerialization:
         save_model(model, path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-2]) + "\n")  # drop the b3 block
-        with pytest.raises(InvalidInputError, match="disagrees"):
+        with pytest.raises(InvalidInputError,
+                           match=f"{re.escape(str(path))} at line 2: dims header disagrees"):
             load_model(path)
 
     def test_rejects_shape_disagreeing_with_dims(self, tmp_path):
@@ -602,7 +620,8 @@ class TestSerialization:
         save_model(kaiming_init((2, 3, 3, 2), seed=26), path)
         text = path.read_text().replace("dims 2 3 3 2", "dims 2 3 4 2")
         path.write_text(text)
-        with pytest.raises(InvalidInputError, match="disagrees"):
+        with pytest.raises(InvalidInputError,
+                           match=f"{re.escape(str(path))} at line 2: dims header disagrees"):
             load_model(path)
 
 

@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from mixboot.errors import InvalidInputError, UndefinedMetricError
+from mixboot.losses import softmax
 from mixboot.prob_metrics import (
     MAX_BINS,
     PredictionBatch,
@@ -20,6 +21,7 @@ from mixboot.prob_metrics import (
     reliability_bins,
     roc_auc,
 )
+from oracles import reference_brier, reference_confidences, reference_entropy
 
 # frozen hand-oracle values (scalar math on the documented formulas)
 ENTROPY_08_02 = 0.5004024235381879
@@ -105,6 +107,20 @@ class TestPredictionBatch:
         assert batch.uncertainty.tobytes() == predictive_entropy(probs).tobytes()
         correct = (probs.argmax(axis=1) == labels).astype(np.float64)
         assert batch.correct.tobytes() == correct.tobytes()
+
+    def test_class_columns_give_the_bits_of_axis_reductions(self):
+        # softmax rows at several scales, so some probabilities are tiny or
+        # underflow to 0; one-hot and tied rows too
+        rng = np.random.default_rng(31)
+        probs = softmax(rng.normal(size=(2000, 2))
+                        * rng.choice([0.01, 1.0, 30.0, 800.0], size=(2000, 1)))
+        probs[:2] = np.eye(2)
+        probs[2] = 0.5
+        labels = rng.integers(2, size=2000)
+        batch = PredictionBatch(probs, labels)
+        assert batch.uncertainty.tobytes() == reference_entropy(probs).tobytes()
+        assert batch.confidences().tobytes() == reference_confidences(probs).tobytes()
+        assert brier_score(batch) == reference_brier(probs, labels)
 
     def test_row_facts_are_computed_once(self):
         batch = PredictionBatch(np.array([[0.7, 0.3], [0.2, 0.8]]), np.array([0, 0]))
