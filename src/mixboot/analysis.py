@@ -53,6 +53,15 @@ def _sorted_unique(values) -> np.ndarray:
     return v[first[:v.size]]
 
 
+def _check_fractions(fractions) -> np.ndarray:
+    f = _sorted_unique(fractions)
+    if f.size == 0:
+        raise InvalidInputError("fractions must be nonempty")
+    if f.min() < 0.0 or f.max() >= 1.0:
+        raise InvalidInputError("fractions must lie in [0, 1)")
+    return f
+
+
 def referral_curve(
     uncertainties: np.ndarray,
     correctness: np.ndarray,
@@ -73,11 +82,7 @@ def referral_curve(
     y = np.asarray(labels)
     if not (len(u) == len(c) == len(s) == len(y)) or len(u) == 0:
         raise InvalidInputError("uncertainties, correctness, scores, labels must match")
-    fracs = _sorted_unique(fractions)
-    if fracs.size == 0:
-        raise InvalidInputError("fractions must be nonempty")
-    if fracs.min() < 0.0 or fracs.max() >= 1.0:
-        raise InvalidInputError("fractions must lie in [0, 1)")
+    fracs = _check_fractions(fractions)
 
     order = np.argsort(-u, kind="stable")  # most uncertain first, index ties
     n = len(u)

@@ -39,6 +39,10 @@ class PerturbationPolicy:
             raise InvalidInputError("perturbation parameters must be nonnegative, "
                                     "finite and jitter at most MAX_SCALE_JITTER")
 
+    @property
+    def is_identity(self) -> bool:
+        return self.noise_sigma == 0.0 and self.scale_jitter == 0.0
+
 
 def beta_from_gammas(draws: np.ndarray) -> np.ndarray:
     """Beta(alpha, alpha) coefficients g1 / (g1 + g2), one per row of an
@@ -108,7 +112,7 @@ def perturb(
     reproduces exactly.
     """
     x = np.asarray(inputs, dtype=np.float64)
-    if policy.noise_sigma == 0.0 and policy.scale_jitter == 0.0:
+    if policy.is_identity:
         return x.copy()
     u = rng.uniform(-policy.scale_jitter, policy.scale_jitter, size=x.shape)
     n = rng.normal(0.0, policy.noise_sigma, size=x.shape) if policy.noise_sigma > 0.0 else 0.0

@@ -117,11 +117,12 @@ def _cmd_report(args) -> int:
     stored = np.array([index, records[0], records[2], records[3]])
     derived = np.array([rows, rows, batch.uncertainty, batch.correct])
     same = (stored.view(np.int64) == derived.view(np.int64)).all(axis=1)
-    for (name, head), rows_same in zip(row_table_heads(report).items(),
-                                       (same[0], same[1:].all())):
+    rows_same = {"predictions.csv": same[0], "distance_records.csv": same[1:].all()}
+    for name, head in row_table_heads(report).items():
+        head = head.encode()
         with open(run_dir / name, "rb") as fh:
-            head_same = fh.read(len(head)) == head.encode()
-        verdicts[name] = "yes" if rows_same and head_same else "NO"
+            head_same = fh.read(len(head)) == head
+        verdicts[name] = "yes" if rows_same[name] and head_same else "NO"
     for name, verdict in verdicts.items():
         print(f"matches stored {name}: {verdict}")
     return EXIT_OK if set(verdicts.values()) == {"yes"} else EXIT_MISMATCH

@@ -129,12 +129,16 @@ def _convert(key: str, raw: str, typ):
         if low in _FALSE_WORDS:
             return False
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-    if typ in (int, float):
+    if typ is int:
         try:
-            return typ(raw)
+            return int(raw)
         except ValueError:
-            kind = "an integer" if typ is int else "a number"
-            raise ConfigError(f"{key}: expected {kind}, got {raw!r}") from None
+            raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
+    if typ is float:
+        try:
+            return float(raw)
+        except ValueError:
+            raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
     if get_origin(typ) is tuple:
         item = get_args(typ)[0]
         parts = [p.strip() for p in raw.split(",") if p.strip() != ""]

@@ -39,11 +39,12 @@ def fold_classes(ufunc, a: np.ndarray) -> np.ndarray:
 
 
 def softmax_parts(logits: np.ndarray, out: np.ndarray | None = None):
-    """The stable softmax's max-shifted logits, their exp (written into
-    ``out``, a float64 array of the logits' shape, when given) and the
-    row sums of the exp, each reduction a ``fold_classes``."""
+    """The stable softmax's max-shifted logits, their exp and its row
+    sums, each reduction a ``fold_classes``.  Given ``out`` (a float64
+    array of the logits' shape), the shift is written there and the exp
+    taken over it in place, so the first two are ``out``."""
     z = np.asarray(logits, dtype=np.float64)
-    shifted = z - fold_classes(np.maximum, z)[..., None]
+    shifted = np.subtract(z, fold_classes(np.maximum, z)[..., None], out=out)
     e = np.exp(shifted, out=out)
     return shifted, e, fold_classes(np.add, e)
 

@@ -175,6 +175,14 @@ def hidden1(model: MlpModel, x: np.ndarray, out: np.ndarray | None = None) -> np
     return a1
 
 
+def _output_layer(model: MlpModel, a2: np.ndarray) -> np.ndarray:
+    logits = a2 @ model.w3
+    logits += model.b3
+    if not np.isfinite(logits).all():
+        raise TrainingDivergenceError("non-finite activations in forward pass")
+    return logits
+
+
 def forward(
     model: MlpModel,
     inputs: np.ndarray,
@@ -220,12 +228,8 @@ def forward(
         np.maximum(block, 0.0, out=block)
         if use_dropout:
             block *= next(masks)
-    logits = a2 @ model.w3
-    logits += model.b3
-    if not np.isfinite(logits).all():
-        raise TrainingDivergenceError("non-finite activations in forward pass")
     scale = 1.0 / (1.0 - model.dropout) if use_dropout else 1.0
-    return logits, a2, ForwardCache(x, a1, a2, scale)
+    return _output_layer(model, a2), a2, ForwardCache(x, a1, a2, scale)
 
 
 def backward(

@@ -132,7 +132,9 @@ def _per_sample_ce(model: MlpModel, inputs: np.ndarray, onehot: np.ndarray,
                    buffers: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """No-gradient, no-dropout per-sample cross-entropy losses against
     one-hot rows, with the hidden layers in ``buffers``."""
-    return _kernels.loss_from_targets(model.predict_logits(inputs, buffers), onehot)[0]
+    logits = model.predict_logits(inputs, buffers)
+    values, _ = _kernels.loss_from_targets(logits, onehot)
+    return values
 
 
 # a diverging run overflows without a warning: the finiteness checks of

@@ -156,6 +156,15 @@ class TestPredictiveEntropy:
         with pytest.raises(InvalidInputError, match="N x K"):
             predictive_entropy(np.array([0.8, 0.2]))
 
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 0)])
+    def test_rejects_rows_of_no_classes(self, shape):
+        # a row of no classes cannot be folded; 3 x 0 also fails the row
+        # sums, and 0 x 0 was returned as an empty entropy before the fold
+        with pytest.raises(InvalidInputError, match="N x K"):
+            predictive_entropy(np.empty(shape))
+        with pytest.raises(InvalidInputError, match="N x K"):
+            PredictionBatch(np.empty(shape), np.zeros(shape[0], dtype=np.int64))
+
 
 class TestReliabilityAndEce:
     def _hand_batch(self):
