@@ -6,8 +6,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import load_config, parse_values
 from .errors import ConfigError, MixbootError, TrainingDivergenceError
 from .experiment import (
@@ -17,7 +15,7 @@ from .experiment import (
     read_distances,
     read_predictions,
     render_artifacts,
-    row_table_heads,
+    row_tables_match,
     run_experiment,
     run_sweep,
 )
@@ -89,10 +87,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    """Check the rendered files and the row tables' heads by their bytes,
-    then the tables' derived columns (sample_index, uncertainty, correct)
-    by their bits: floats are written by their round-tripping repr, entropy
-    is finite here, and a one-hot row's is -0.0, which its repr keeps."""
+    """Check the rendered files by their bytes, then the row tables'
+    heads and derived columns through ``experiment.row_tables_match``."""
     run_dir = Path(args.run)
     if not is_run_dir(run_dir):
         raise MixbootError(
@@ -112,17 +108,8 @@ def _cmd_report(args) -> int:
             verdicts[name] = "MISSING"
         else:
             verdicts[name] = "yes" if stored.read_bytes() == text.encode() else "NO"
-    # the row tables' derived columns, compared as float64 bits
-    rows = np.arange(float(batch.n))
-    stored = np.array([index, records[0], records[2], records[3]])
-    derived = np.array([rows, rows, batch.uncertainty, batch.correct])
-    same = (stored.view(np.int64) == derived.view(np.int64)).all(axis=1)
-    rows_same = {"predictions.csv": same[0], "distance_records.csv": same[1:].all()}
-    for name, head in row_table_heads(report).items():
-        head = head.encode()
-        with open(run_dir / name, "rb") as fh:
-            head_same = fh.read(len(head)) == head
-        verdicts[name] = "yes" if rows_same[name] and head_same else "NO"
+    for name, same in row_tables_match(run_dir, index, records, batch, report).items():
+        verdicts[name] = "yes" if same else "NO"
     for name, verdict in verdicts.items():
         print(f"matches stored {name}: {verdict}")
     return EXIT_OK if set(verdicts.values()) == {"yes"} else EXIT_MISMATCH

@@ -18,7 +18,7 @@ from .augment import PerturbationPolicy, perturb
 from .errors import InvalidInputError
 from .losses import softmax
 from .jobs import run_jobs, shared_array
-from .mlp import MlpModel, dropout_draws, forward, hidden1, hidden_buffers
+from .mlp import MlpModel, dropout_passes
 
 
 # MC-dropout passes fork only from this many rows times passes: a 500-row,
@@ -45,36 +45,22 @@ def mc_dropout_predict(
     passes: int,
     seed: int | list[int],
 ) -> np.ndarray:
-    """Mean probabilities of T stochastic passes with dropout active.
-
-    ``Generator.random`` takes one PCG64 step per float, so pass p draws
-    its masks from ``PCG64(seed)`` advanced by p times a forward's
-    ``dropout_draws``: the stream one pass after another would use.  The
-    layer-1 activations are computed once; every pass is one
-    ``mlp.forward`` from them into the same two buffers.  From
-    ``MC_FORK_MIN_ROW_PASSES`` rows times passes the passes run through
-    ``run_jobs`` (in forked workers when CPUs allow).  Pass p writes its
-    softmax rows into slot p of one passes x N x K ``shared_array`` and
-    returns nothing, so a forked pass sends no rows through a pipe; the
-    array holds passes x N x K x 8 bytes wherever the passes run.
-    """
+    """Mean probabilities of T passes of ``mlp.dropout_passes``.  From
+    ``MC_FORK_MIN_ROW_PASSES`` rows times passes they run through
+    ``run_jobs`` (forked when CPUs allow).  Pass p writes its softmax rows
+    into slot p of one passes x N x K ``shared_array`` and returns nothing,
+    so a forked pass sends no rows through a pipe."""
     if passes < 1:
         raise InvalidInputError("mc_dropout needs passes >= 1")
-    x = np.asarray(inputs, dtype=np.float64)
-    hidden = hidden1(model, x)
-    # allocated before any fork: a worker faults the buffers in once for
+    # made before any fork: a worker faults the pass buffers in once for
     # all its passes, and its slots are the ones this process sums
-    a1, a2 = hidden_buffers(model, len(x))
-    slots = shared_array((passes, len(x), model.dims[3]))
-    draws = dropout_draws(model, len(x))
+    pass_logits = dropout_passes(model, inputs, seed)
+    slots = shared_array((passes, len(inputs), model.dims[3]))
 
     def one_pass(p: int) -> None:
-        bits = np.random.PCG64(seed)
-        bits.advance(p * draws)
-        logits = forward(model, x, np.random.Generator(bits), (a1, a2), hidden)[0]
-        softmax(logits, out=slots[p])
+        softmax(pass_logits(p), out=slots[p])
 
-    run = map if passes * len(x) < MC_FORK_MIN_ROW_PASSES else run_jobs
+    run = map if passes * len(inputs) < MC_FORK_MIN_ROW_PASSES else run_jobs
     list(run(one_pass, range(passes)))
     return sum(slots) / passes
 

@@ -294,11 +294,25 @@ def read_distances(path, n: int) -> np.ndarray:
     return records
 
 
-def row_table_heads(report: MetricsReport) -> dict[str, str]:
-    """The lines before each row table's first row, by file name: its
-    header, after the provenance lines in distance_records.csv."""
-    return {"predictions.csv": _table(PREDICTIONS_COLUMNS, ()),
-            "distance_records.csv": _table(DISTANCE_RECORDS_COLUMNS, (), report.provenance)}
+def row_tables_match(run_dir: Path, index: np.ndarray, records: np.ndarray,
+                     batch: PredictionBatch, report: MetricsReport) -> dict[str, bool]:
+    """By file name, whether each row table of ``run_dir`` starts with the
+    lines its writer gives it and holds ``batch``'s derived columns, which
+    ``index`` and ``records`` (as read back) are compared with by their bits:
+    floats are written by their round-tripping repr, entropy is finite here,
+    and a one-hot row's is -0.0, which its repr keeps."""
+    rows = np.arange(float(batch.n))
+    stored = np.array([index, records[0], records[2], records[3]])
+    derived = np.array([rows, rows, batch.uncertainty, batch.correct])
+    same = (stored.view(np.int64) == derived.view(np.int64)).all(axis=1)
+    verdicts = {}
+    for name, header, provenance, rows_same in (
+            ("predictions.csv", PREDICTIONS_COLUMNS, None, same[0]),
+            ("distance_records.csv", DISTANCE_RECORDS_COLUMNS, report.provenance, same[1:].all())):
+        head = _table(header, (), provenance).encode()
+        with open(run_dir / name, "rb") as fh:
+            verdicts[name] = bool(rows_same) and fh.read(len(head)) == head
+    return verdicts
 
 
 def is_run_dir(path: Path) -> bool:

@@ -140,7 +140,7 @@ def _block_masks(model: MlpModel, n_rows: int, rng: np.random.Generator):
     _, h1, h2, _ = model.dims
     rate = model.dropout
     if n_rows <= PASS_ROW_BLOCK:
-        masks = _dropout_mask(np.empty(dropout_draws(model, n_rows)), rate, rng)
+        masks = _dropout_mask(np.empty(n_rows * (h1 + h2)), rate, rng)
         yield masks[:n_rows * h1].reshape(n_rows, h1)
         yield masks[n_rows * h1:].reshape(n_rows, h2)
         return
@@ -149,13 +149,6 @@ def _block_masks(model: MlpModel, n_rows: int, rng: np.random.Generator):
         for start in range(0, n_rows, PASS_ROW_BLOCK):
             shape = (min(PASS_ROW_BLOCK, n_rows - start), width)
             yield _dropout_mask(scratch[:shape[0] * width].reshape(shape), rate, rng)
-
-
-def dropout_draws(model: MlpModel, n_rows: int) -> int:
-    """Uniform draws one active-dropout forward of an ``n_rows`` batch
-    takes from its rng: one per hidden unit and row, none at rate 0."""
-    _, h1, h2, _ = model.dims
-    return n_rows * (h1 + h2) if model.dropout > 0.0 else 0
 
 
 def hidden_buffers(model: MlpModel, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -230,6 +223,25 @@ def forward(
             block *= next(masks)
     scale = 1.0 / (1.0 - model.dropout) if use_dropout else 1.0
     return _output_layer(model, a2), a2, ForwardCache(x, a1, a2, scale)
+
+
+def dropout_passes(model: MlpModel, inputs: np.ndarray, seed: int | list[int]):
+    """``pass_logits(p)``: the logits of MC-dropout pass p over an N x D
+    batch, one dropout ``forward`` from layer 1 and two buffers made here
+    once, before any fork.  A forward takes one PCG64 step per hidden unit
+    and row, so pass p draws from ``PCG64(seed)`` advanced by p forwards'
+    steps, where p passes run one after another leave it; rate 0 draws none."""
+    x = np.asarray(inputs, dtype=np.float64)
+    layer1 = hidden1(model, x)
+    buffers = hidden_buffers(model, len(x))
+    _, h1, h2, _ = model.dims
+
+    def pass_logits(p: int) -> np.ndarray:
+        bits = np.random.PCG64(seed)
+        bits.advance(p * len(x) * (h1 + h2))
+        return forward(model, x, np.random.Generator(bits), buffers, layer1)[0]
+
+    return pass_logits
 
 
 def backward(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import mixboot.estimators as estimators
+import mixboot.mlp as mlp
 from mixboot.augment import PerturbationPolicy, perturb
 from mixboot.errors import InvalidInputError, TrainingDivergenceError
 from mixboot.estimators import (
@@ -153,7 +154,7 @@ class TestMcDropout:
             calls.append(len(x))
             return np.tile(rows[(len(calls) - 1) % 2], (len(x), 1)), None, None
 
-        monkeypatch.setattr(estimators, "forward", scripted_pass)
+        monkeypatch.setattr(mlp, "forward", scripted_pass)
         model = kaiming_init((2, 4, 4, 2), seed=15, dropout=0.5)
         out = mc_dropout_predict(model, example_inputs(3, 9), passes=4, seed=0)
         np.testing.assert_allclose(out, 0.5, atol=1e-12)

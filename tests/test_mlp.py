@@ -26,7 +26,7 @@ from mixboot.mlp import (
     adam_step,
     backward,
     backward_step,
-    dropout_draws,
+    dropout_passes,
     forward,
     hidden1,
     kaiming_init,
@@ -192,16 +192,17 @@ class TestForward:
         b, _, _ = forward(model, x, rng)
         assert not (a == b).all()
 
-    @pytest.mark.parametrize("dropout, draws", [(0.0, 0), (0.4, 11 * (7 + 5))])
-    def test_dropout_forward_takes_dropout_draws_steps(self, dropout, draws):
-        # MC-dropout passes jump to their place in the stream by this count
+    @pytest.mark.parametrize("p", [0, 1, 3])
+    @pytest.mark.parametrize("n", [11, PASS_ROW_BLOCK, PASS_ROW_BLOCK + 1])
+    @pytest.mark.parametrize("dropout", [0.0, 0.4])
+    def test_dropout_pass_is_its_place_in_one_stream(self, dropout, n, p):
+        # pass p jumps to where p forwards run one after another leave the rng
         model = kaiming_init((3, 7, 5, 2), seed=9, dropout=dropout)
-        x = np.random.default_rng(6).normal(size=(11, 3))
-        rng, expected = np.random.default_rng(8), np.random.default_rng(8)
-        forward(model, x, rng)
-        assert dropout_draws(model, 11) == draws
-        expected.bit_generator.advance(draws)
-        assert rng.bit_generator.state == expected.bit_generator.state
+        x = np.random.default_rng(6).normal(size=(n, 3))
+        rng = np.random.default_rng(8)
+        for _ in range(p + 1):
+            want = forward(model, x, rng)[0]
+        assert dropout_passes(model, x, 8)(p).tobytes() == want.tobytes()
 
     def test_nonfinite_input_raises(self):
         model = kaiming_init((2, 8, 8, 2), seed=8)
