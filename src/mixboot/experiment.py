@@ -327,12 +327,17 @@ def _publishing(out: Path):
     on any exception it is removed and ``out`` stays as it was.
 
     Only an empty directory, a run directory or a sweep directory (one
-    holding sweep.csv) is replaced: any other existing ``out`` raises
-    ``InvalidInputError`` before the block runs.  The work happens in a
-    hidden ``.<name>.*`` sibling of ``out``, which a killed process may
-    leave behind; it is safe to delete.
+    holding sweep.csv) is replaced: any other existing ``out``, and the
+    working directory or one holding it (the swap would leave the process
+    in a deleted directory), raises ``InvalidInputError`` before the block
+    runs.  The work happens in a hidden ``.<name>.*`` sibling of ``out``,
+    which a killed process may leave behind; it is safe to delete.
     """
     target = out.resolve()
+    cwd = Path.cwd()
+    if target == cwd or target in cwd.parents:
+        raise InvalidInputError(f"{target} is the working directory or holds it; "
+                                "refusing to replace it")
     if target.exists() and not (target.is_dir() and (
             is_run_dir(target) or (target / "sweep.csv").is_file()
             or not any(target.iterdir()))):

@@ -1,10 +1,10 @@
 """Stateless metric kernels over batches of class-probability predictions.
 
-Entropy of any number of classes; over a two-class ``PredictionBatch``,
-expected calibration error with reliability bins, NLL, Brier score,
-ROC-AUC with the average ranks behind it, and accuracy.  All functions
-are pure and safe to call concurrently; sums accumulate in a fixed order
-within one call.
+Over a two-class ``PredictionBatch``, which checks the rows and holds
+their entropy: expected calibration error with reliability bins, NLL,
+Brier score, ROC-AUC with the average ranks behind it, and accuracy.
+All functions are pure and safe to call concurrently; sums accumulate in
+a fixed order within one call.
 """
 
 from __future__ import annotations
@@ -25,23 +25,6 @@ LOG_EPS = 1e-12
 MAX_BINS = 1000
 
 
-def _check_rows(p: np.ndarray) -> None:
-    """Reject anything but an N x K float array of probability rows, K >= 1."""
-    if p.ndim != 2 or p.shape[1] == 0:
-        raise InvalidInputError(f"probs must be N x K, got shape {p.shape}")
-    # NaN fails both comparisons, so a NaN probability is refused here
-    if not ((p >= 0.0) & (p <= 1.0)).all():
-        raise InvalidInputError("probabilities must lie in [0, 1]")
-    if np.any(np.abs(fold_classes(np.add, p) - 1.0) > ROW_SUM_TOL):
-        raise InvalidInputError("every probability row must sum to 1 within 1e-6")
-
-
-def _entropy_rows(p: np.ndarray) -> np.ndarray:
-    """``predictive_entropy`` of rows that ``_check_rows`` passed."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return -fold_classes(np.add, np.where(p > 0.0, p * np.log(p), 0.0))
-
-
 @dataclass
 class PredictionBatch:
     """N >= 1 rows of ``data.N_CLASSES`` (2) class probabilities plus N
@@ -59,13 +42,19 @@ class PredictionBatch:
     labels: np.ndarray
 
     def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=np.float64)
-        _check_rows(self.probs)
-        n, k = self.probs.shape
-        if n == 0:
-            raise InvalidInputError("a prediction batch needs at least one row")
+        p = self.probs = np.asarray(self.probs, dtype=np.float64)
+        if p.ndim != 2:
+            raise InvalidInputError(f"probs must be N x K, got shape {p.shape}")
+        n, k = p.shape
         if k != N_CLASSES:
             raise InvalidInputError(f"rows must hold {N_CLASSES} class probabilities, got {k}")
+        if n == 0:
+            raise InvalidInputError("a prediction batch needs at least one row")
+        # NaN fails both comparisons, so a NaN probability is refused here
+        if not ((p >= 0.0) & (p <= 1.0)).all():
+            raise InvalidInputError("probabilities must lie in [0, 1]")
+        if np.any(np.abs(fold_classes(np.add, p) - 1.0) > ROW_SUM_TOL):
+            raise InvalidInputError("every probability row must sum to 1 within 1e-6")
         labels = np.asarray(self.labels)
         if labels.shape != (n,):
             raise InvalidInputError(f"labels must have length {n}, got shape {labels.shape}")
@@ -78,10 +67,6 @@ class PredictionBatch:
     def n(self) -> int:
         return self.probs.shape[0]
 
-    @property
-    def k(self) -> int:
-        return self.probs.shape[1]
-
     def confidences(self) -> np.ndarray:
         """Per-sample confidence: the maximum class probability."""
         return fold_classes(np.maximum, self.probs)
@@ -92,8 +77,10 @@ class PredictionBatch:
 
     @cached_property
     def uncertainty(self) -> np.ndarray:
-        """Per-sample predictive entropy, in nats."""
-        return _entropy_rows(self.probs)
+        """Per-sample predictive entropy, in nats, with 0*ln(0) = 0."""
+        p = self.probs
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return -fold_classes(np.add, np.where(p > 0.0, p * np.log(p), 0.0))
 
     @cached_property
     def correct(self) -> np.ndarray:
@@ -117,14 +104,6 @@ class ReliabilityBins:
     def gaps(self) -> np.ndarray:
         """|conf - acc| per bin, NaN where the bin is empty."""
         return np.abs(self.conf_mean - self.acc)
-
-
-def predictive_entropy(probs: np.ndarray) -> np.ndarray:
-    """Shannon entropy of every row of an N x K probability batch, in nats,
-    with 0*ln(0) = 0."""
-    p = np.asarray(probs, dtype=np.float64)
-    _check_rows(p)
-    return _entropy_rows(p)
 
 
 def reliability_bins(batch: PredictionBatch, bin_width: float = 0.1) -> ReliabilityBins:
@@ -166,8 +145,8 @@ def negative_log_likelihood_binary(batch: PredictionBatch) -> float:
 
 def brier_score(batch: PredictionBatch) -> float:
     """Mean over samples of K^-1 * sum_k (onehot_k - p_k)^2."""
-    sq = (batch_onehot(batch.labels, batch.k) - batch.probs) ** 2
-    return float(fold_classes(np.add, sq).mean() / batch.k)
+    sq = (batch_onehot(batch.labels, N_CLASSES) - batch.probs) ** 2
+    return float(fold_classes(np.add, sq).mean() / N_CLASSES)
 
 
 def rank_average(x: np.ndarray) -> np.ndarray:

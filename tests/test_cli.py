@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from mixboot.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_MISMATCH, EXIT_OK, main
-from oracles import FAST_BLOBS
+from mixboot.experiment import OUTPUT_ROOT_ENV
+from oracles import FAST_BLOBS, read_tree
 
 
 def write_config(out_root, text, name="config.txt"):
@@ -222,6 +223,38 @@ class TestRunVerb:
         assert trained == []
         assert [p.name for p in mine.iterdir()] == ["notes.txt"]
         assert (mine / "notes.txt").read_text() == "keep me"
+
+    def test_out_onto_working_directory_refused(self, tmp_path, capsys, monkeypatch):
+        # an empty working directory was swapped away, leaving the shell in
+        # a deleted directory
+        monkeypatch.delenv(OUTPUT_ROOT_ENV, raising=False)
+        config = write_config(tmp_path, FAST_BLOBS)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        code = main(["run", "--config", config, "--out", "."])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {work} is the working directory or holds it; "
+            "refusing to replace it\n")
+        assert work.is_dir() and list(work.iterdir()) == []
+
+    def test_out_onto_directory_holding_working_directory_refused(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # from a run's models/, --out .. replaced the run around the shell
+        monkeypatch.delenv(OUTPUT_ROOT_ENV, raising=False)
+        config = write_config(tmp_path, FAST_BLOBS)
+        run_dir = tmp_path / "r1"
+        assert main(["run", "--config", config, "--out", str(run_dir)]) == EXIT_OK
+        before = read_tree(run_dir)
+        monkeypatch.chdir(run_dir / "models")
+        capsys.readouterr()
+        code = main(["run", "--config", config, "--out", ".."])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {run_dir} is the working directory or holds it; "
+            "refusing to replace it\n")
+        assert read_tree(run_dir) == before
 
 
 class TestSweepVerb:

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import mixboot.experiment as experiment
-import mixboot.prob_metrics as prob_metrics
 from mixboot.config import config_hash, parse_config
 from mixboot.errors import InvalidInputError, TrainingDivergenceError
 from mixboot.experiment import (
@@ -150,9 +150,11 @@ class TestRunExperiment:
         # the entropy and the correctness of the validation rows come from
         # the one PredictionBatch of the run
         calls = []
-        entropy_rows, predictions = prob_metrics._entropy_rows, PredictionBatch.predictions
-        monkeypatch.setattr(prob_metrics, "_entropy_rows",
-                            lambda p: calls.append("entropy") or entropy_rows(p))
+        uncertainty = PredictionBatch.__dict__["uncertainty"].func
+        counted = cached_property(lambda batch: calls.append("entropy") or uncertainty(batch))
+        counted.__set_name__(PredictionBatch, "uncertainty")
+        predictions = PredictionBatch.predictions
+        monkeypatch.setattr(PredictionBatch, "uncertainty", counted)
         monkeypatch.setattr(PredictionBatch, "predictions",
                             lambda batch: calls.append("correct") or predictions(batch))
         run_experiment(parse_config(FAST_BLOBS + "output.dir = once\n"))

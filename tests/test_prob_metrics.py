@@ -16,7 +16,6 @@ from mixboot.prob_metrics import (
     brier_score,
     expected_calibration_error,
     negative_log_likelihood_binary,
-    predictive_entropy,
     rank_average,
     reliability_bins,
     roc_auc,
@@ -88,6 +87,13 @@ class TestPredictionBatch:
         with pytest.raises(InvalidInputError, match=f"2 class probabilities, got {k}"):
             PredictionBatch(np.full((2, k), 1.0 / k), np.array([0, 0]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_shape_is_checked_before_values(self):
+        # three columns of out-of-range values: refused for the columns
+        probs = np.array([[1.5, -0.5, 0.0], [2.0, 0.0, -1.0]])
+        with pytest.raises(InvalidInputError, match="2 class probabilities, got 3"):
+            PredictionBatch(probs, np.array([0, 1]))
+
     @pytest.mark.parametrize("k", [2, 3, 7])
     def test_row_facts_have_the_oracle_bits(self, k):
         # one-hot rows (entropy -0.0), zero entries and argmax ties included;
@@ -104,7 +110,7 @@ class TestPredictionBatch:
                 PredictionBatch(probs, labels)
             return
         batch = PredictionBatch(probs, labels)
-        assert batch.uncertainty.tobytes() == predictive_entropy(probs).tobytes()
+        assert batch.uncertainty.tobytes() == reference_entropy(probs).tobytes()
         correct = (probs.argmax(axis=1) == labels).astype(np.float64)
         assert batch.correct.tobytes() == correct.tobytes()
 
@@ -129,41 +135,40 @@ class TestPredictionBatch:
 
 
 class TestPredictiveEntropy:
+    @staticmethod
+    def entropy(probs):
+        return PredictionBatch(probs, np.zeros(len(probs), dtype=np.int64)).uncertainty
+
     def test_hand_oracle(self):
-        h = predictive_entropy(np.array([[0.8, 0.2]]))
+        h = self.entropy(np.array([[0.8, 0.2]]))
         assert abs(h[0] - ENTROPY_08_02) <= 1e-9
 
     def test_one_hot_row_is_zero(self):
-        assert (predictive_entropy(np.eye(3)) == 0.0).all()
+        assert (self.entropy(np.eye(2)) == 0.0).all()
 
     def test_uniform_is_ln_k(self):
-        for k in (2, 3, 5, 10):
-            h = predictive_entropy(np.full((4, k), 1.0 / k))
-            assert np.abs(h - np.log(k)).max() <= 1e-12
+        h = self.entropy(np.full((4, 2), 0.5))
+        assert np.abs(h - np.log(2)).max() <= 1e-12
 
     def test_bounds_random_rows(self):
-        rng = np.random.default_rng(0)
-        for k in range(2, 6):
-            h = predictive_entropy(rng.dirichlet(np.ones(k), size=50))
-            assert (h >= 0.0).all()
-            assert (h <= np.log(k) + 1e-12).all()
+        h = self.entropy(np.random.default_rng(0).dirichlet(np.ones(2), size=50))
+        assert (h >= 0.0).all()
+        assert (h <= np.log(2) + 1e-12).all()
 
     def test_rejects_bad_row(self):
         with pytest.raises(InvalidInputError):
-            predictive_entropy(np.array([[0.5, 0.5], [0.9, 0.2]]))
+            self.entropy(np.array([[0.5, 0.5], [0.9, 0.2]]))
 
     def test_rejects_single_row_vector(self):
         with pytest.raises(InvalidInputError, match="N x K"):
-            predictive_entropy(np.array([0.8, 0.2]))
+            self.entropy(np.array([0.8, 0.2]))
 
     @pytest.mark.parametrize("shape", [(0, 0), (3, 0)])
     def test_rejects_rows_of_no_classes(self, shape):
-        # a row of no classes cannot be folded; 3 x 0 also fails the row
-        # sums, and 0 x 0 was returned as an empty entropy before the fold
-        with pytest.raises(InvalidInputError, match="N x K"):
-            predictive_entropy(np.empty(shape))
-        with pytest.raises(InvalidInputError, match="N x K"):
-            PredictionBatch(np.empty(shape), np.zeros(shape[0], dtype=np.int64))
+        # a row of no classes cannot be folded; 0 x 0 was once returned as
+        # an empty entropy before the fold
+        with pytest.raises(InvalidInputError, match="2 class probabilities, got 0"):
+            self.entropy(np.empty(shape))
 
 
 class TestReliabilityAndEce:
