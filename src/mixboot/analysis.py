@@ -195,11 +195,18 @@ def t_two_tailed_p(t: float, df: int) -> float:
 
     This is I_x(df/2, 1/2), x = df/(df + t^2), with ln x and 1 - x
     computed from t^2 and df rather than from the rounded x; for t^2
-    below about 3 it is 1 - I_{1-x}(1/2, df/2).
+    below about 3 it is 1 - I_{1-x}(1/2, df/2).  An infinite t, or one
+    whose square overflows, has p = 0.
     """
+    if math.isnan(t):
+        raise InvalidInputError(f"t must be a number, got {t!r}")
+    if not df >= 1:
+        raise InvalidInputError(f"df must be >= 1, got {df!r}")
     t2 = t * t
     if t2 == 0.0:
         return 1.0
+    if t2 == math.inf:
+        return 0.0
     a = 0.5 * df
     x = df / (df + t2)
     one_minus_x = t2 / (df + t2)
@@ -224,6 +231,8 @@ def spearman(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     n = len(xa)
     if n < 3:
         raise InvalidInputError("spearman needs at least 3 samples")
+    if np.isnan(xa).any() or np.isnan(ya).any():
+        raise UndefinedMetricError("correlation undefined with a NaN input")
     if np.all(xa == xa[0]) or np.all(ya == ya[0]):
         raise UndefinedMetricError("correlation undefined for a constant vector")
     xr, yr = rank_average(xa), rank_average(ya)
@@ -244,8 +253,8 @@ def distance_perception_summary(
 
     Samples with a NaN distance (zero-norm features) are dropped first:
     ``n`` counts the finite distances and ``n_dropped`` the others.  Where
-    the correlation is undefined (fewer than 3 finite distances, or a
-    constant vector), a ``degenerate`` reason stands in for
+    the correlation is undefined (fewer than 3 finite distances, a
+    constant vector or a NaN uncertainty), a ``degenerate`` reason stands in for
     ``rho_similarity`` and ``p_similarity``.
     """
     d = np.asarray(distances, dtype=np.float64)

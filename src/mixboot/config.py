@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, fields
-from typing import get_args, get_origin, get_type_hints
 
 from .augment import MAX_SCALE_JITTER
 from .errors import ConfigError
@@ -19,7 +18,6 @@ from .trainer import TrainConfig
 
 ESTIMATOR_KINDS = ("single", "ensemble", "mc_dropout", "tta")
 REPORT_FORMATS = ("csv", "json")
-REQUIRED_KEYS = ("method",)
 
 
 @dataclass(frozen=True)
@@ -99,18 +97,19 @@ _SECTIONS = (
 )
 
 
-def _registry() -> dict[str, tuple[str, str, type]]:
-    """Maps dotted config key -> (section, dataclass field, python type)."""
+def _registry() -> dict[str, tuple[str, str, str]]:
+    """Maps dotted config key -> (section, dataclass field, the field's
+    annotation text, such as "float" or "tuple[str, ...]")."""
     reg = {}
     for section, prefix, cls in _SECTIONS:
-        hints = get_type_hints(cls)
         for f in fields(cls):
             name = f.name
             if name.startswith("policy_"):
                 name = "policy." + name[len("policy_"):]
-            reg[prefix + name] = (section, f.name, hints[f.name])
-    reg["output.dir"] = ("output", "output_dir", str)
-    reg["output.formats"] = ("output", "formats", tuple[str, ...])
+            reg[prefix + name] = (section, f.name, f.type)
+    output = {f.name: f.type for f in fields(ExperimentConfig)}
+    reg["output.dir"] = ("output", "output_dir", output["output_dir"])
+    reg["output.formats"] = ("output", "formats", output["formats"])
     return reg
 
 
@@ -119,28 +118,28 @@ _TRUE_WORDS = ("true", "1", "yes", "on")
 _FALSE_WORDS = ("false", "0", "no", "off")
 
 
-def _convert(key: str, raw: str, typ):
-    if typ is str:
+def _convert(key: str, raw: str, typ: str):
+    if typ == "str":
         return raw
-    if typ is bool:
+    if typ == "bool":
         low = raw.lower()
         if low in _TRUE_WORDS:
             return True
         if low in _FALSE_WORDS:
             return False
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-    if typ is int:
+    if typ == "int":
         try:
             return int(raw)
         except ValueError:
             raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
-    if typ is float:
+    if typ == "float":
         try:
             return float(raw)
         except ValueError:
             raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-    if get_origin(typ) is tuple:
-        item = get_args(typ)[0]
+    if typ.startswith("tuple["):
+        item = typ.removeprefix("tuple[").removesuffix(", ...]")
         parts = [p.strip() for p in raw.split(",") if p.strip() != ""]
         if not parts:
             raise ConfigError(f"{key}: expected a comma-separated list, got {raw!r}")
@@ -150,7 +149,7 @@ def _convert(key: str, raw: str, typ):
 
 def parse_values(key: str, raw: str) -> tuple:
     """A comma-separated list of values, each typed as config key ``key``."""
-    return _convert(key, raw, tuple[_REGISTRY[key][2], ...])
+    return _convert(key, raw, f"tuple[{_REGISTRY[key][2]}, ...]")
 
 
 def _split_pair(line: str, origin: str) -> tuple[str, str] | None:
@@ -170,9 +169,8 @@ def _split_pair(line: str, origin: str) -> tuple[str, str] | None:
 
 def config_from_pairs(pairs: dict[str, str], origins: dict[str, str]) -> ExperimentConfig:
     """Typed config from raw pairs; ``origins[key]`` says where key was set."""
-    for required in REQUIRED_KEYS:
-        if required not in pairs:
-            raise ConfigError(f"missing required key {required!r}")
+    if "method" not in pairs:
+        raise ConfigError("missing required key 'method'")
     sections: dict[str, dict] = {section: {} for section, _, _ in _SECTIONS}
     sections["output"] = {}
     for key, raw in pairs.items():

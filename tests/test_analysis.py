@@ -394,9 +394,30 @@ class TestSpearman:
         x = np.arange(12.0)
         assert spearman(x, x) == (1.0, 0.0)
 
+    def test_nan_t_rejected(self):
+        with pytest.raises(InvalidInputError, match="t must be a number, got nan"):
+            t_two_tailed_p(math.nan, 5)
+
+    def test_df_below_one_rejected(self):
+        for df in (0, 0.5, -3):
+            with pytest.raises(InvalidInputError, match=f"df must be >= 1, got {df}"):
+                t_two_tailed_p(1.0, df)
+
+    def test_infinite_t_has_zero_p(self):
+        # 1e200 squares to inf, as an infinite t does
+        for t in (math.inf, -math.inf, 1e200):
+            assert t_two_tailed_p(t, 5) == 0.0
+
     def test_constant_vector_undefined(self):
         with pytest.raises(UndefinedMetricError):
             spearman(np.ones(5), np.arange(5.0))
+
+    def test_nan_input_undefined(self):
+        y = np.arange(10.0)
+        y[4] = np.nan
+        for a, b in ((np.arange(10.0), y), (y, np.arange(10.0))):
+            with pytest.raises(UndefinedMetricError, match="NaN input"):
+                spearman(a, b)
 
     def test_needs_three_samples(self):
         with pytest.raises(InvalidInputError):
@@ -459,3 +480,11 @@ class TestDistanceRecordsAndSummary:
         assert distance_perception_summary(d, u) == {
             "n": 3, "n_dropped": 2,
             "degenerate": "correlation undefined for a constant vector"}
+
+    def test_summary_undefined_for_nan_uncertainty(self):
+        d = np.linspace(0.1, 0.9, 10)
+        u = np.linspace(0.5, 0.1, 10)
+        u[3] = np.nan
+        assert distance_perception_summary(d, u) == {
+            "n": 10, "n_dropped": 0,
+            "degenerate": "correlation undefined with a NaN input"}
